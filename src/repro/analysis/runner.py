@@ -43,7 +43,6 @@ ZONE_MAP_VERSION = 1
 EFFORT_FIELDS = (
     "kl_iterations",
     "kl_probes",
-    "kl_probe_cache_hits",
     "kl_bin_packs",
     "kl_repacks",
     "kl_pack_steps",

@@ -70,7 +70,6 @@ def effort_counters(compiled: CompiledLoop) -> dict[str, int]:
     if compiled.partition is not None:
         effort["kl_iterations"] = compiled.partition.iterations
         effort["kl_probes"] = compiled.partition.n_probes
-        effort["kl_probe_cache_hits"] = compiled.partition.n_probe_cache_hits
         effort["kl_bin_packs"] = compiled.partition.n_bin_packs
         effort["kl_repacks"] = compiled.partition.n_repacks
         effort["kl_pack_steps"] = compiled.partition.n_pack_steps

@@ -80,7 +80,6 @@ def telemetry_payload(
                 "wall_ms": round(t.wall_ms, 3),
                 "kl_iterations": t.kl_iterations,
                 "kl_probes": t.kl_probes,
-                "kl_probe_cache_hits": t.kl_probe_cache_hits,
                 "kl_bin_packs": t.kl_bin_packs,
                 "kl_repacks": t.kl_repacks,
                 "kl_pack_steps": t.kl_pack_steps,
@@ -107,7 +106,6 @@ def compile_perf_payload(
     deterministic and comparable across machines; ``wall_s`` is not."""
     telemetry = telemetry_payload(evaluator, names)
     totals = {counter: 0 for counter in EFFORT_COUNTERS}
-    totals["kl_probe_cache_hits"] = 0
     cache_hits = cache_misses = loops = 0
     for variants in telemetry.values():
         for row in variants.values():

@@ -89,7 +89,6 @@ class CompileTelemetry:
     wall_ms: float = 0.0
     kl_iterations: int = 0
     kl_probes: int = 0
-    kl_probe_cache_hits: int = 0
     kl_bin_packs: int = 0
     kl_repacks: int = 0
     kl_pack_steps: int = 0
@@ -109,7 +108,6 @@ class CompileTelemetry:
         if compiled.partition is not None:
             self.kl_iterations += compiled.partition.iterations
             self.kl_probes += compiled.partition.n_probes
-            self.kl_probe_cache_hits += compiled.partition.n_probe_cache_hits
             self.kl_bin_packs += compiled.partition.n_bin_packs
             self.kl_repacks += compiled.partition.n_repacks
             self.kl_pack_steps += compiled.partition.n_pack_steps

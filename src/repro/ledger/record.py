@@ -111,6 +111,8 @@ class RunRecord:
     #: Per-loop metrics: {benchmark: {loop: {variant: {ii, ...}}}}.
     loops: dict = field(default_factory=dict)
     #: Deterministic effort totals (kl_probes, sched_attempts, ...).
+    #: ``kl_probe_cache_hits`` is no longer written: the probe cache it
+    #: counted was removed.  Older records may still carry it.
     effort: dict = field(default_factory=dict)
     #: Per-(benchmark, variant) telemetry rows (includes wall_ms).
     telemetry: dict = field(default_factory=dict)

@@ -311,20 +311,20 @@ def exact_partition(
     bins = Bins(machine, balance_ties=config.balanced_bin_packing)
     for op in body:
         if op.uid in side_of:
-            bins.reserve_all(list(model.op_opcodes(op, Side.SCALAR)), ("op", op.uid))
+            op_key, plan = model.op_step(op, Side.SCALAR)
+            bins.reserve(plan, op_key)
     for i, info in enumerate(model.overhead_opcodes()):
         bins.reserve_least_used(info, ("overhead", i))
 
-    inst_class = {
-        inst: rc.name for rc in machine.resources for inst in rc.instances()
-    }
-    class_count = {rc.name: rc.count for rc in machine.resources}
+    _, spans = machine.instance_layout()
+    inst_class = [cls for cls, (_, count) in spans.items() for _ in range(count)]
+    class_count = {cls: count for cls, (_, count) in spans.items()}
     dataflow = model.dataflow
     forced: set[object] = set()
 
     def lower_bound(depth: int) -> int:
         totals: dict[str, int] = {}
-        for inst, w in bins.weights.items():
+        for inst, w in enumerate(bins.load):
             if w:
                 cls = inst_class[inst]
                 totals[cls] = totals.get(cls, 0) + w
@@ -365,7 +365,8 @@ def exact_partition(
 
     def apply(op: Operation, side: Side) -> list[object]:
         side_of[op.uid] = side
-        bins.reserve_all(list(model.op_opcodes(op, side)), ("op", op.uid))
+        op_key, plan = model.op_step(op, side)
+        bins.reserve(plan, op_key)
         newly: list[object] = []
         for key in model.touch_keys[op.uid]:
             if key in forced:
@@ -375,7 +376,7 @@ def exact_partition(
                 continue
             opcodes = model.transfer_opcodes(transfer)
             if opcodes:
-                bins.reserve_all(list(opcodes), ("comm", key))
+                bins.reserve_all(opcodes, ("comm", key))
             forced.add(key)
             newly.append(key)
         return newly

@@ -380,12 +380,11 @@ def res_mii(loop: Loop, machine: MachineDescription) -> ResMII:
     for op in ordered:
         bins.reserve_least_used(machine.opcode_info(op), ("op", op.uid))
     high = bins.high_water_mark()
+    pressure = bins.weights
     bottleneck = None
     if high > 0:
-        bottleneck = min(
-            (inst for inst, w in bins.weights.items() if w == high),
-        )
-    return ResMII(max(1, high), pressure=bins.weights, bottleneck=bottleneck)
+        bottleneck = min(inst for inst, w in pressure.items() if w == high)
+    return ResMII(max(1, high), pressure=pressure, bottleneck=bottleneck)
 
 
 def rec_mii(

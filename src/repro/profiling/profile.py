@@ -38,7 +38,6 @@ ROOT_NAME = "(session)"
 EFFORT_COUNTER_MAP = {
     "kl_iterations": "kl.iterations",
     "kl_probes": "kl.moves_evaluated",
-    "kl_probe_cache_hits": "kl.probe_cache_hits",
     "kl_bin_packs": "kl.bin_packs",
     "kl_repacks": "kl.repacks",
     "kl_pack_steps": "kl.pack_steps",

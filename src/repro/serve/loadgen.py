@@ -52,11 +52,6 @@ from repro.machine.configs import MACHINE_FACTORIES
 from repro.serve.protocol import parse_compile_request
 from repro.workloads.generator import CorpusSpec, corpus_plan
 
-#: Every deterministic effort counter a serve/direct record sums —
-#: the bench set plus the probe-cache counter, matching sweep records.
-ALL_EFFORT = tuple(EFFORT_COUNTERS) + ("kl_probe_cache_hits",)
-
-
 def _percentile(sorted_values: list[float], fraction: float) -> float:
     if not sorted_values:
         return 0.0
@@ -251,7 +246,7 @@ def build_record(
     deltas under ``dashboard compare --fail-on-exact``.
     """
     loops_grid: dict[str, dict[str, dict[str, float]]] = {}
-    effort = {counter: 0 for counter in ALL_EFFORT}
+    effort = {counter: 0 for counter in EFFORT_COUNTERS}
     for summary in summaries.values():
         row = loops_grid.setdefault(summary["loop"], {})
         row[summary["strategy"]] = {
@@ -259,7 +254,7 @@ def build_record(
             "res_mii": summary["res_mii"],
             "rec_mii": summary["rec_mii"],
         }
-        for counter in ALL_EFFORT:
+        for counter in EFFORT_COUNTERS:
             effort[counter] += int(summary["effort"].get(counter, 0))
     config = {
         "experiments": ["serve"],

@@ -207,7 +207,6 @@ def _run_shard(task: dict) -> dict:
     wall_s = time.perf_counter() - start
 
     effort = {counter: getattr(telemetry, counter) for counter in EFFORT_COUNTERS}
-    effort["kl_probe_cache_hits"] = telemetry.kl_probe_cache_hits
     record = RunRecord(
         run_id=f"{task['run_id']}-s{shard:05d}",
         created_at=utc_now_iso(),

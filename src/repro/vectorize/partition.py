@@ -22,46 +22,42 @@ performed only once per Kernighan-Lin iteration.
 Fast-path engineering (behavior-preserving — every optimization below
 reproduces the original trajectory bit-for-bit):
 
+* the cost model resolves each (operation, side) and each (transfer,
+  direction) once into a memoized ``BIN-PACK`` step, a reservation key
+  plus a flat plan of ``(first instance, count, cycles)`` triples, so
+  packing and probing index the flat bins (:mod:`repro.vectorize.bins`)
+  and never rehash opcodes, transfers or sides;
 * probes run the apply/undo delta protocol (:meth:`Bins.checkpoint` /
   :meth:`Bins.rollback`) on the live bins instead of deep-copying the
   ledger per ``TEST-REPARTITION``;
 * an accepted move re-packs only the *suffix* of the deterministic
   ``BIN-PACK`` reservation sequence that the flip invalidates
   (:class:`IncrementalPacker`): the journal rolls the bins back to the
-  first changed reservation and replays from there, which yields a state
+  first changed step and replays from there, which yields a state
   identical to a from-scratch ``BIN-PACK`` of the flipped assignment.
   Set ``REPRO_KL_VERIFY=1`` to assert full state equality (weights and
-  ledger) against a reference pack after every move;
-* probe results are memoized FM-style between moves: a cached probe is
-  invalidated when the last committed move touched an intersecting
-  transfer key (``touch_keys``), and is only *reused* after re-validating
-  the bin weights, the rest-of-machine high-water mark, and the ledger
-  entries the replay would release — under which the release/reserve
-  replay is provably identical, so a hit is bit-identical to a fresh
-  probe.  Set ``REPRO_KL_PROBE_CACHE=0`` to disable.
+  ledger) against an uncounted reference pack after every move.
 """
 
 from __future__ import annotations
 
 import os
-
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from repro.dependence.analysis import LoopDependence
 from repro.ir.operations import Operation, OpKind
 from repro.machine.machine import MachineDescription
 from repro.machine.resources import OpcodeInfo
 from repro.vectorize.alignment import merge_overhead_opcodes
-from repro.vectorize.bins import Bins, placement_freedom
+from repro.vectorize.bins import Bins, Plan, placement_freedom
 from repro.vectorize.communication import (
     Dataflow,
     Side,
     Transfer,
     dataflow_of,
     transfer_cost_opcodes,
-    transfer_for_key,
     transfer_keys_touching,
-    transfers_for,
 )
 
 
@@ -100,7 +96,6 @@ class PartitionResult:
     moves_accepted: int = 0
     n_probes: int = 0
     n_bin_packs: int = 0
-    n_probe_cache_hits: int = 0
     n_repacks: int = 0
     n_pack_steps: int = 0
 
@@ -117,8 +112,41 @@ class PartitionResult:
         return self.cost / vector_length
 
 
+class _TransferSite:
+    """One operand that can cross partitions: its producer (``None`` for
+    a carried scalar, which only ever crosses to the vector side), its
+    consumers, and the memoized ``BIN-PACK`` step of each direction."""
+
+    __slots__ = ("key", "ledger_key", "producer", "consumers", "dtype", "steps")
+
+    def __init__(self, key, producer, consumers, dtype):
+        self.key = key
+        self.ledger_key = ("comm", key)
+        self.producer = producer
+        self.consumers = tuple(consumers)
+        self.dtype = dtype
+        # Indexed by ``to_vector``: None until resolved, then the step, or
+        # () when the transfer costs nothing.
+        self.steps: list = [None, None]
+
+
+def _transfer_sites(dataflow: Dataflow) -> list[_TransferSite]:
+    """Every operand that can cross, in :func:`transfers_for` order."""
+    sites = [
+        _TransferSite(producer, producer, consumers, dataflow.producer_dtype[producer])
+        for producer, consumers in dataflow.consumers.items()
+        if consumers
+    ]
+    for entry, consumers in dataflow.carried_consumers.items():
+        if entry not in dataflow.constant_carried:
+            sites.append(_TransferSite(("carried", entry.name), None, consumers, entry.type))
+    return sites
+
+
 class PartitionCostModel:
-    """Maps (operation, side) and transfers to machine opcodes for binning."""
+    """Maps (operation, side) and transfers to machine opcodes, and each
+    to the memoized ``BIN-PACK`` step that reserves them: a
+    ``(reservation key, plan)`` pair over the flat instance layout."""
 
     def __init__(
         self,
@@ -130,33 +158,64 @@ class PartitionCostModel:
         self.machine = machine
         self.config = config
         self.dataflow: Dataflow = dataflow_of(dep)
-        self.touch_keys: dict[int, set[object]] = {
-            op.uid: transfer_keys_touching(self.dataflow, op)
-            for op in dep.loop.body
-        }
+        body = dep.loop.body
+        # Touch keys in one fixed order, never set order: producers in
+        # body order, then carried scalars.
+        order = [*self.dataflow.consumers]
+        order += [("carried", entry.name) for entry in self.dataflow.carried_consumers]
+        self.touch_keys: dict[int, tuple[object, ...]] = {}
+        for op in body:
+            keys = transfer_keys_touching(self.dataflow, op)
+            self.touch_keys[op.uid] = tuple(k for k in order if k in keys)
         # Plain-int work counters (always on — an increment is cheaper
         # than any guard); surfaced through PartitionResult and, when a
         # recorder is active, the kl.* counters.
         self.n_bin_packs = 0
         self.n_probes = 0
-        self.n_probe_cache_hits = 0
         self.n_repacks = 0
         self.n_pack_steps = 0
-        # (uid, side) -> opcode tuple; pure per model and re-resolved
-        # thousands of times across probes otherwise.  Tuples (one object
-        # per key) also make pack-sequence steps compare by identity.
-        self._opcodes_memo: dict[tuple[int, Side], tuple[OpcodeInfo, ...]] = {}
-        self._freedom_memo: dict[tuple[int, Side], int] = {}
+        self._index = {op.uid: i for i, op in enumerate(body)}
+        self._op_keys = [("op", op.uid) for op in body]
+        # Per dense op index, indexed by ``side is Side.VECTOR``: None
+        # until resolved, then ``(step, freedom, opcodes)``.  One step
+        # object per (op, side) lets pack sequences compare by identity.
+        self._op_memo: list[list] = [[None, None] for _ in body]
         self._transfer_memo: dict[Transfer, tuple[OpcodeInfo, ...]] = {}
         self._overhead_memo: tuple[OpcodeInfo, ...] | None = None
-        self._by_uid = {op.uid: op for op in dep.loop.body}
+        self._sites = _transfer_sites(self.dataflow)
+        by_key = {site.key: site for site in self._sites}
+        # Per dense op index: the sites a flip of the op can change.
+        self._touch_sites = [
+            tuple(by_key[k] for k in self.touch_keys[op.uid] if k in by_key)
+            for op in body
+        ]
+        self._overhead_steps = [
+            (("overhead", i), self._plan((info,)))
+            for i, info in enumerate(self.overhead_opcodes())
+        ]
+
+    def _plan(self, opcodes) -> Plan:
+        spec = self.machine.reservation_spec
+        return tuple(use for info in opcodes for use in spec(info))
+
+    def _op_entry(self, i: int, vector: bool) -> tuple:
+        """``(step, freedom, opcodes)`` of body op ``i`` on one side."""
+        entry = self._op_memo[i][vector]
+        if entry is None:
+            op = self.dep.loop.body[i]
+            opcodes = self._select_op_opcodes(op, Side.VECTOR if vector else Side.SCALAR)
+            # Bin-pack ordering key: fewest placement alternatives first.
+            freedom = min(placement_freedom(self.machine, info) for info in opcodes)
+            step = (self._op_keys[i], self._plan(opcodes))
+            entry = self._op_memo[i][vector] = (step, freedom, opcodes)
+        return entry
 
     def op_opcodes(self, op: Operation, side: Side) -> tuple[OpcodeInfo, ...]:
-        key = (op.uid, side)
-        infos = self._opcodes_memo.get(key)
-        if infos is None:
-            infos = self._opcodes_memo[key] = self._select_op_opcodes(op, side)
-        return infos
+        return self._op_entry(self._index[op.uid], side is Side.VECTOR)[2]
+
+    def op_step(self, op: Operation, side: Side) -> tuple[object, Plan]:
+        """The ``(reservation key, plan)`` step that bins ``op`` on ``side``."""
+        return self._op_entry(self._index[op.uid], side is Side.VECTOR)[0]
 
     def _select_op_opcodes(self, op: Operation, side: Side) -> tuple[OpcodeInfo, ...]:
         if side is Side.SCALAR:
@@ -166,17 +225,6 @@ class PartitionCostModel:
         if op.kind.is_memory and self.config.account_alignment:
             infos.extend(merge_overhead_opcodes(self.machine, self.dep.loop, op))
         return tuple(infos)
-
-    def op_freedom(self, op: Operation, side: Side) -> int:
-        """Bin-pack ordering key (fewest placement alternatives first)."""
-        key = (op.uid, side)
-        freedom = self._freedom_memo.get(key)
-        if freedom is None:
-            freedom = self._freedom_memo[key] = min(
-                placement_freedom(self.machine, info)
-                for info in self.op_opcodes(op, side)
-            )
-        return freedom
 
     def overhead_opcodes(self) -> tuple[OpcodeInfo, ...]:
         """Loop control and addressing work, constant across partitions:
@@ -189,11 +237,13 @@ class PartitionCostModel:
 
         infos: list[OpcodeInfo] = []
         if machine.model_loop_overhead:
-            arrays = {op.array for op in self.dep.loop.body if op.kind.is_memory}
-            for _ in sorted(a for a in arrays if a is not None):
-                infos.append(
-                    machine.opcode_info_for(OpKind.BUMP, ScalarType.I64, False)
-                )
+            arrays = {
+                op.array
+                for op in self.dep.loop.body
+                if op.kind.is_memory and op.array is not None
+            }
+            bump = machine.opcode_info_for(OpKind.BUMP, ScalarType.I64, False)
+            infos.extend([bump] * len(arrays))
             infos.append(machine.opcode_info_for(OpKind.IVINC, ScalarType.I64, False))
             infos.append(machine.opcode_info_for(OpKind.CBR, ScalarType.I64, False))
         self._overhead_memo = tuple(infos)
@@ -209,39 +259,68 @@ class PartitionCostModel:
             )
         return opcodes
 
+    def _transfer_step(self, site: _TransferSite, assignment: dict[int, Side]):
+        """The step of ``site``'s transfer under ``assignment``; falsy
+        when the operand does not cross or crossing costs nothing."""
+        if site.producer is None:
+            for c in site.consumers:
+                if assignment[c] is Side.VECTOR:
+                    break
+            else:
+                return None
+            to_vector = True
+        else:
+            side = assignment[site.producer]
+            for c in site.consumers:
+                if assignment[c] is not side:
+                    break
+            else:
+                return None
+            to_vector = side is Side.SCALAR
+        step = site.steps[to_vector]
+        if step is None:
+            opcodes = self.transfer_opcodes(Transfer(site.key, site.dtype, to_vector))
+            step = site.steps[to_vector] = (
+                (site.ledger_key, self._plan(opcodes)) if opcodes else ()
+            )
+        return step
+
     # ------------------------------------------------------------------
 
-    def pack_sequence(
-        self, assignment: dict[int, Side]
-    ) -> list[tuple[object, tuple[OpcodeInfo, ...]]]:
+    def pack_sequence(self, assignment: dict[int, Side]) -> list[tuple[object, Plan]]:
         """The deterministic reservation sequence BIN-PACK performs for
         ``assignment``: operations with the fewest placement alternatives
         first (ties in body order), then partition-induced transfers, then
-        loop overhead.  Each step is ``(reservation key, opcodes)``; two
-        equal steps reserve identically from identical bins, which is what
-        lets :class:`IncrementalPacker` resume a pack mid-sequence."""
-        steps: list[tuple[object, tuple[OpcodeInfo, ...]]] = []
-        ordered = sorted(
-            self.dep.loop.body,
-            key=lambda op: self.op_freedom(op, assignment[op.uid]),
-        )
-        for op in ordered:
-            steps.append((("op", op.uid), self.op_opcodes(op, assignment[op.uid])))
-        for transfer in transfers_for(self.dataflow, assignment):
-            opcodes = self.transfer_opcodes(transfer)
-            if opcodes:
-                steps.append((("comm", transfer.key), opcodes))
-        for i, info in enumerate(self.overhead_opcodes()):
-            steps.append((("overhead", i), (info,)))
+        loop overhead.  Each step is a memoized ``(reservation key,
+        plan)``; the same step object reserves identically from identical
+        bins, which is what lets :class:`IncrementalPacker` resume a pack
+        mid-sequence."""
+        entry = self._op_entry
+        vector = Side.VECTOR
+        entries = [
+            entry(i, assignment[op.uid] is vector)
+            for i, op in enumerate(self.dep.loop.body)
+        ]
+        entries.sort(key=itemgetter(1))  # freedom; stable, so ties keep body order
+        steps = [e[0] for e in entries]
+        for site in self._sites:
+            step = self._transfer_step(site, assignment)
+            if step:
+                steps.append(step)
+        steps.extend(self._overhead_steps)
         return steps
 
     def bin_pack(self, assignment: dict[int, Side]) -> Bins:
         """Full greedy bin-pack of the configuration (Figure 2, BIN-PACK)."""
         self.n_bin_packs += 1
+        return self.uncounted_pack(assignment)
+
+    def uncounted_pack(self, assignment: dict[int, Side]) -> Bins:
+        """:meth:`bin_pack` without counting it: the self-check's
+        reference pack must leave the effort counters alone."""
         bins = Bins(self.machine, balance_ties=self.config.balanced_bin_packing)
-        for key, opcodes in self.pack_sequence(assignment):
-            for info in opcodes:
-                bins.reserve_least_used(info, key)
+        for key, plan in self.pack_sequence(assignment):
+            bins.reserve(plan, key)
         return bins
 
     def _apply_flip(
@@ -253,24 +332,25 @@ class PartitionCostModel:
         """Apply the release/reserve delta of flipping ``op`` to ``bins``
         (TEST-REPARTITION's incremental re-reservation).  ``assignment``
         is left unchanged."""
-        bins.release(("op", op.uid))
-        touched = self.touch_keys[op.uid]
-        for key in touched:
-            if bins.has_key(("comm", key)):
-                bins.release(("comm", key))
-        new_side = assignment[op.uid].flipped()
+        i = self._index[op.uid]
+        sites = self._touch_sites[i]
+        bins.release(self._op_keys[i])
+        reservations = bins.reservations
+        for site in sites:
+            if site.ledger_key in reservations:
+                bins.release(site.ledger_key)
+        old_side = assignment[op.uid]
+        new_side = old_side.flipped()
         assignment[op.uid] = new_side
         try:
-            bins.reserve_all(self.op_opcodes(op, new_side), ("op", op.uid))
-            for key in touched:
-                transfer = transfer_for_key(self.dataflow, assignment, key)
-                if transfer is None:
-                    continue
-                opcodes = self.transfer_opcodes(transfer)
-                if opcodes:
-                    bins.reserve_all(opcodes, ("comm", key))
+            key, plan = self._op_entry(i, new_side is Side.VECTOR)[0]
+            bins.reserve(plan, key)
+            for site in sites:
+                step = self._transfer_step(site, assignment)
+                if step:
+                    bins.reserve(step[1], step[0])
         finally:
-            assignment[op.uid] = new_side.flipped()
+            assignment[op.uid] = old_side
 
     def probe_cost(
         self,
@@ -289,37 +369,6 @@ class PartitionCostModel:
         finally:
             bins.rollback(mark)
 
-    # ------------------------------------------------------------------
-
-    def probe_footprint(self, op: Operation) -> frozenset[str]:
-        """Resource instances a flip of ``op`` can touch, on either side:
-        the validity context of a cached probe result."""
-        classes: set[str] = set()
-        for side in (Side.SCALAR, Side.VECTOR):
-            for info in self.op_opcodes(op, side):
-                for use in info.uses:
-                    classes.add(use.resource)
-        for key in self.touch_keys[op.uid]:
-            if isinstance(key, tuple) and key and key[0] == "carried":
-                dtype = None
-                for entry in self.dataflow.carried_consumers:
-                    if entry.name == key[1]:
-                        dtype = entry.type
-                        break
-            else:
-                dtype = self.dataflow.producer_dtype.get(key)
-            if dtype is None:
-                continue
-            for to_vector in (False, True):
-                transfer = Transfer(key=key, dtype=dtype, to_vector=to_vector)
-                for info in self.transfer_opcodes(transfer):
-                    for use in info.uses:
-                        classes.add(use.resource)
-        instances: set[str] = set()
-        for name in classes:
-            instances.update(self.machine.resource_class(name).instances())
-        return frozenset(instances)
-
 
 class IncrementalPacker:
     """A packed :class:`Bins` kept in lockstep with an assignment by
@@ -328,11 +377,11 @@ class IncrementalPacker:
     The pack is applied step by step with a journal mark recorded before
     each step.  When the assignment changes, the new
     :meth:`PartitionCostModel.pack_sequence` is diffed against the packed
-    one; the bins roll back to the first differing step and only the
-    suffix is replayed.  Because a step's effect is a pure function of
-    the bins state it is applied to, the result is identical — weights
-    and ledger — to a from-scratch ``BIN-PACK`` of the new assignment,
-    so the Kernighan-Lin trajectory is preserved exactly.
+    one by step identity; the bins roll back to the first differing step
+    and only the suffix is replayed.  Because a step's effect is a pure
+    function of the bins state it is applied to, the result is identical
+    — weights and ledger — to a from-scratch ``BIN-PACK`` of the new
+    assignment, so the Kernighan-Lin trajectory is preserved exactly.
     """
 
     def __init__(self, model: PartitionCostModel, assignment: dict[int, Side]):
@@ -340,21 +389,18 @@ class IncrementalPacker:
         self.bins = Bins(
             model.machine, balance_ties=model.config.balanced_bin_packing
         )
-        self.steps: list[tuple[object, tuple[OpcodeInfo, ...]]] = []
+        self.steps: list[tuple[object, Plan]] = []
         self.marks: list[int] = []
         model.n_bin_packs += 1
         self._extend(model.pack_sequence(assignment))
 
-    def _extend(
-        self, steps: list[tuple[object, tuple[OpcodeInfo, ...]]]
-    ) -> None:
+    def _extend(self, steps: list[tuple[object, Plan]]) -> None:
         bins = self.bins
-        for step in steps:
-            self.marks.append(bins.checkpoint())
-            key, opcodes = step
-            for info in opcodes:
-                bins.reserve_least_used(info, key)
-            self.steps.append(step)
+        marks = self.marks
+        for key, plan in steps:
+            marks.append(bins.checkpoint())
+            bins.reserve(plan, key)
+        self.steps.extend(steps)
         self.model.n_pack_steps += len(steps)
 
     def repack(self, assignment: dict[int, Side]) -> int:
@@ -365,7 +411,7 @@ class IncrementalPacker:
         steps = self.steps
         divergence = 0
         limit = min(len(steps), len(new_steps))
-        while divergence < limit and steps[divergence] == new_steps[divergence]:
+        while divergence < limit and steps[divergence] is new_steps[divergence]:
             divergence += 1
         if divergence < len(steps):
             self.bins.rollback(self.marks[divergence])
@@ -374,97 +420,6 @@ class IncrementalPacker:
         if divergence < len(new_steps):
             self._extend(new_steps[divergence:])
         return self.bins.high_water_mark()
-
-
-class ProbeCache:
-    """FM-style memo of TEST-REPARTITION results between moves.
-
-    A cached entry stores, besides the probe result, the weights of every
-    bin the flip could touch (the op's *footprint*), the maximum weight
-    over all other bins, and a snapshot of the ledger entries the replay
-    would release (the op's own reservations and its touched transfer
-    keys').  A hit requires all three to be unchanged — under which the
-    probe's release/reserve replay is provably identical, so the cached
-    result is exact, not approximate.  Entries whose transfer keys
-    intersect the last committed move's ``touch_keys`` are dropped
-    outright (the transfer structure itself may have changed).
-    """
-
-    def __init__(self, model: PartitionCostModel, bins: Bins):
-        self.model = model
-        self.bins = bins
-        self._entries: dict[
-            int,
-            tuple[
-                int,
-                list[tuple[str, int]],
-                int,
-                dict[object, tuple[tuple[str, int], ...]],
-            ],
-        ] = {}
-        self._footprints: dict[int, frozenset[str]] = {}
-
-    def _footprint(self, op: Operation) -> frozenset[str]:
-        fp = self._footprints.get(op.uid)
-        if fp is None:
-            fp = self._footprints[op.uid] = self.model.probe_footprint(op)
-        return fp
-
-    def _rest_max(self, footprint: frozenset[str]) -> int:
-        rest = 0
-        for instance, w in self.bins.weights.items():
-            if w > rest and instance not in footprint:
-                rest = w
-        return rest
-
-    def invalidate_for_move(self, op: Operation) -> None:
-        touch_keys = self.model.touch_keys
-        moved = touch_keys[op.uid]
-        stale = [
-            uid
-            for uid in self._entries
-            if uid == op.uid or touch_keys[uid] & moved
-        ]
-        for uid in stale:
-            del self._entries[uid]
-
-    def _released_ledger(
-        self, op: Operation
-    ) -> dict[object, tuple[tuple[str, int], ...]]:
-        """Snapshot of the ledger entries a probe of ``op`` releases."""
-        reservations = self.bins.reservations
-        snap: dict[object, tuple[tuple[str, int], ...]] = {
-            ("op", op.uid): tuple(reservations.get(("op", op.uid), ()))
-        }
-        for key in self.model.touch_keys[op.uid]:
-            entries = reservations.get(("comm", key))
-            if entries:
-                snap[("comm", key)] = tuple(entries)
-        return snap
-
-    def probe(self, assignment: dict[int, Side], op: Operation) -> int:
-        entry = self._entries.get(op.uid)
-        footprint = self._footprint(op)
-        weights = self.bins.weights
-        if entry is not None:
-            result, context, rest, released = entry
-            if (
-                all(weights[i] == w for i, w in context)
-                and self._rest_max(footprint) == rest
-                and self._released_ledger(op) == released
-            ):
-                self.model.n_probe_cache_hits += 1
-                return result
-        result = self.model.probe_cost(self.bins, assignment, op)
-        context = [(i, weights[i]) for i in footprint]
-        self._entries[op.uid] = (
-            result,
-            context,
-            self._rest_max(footprint),
-            self._released_ledger(op),
-        )
-        return result
-
 
 
 def partition_operations(
@@ -515,7 +470,6 @@ def partition_operations(
         moves = 0
         moves_accepted = 0
         verify = os.environ.get("REPRO_KL_VERIFY", "") not in ("", "0")
-        use_cache = os.environ.get("REPRO_KL_PROBE_CACHE", "1") not in ("", "0")
 
         while last_cost != best_cost:
             if config.max_iterations is not None and iterations >= config.max_iterations:
@@ -525,7 +479,6 @@ def partition_operations(
             locked: set[int] = set()
             cost = packer.repack(assignment)
             bins = packer.bins
-            cache = ProbeCache(model, bins) if use_cache else None
 
             for _ in range(len(candidates)):
                 # FIND-OP-TO-SWITCH: cheapest probe among unlocked candidates.
@@ -534,27 +487,21 @@ def partition_operations(
                 for op in candidates:
                     if op.uid in locked:
                         continue
-                    probe = (
-                        cache.probe(assignment, op)
-                        if cache is not None
-                        else model.probe_cost(bins, assignment, op)
-                    )
+                    probe = model.probe_cost(bins, assignment, op)
                     if probe < best_probe:
                         best_probe = probe
                         best_op = op
                 assert best_op is not None
                 locked.add(best_op.uid)
                 moves += 1
-                if cache is not None:
-                    cache.invalidate_for_move(best_op)
                 assignment[best_op.uid] = assignment[best_op.uid].flipped()
                 # Resume BIN-PACK from the first invalidated reservation
                 # in place of re-running it from scratch.
                 cost = packer.repack(assignment)
                 if verify:
-                    reference = model.bin_pack(assignment)
+                    reference = model.uncounted_pack(assignment)
                     if (
-                        bins.weights != reference.weights
+                        bins.load != reference.load
                         or bins.reservations != reference.reservations
                     ):
                         raise AssertionError(
@@ -579,7 +526,6 @@ def partition_operations(
             moves_accepted=moves_accepted,
             n_probes=model.n_probes,
             n_bin_packs=model.n_bin_packs,
-            n_probe_cache_hits=model.n_probe_cache_hits,
             n_repacks=model.n_repacks,
             n_pack_steps=model.n_pack_steps,
         )
@@ -591,7 +537,6 @@ def partition_operations(
             rec.count("kl.moves_evaluated", model.n_probes)
             rec.count("kl.moves_accepted", moves_accepted)
             rec.count("kl.bin_packs", model.n_bin_packs)
-            rec.count("kl.probe_cache_hits", model.n_probe_cache_hits)
             rec.count("kl.repacks", model.n_repacks)
             rec.count("kl.pack_steps", model.n_pack_steps)
             rec.observe("kl.cost_reduction", scalar_cost - best_cost)
@@ -620,9 +565,9 @@ def _oracle_second_witness(dep, machine, config, result) -> None:
     """Cross-check the KL cost against the branch-and-bound oracle.
 
     Runs only under ``REPRO_KL_VERIFY=1`` on small loops.  The oracle is
-    started *cold* (no incumbent): a corrupted probe-cache/incremental
-    pack cost must not be allowed to prune away its own refutation.  A
-    KL cost below the oracle's sound lower bound can only mean the
+    started *cold* (no incumbent): a corrupted incremental pack cost
+    must not be allowed to prune away its own refutation.  A KL cost
+    below the oracle's sound lower bound can only mean the
     incremental pack state diverged from a true bin-pack.
     """
     from repro.oracle import OracleBudget

@@ -1,13 +1,14 @@
 """Tests for the bin-packing machinery (Figure 2, lines 33-70)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.operations import OpKind
 from repro.ir.types import ScalarType
-from repro.machine.configs import paper_machine
+from repro.machine.configs import MACHINE_FACTORIES, paper_machine
 from repro.vectorize.bins import Bins, placement_freedom
+from tests.bins_spec import Bins as SpecBins
 
 F64 = ScalarType.F64
 I64 = ScalarType.I64
@@ -118,3 +119,99 @@ class TestPlacementFreedom:
 
     def test_int_op_freedom(self, paper):
         assert placement_freedom(paper, info(paper, OpKind.ADD, I64)) == 24
+
+
+# ----------------------------------------------------------------------
+# Flat bins against the dict-keyed executable spec (tests/bins_spec.py)
+
+
+def _opcode_pool(machine):
+    """Every opcode a partition can reserve on ``machine``."""
+    pool = []
+    kinds = (OpKind.ADD, OpKind.MUL, OpKind.DIV, OpKind.LOAD, OpKind.STORE)
+    for kind in kinds:
+        for dtype in (F64, I64):
+            for vector in (False, True):
+                try:
+                    pool.append(machine.opcode_info_for(kind, dtype, vector))
+                except ValueError:
+                    pass
+    for kind in (OpKind.BUMP, OpKind.IVINC, OpKind.CBR):
+        pool.append(machine.opcode_info_for(kind, I64, False))
+    if machine.has_resource(machine.merge_resource):
+        pool.append(machine.opcode_info_for(OpKind.MERGE, F64, True))
+    return [info for info in pool if info.uses]
+
+
+_ACTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "reserve_all", "release", "checkpoint", "rollback"]),
+        st.integers(0, 5),
+        st.lists(st.integers(0, 63), min_size=1, max_size=3),
+    ),
+    max_size=40,
+)
+
+
+def _assert_matches_spec(flat, spec):
+    names = flat.names
+    assert flat.weights == spec.weights
+    assert {
+        key: [(names[i], cycles) for i, cycles in entries]
+        for key, entries in flat.reservations.items()
+    } == spec.reservations
+    assert flat.high_water_mark() == spec.high_water_mark()
+    assert flat.sum_of_squares() == spec.sum_of_squares()
+
+
+@pytest.mark.parametrize("balance_ties", [True, False])
+@pytest.mark.parametrize("machine_name", sorted(MACHINE_FACTORIES))
+@settings(max_examples=40, deadline=None)
+@given(actions=_ACTIONS)
+def test_flat_bins_match_spec(machine_name, balance_ties, actions):
+    machine = MACHINE_FACTORIES[machine_name]()
+    pool = _opcode_pool(machine)
+    flat = Bins(machine, balance_ties=balance_ties)
+    spec = SpecBins(machine, balance_ties=balance_ties)
+    marks = []
+    for action, key, picks in actions:
+        opcodes = [pool[p % len(pool)] for p in picks]
+        if action == "reserve":
+            flat.reserve_least_used(opcodes[0], key)
+            spec.reserve_least_used(opcodes[0], key)
+        elif action == "reserve_all":
+            flat.reserve_all(opcodes, key)
+            spec.reserve_all(opcodes, key)
+        elif action == "release":
+            flat.release(key)
+            spec.release(key)
+        elif action == "checkpoint":
+            marks.append((flat.checkpoint(), spec.checkpoint()))
+        elif marks:
+            flat_mark, spec_mark = marks.pop()
+            flat.rollback(flat_mark)
+            spec.rollback(spec_mark)
+            if flat_mark == 0:
+                # Rolling back to 0 ends the journal, and every enclosing
+                # mark is 0 too.
+                marks.clear()
+        _assert_matches_spec(flat, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    span=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    cycles=st.integers(1, 36),
+    headroom=st.integers(0, 40),
+)
+def test_least_used_argmin_equals_explicit_scan(span, cycles, headroom):
+    """The paper's (high-water mark, sum-of-squares) choice is the first
+    least-loaded alternative whenever a use reserves at least one cycle."""
+    hwm = max(span) + headroom
+    best = None
+    for i, old in enumerate(span):
+        new = old + cycles
+        score = (max(hwm, new), new * new - old * old)
+        if best is None or score < best[0]:
+            best = (score, i)
+    assert best[1] == span.index(min(span))

@@ -8,8 +8,10 @@ Covered here:
 * the apply/undo ``TEST-REPARTITION`` probe equals the reference
   deep-copy probe and leaves the live bins untouched;
 * :class:`IncrementalPacker`'s resumed pack equals a from-scratch
-  ``BIN-PACK`` after every accepted move (via ``REPRO_KL_VERIFY``);
-* the FM-style probe cache changes no partition outcome;
+  ``BIN-PACK`` after every accepted move (via ``REPRO_KL_VERIFY``), and
+  the self-check moves no effort counter;
+* the remaining fast paths fire: resumed packs replay fewer steps than
+  fresh packs, and each (op, side) plan is resolved once per model;
 * ``edge_delays`` equals per-edge ``edge_delay``;
 * the parallel evaluator and the compile cache reproduce serial,
   cold-compile results bit-for-bit, with identical deterministic effort
@@ -177,23 +179,75 @@ def test_partition_verify_mode_passes(archetype, seed, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Probe cache
+# The fast paths fire
 
 
 @pytest.mark.parametrize("archetype,seed", ARCHETYPE_SEEDS)
-def test_probe_cache_changes_no_outcome(archetype, seed, monkeypatch):
+def test_verify_mode_leaves_effort_counters_unchanged(archetype, seed, monkeypatch):
+    """The REPRO_KL_VERIFY self-check packs without counting, so every
+    effort counter reads the same with verification on or off."""
     dep = _dep(archetype, seed)
-    monkeypatch.setenv("REPRO_KL_PROBE_CACHE", "0")
+    monkeypatch.delenv("REPRO_KL_VERIFY", raising=False)
     plain = partition_operations(dep, MACHINE)
-    monkeypatch.setenv("REPRO_KL_PROBE_CACHE", "1")
-    cached = partition_operations(dep, MACHINE)
-    assert cached.assignment == plain.assignment
-    assert cached.cost == plain.cost
-    assert cached.history == plain.history
-    assert cached.moves == plain.moves
-    assert cached.moves_accepted == plain.moves_accepted
-    # Every cache hit replaces exactly one fresh probe.
-    assert cached.n_probes + cached.n_probe_cache_hits == plain.n_probes
+    monkeypatch.setenv("REPRO_KL_VERIFY", "1")
+    verified = partition_operations(dep, MACHINE)
+    effort = (
+        "iterations",
+        "moves",
+        "moves_accepted",
+        "n_probes",
+        "n_bin_packs",
+        "n_repacks",
+        "n_pack_steps",
+    )
+    assert [getattr(verified, f) for f in effort] == [getattr(plain, f) for f in effort]
+    assert verified.assignment == plain.assignment
+
+
+def test_packer_resume_replays_fewer_steps_than_fresh_packs(monkeypatch):
+    """IncrementalPacker resume fires: across the archetype loops' KL
+    searches, it replays strictly fewer steps than packing every
+    configuration from scratch would."""
+    fresh_steps = []
+    pack_sequence = PartitionCostModel.pack_sequence
+
+    def counted(model, assignment):
+        steps = pack_sequence(model, assignment)
+        fresh_steps.append(len(steps))
+        return steps
+
+    monkeypatch.setattr(PartitionCostModel, "pack_sequence", counted)
+    for archetype, seed in ARCHETYPE_SEEDS:
+        fresh_steps.clear()
+        result = partition_operations(_dep(archetype, seed), MACHINE)
+        # One sequence for the initial pack, one per resumed repack.
+        assert len(fresh_steps) == result.n_repacks + 1
+        assert result.n_repacks > 1
+        assert result.n_pack_steps < sum(fresh_steps), archetype
+
+
+def test_plan_memo_resolves_each_op_side_once(monkeypatch):
+    """The plan memo fires: each (op, side) is resolved to opcodes and a
+    plan once per model, however often probes and packs reserve it, and
+    repeated pack sequences share their step objects."""
+    resolved = []
+    select = PartitionCostModel._select_op_opcodes
+
+    def counted(model, op, side):
+        resolved.append((id(model), op.uid, side))
+        return select(model, op, side)
+
+    monkeypatch.setattr(PartitionCostModel, "_select_op_opcodes", counted)
+    for archetype, seed in ARCHETYPE_SEEDS:
+        resolved.clear()
+        result = partition_operations(_dep(archetype, seed), MACHINE)
+        assert len(resolved) == len(set(resolved))
+        assert result.n_probes + result.n_pack_steps > 2 * len(resolved)
+    dep = _dep("mixed", 7)
+    model = PartitionCostModel(dep, MACHINE, PartitionConfig())
+    assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
+    first, second = model.pack_sequence(assignment), model.pack_sequence(assignment)
+    assert all(a is b for a, b in zip(first, second, strict=True))
 
 
 # ----------------------------------------------------------------------

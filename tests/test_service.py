@@ -17,6 +17,7 @@ from repro.compiler.service import (
     effort_counters,
 )
 from repro.compiler.strategies import Strategy
+from repro.evaluation.bench_io import EFFORT_COUNTERS
 from repro.frontend import parse_loop
 from repro.machine.configs import (
     MACHINE_FACTORIES,
@@ -147,8 +148,9 @@ class TestSummary:
         )
         effort = effort_counters(payload.compiled)
         if payload.compiled.partition is not None:
-            assert "kl_pack_steps" in effort
-            assert "kl_probe_cache_hits" in effort
+            # Exactly the gated counters: the dead probe-cache counter is
+            # gone from every effort record.
+            assert set(effort) == set(EFFORT_COUNTERS)
 
 
 class TestMachineRegistry:
