@@ -5,10 +5,12 @@ caches compiled loops, so regenerating all tables costs one compilation
 sweep of the corpus rather than one per table.
 
 Every run of the paper experiments also leaves ``BENCH_<table>.json``
-artifacts behind (schema in :mod:`repro.evaluation.bench_io`) so CI can
-archive the numbers and diff them against ``benchmarks/baseline.json``.
-Set ``REPRO_BENCH_DIR`` to redirect them, or ``REPRO_BENCH_DIR=''`` to
-suppress them.
+artifacts behind (schema in :mod:`repro.evaluation.bench_io`) so the
+numbers can be archived; ``python -m repro.dashboard record`` turns a
+directory of them into a run-ledger record.  The regression gate itself
+compares ``python -m repro.evaluation --ledger`` runs against the
+committed ledger in ``benchmarks/baseline/``.  Set ``REPRO_BENCH_DIR``
+to redirect the artifacts, or ``REPRO_BENCH_DIR=''`` to suppress them.
 """
 
 from __future__ import annotations

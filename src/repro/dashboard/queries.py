@@ -164,10 +164,17 @@ def compare_runs(
     comparison.speedups = _exact_deltas(
         "speedup", a.experiments, b.experiments, prefix="experiments"
     )
+    # Outcome counts are exact; their wall fields (``check_ms``) are not.
     comparison.checks = _exact_deltas(
-        "check", a.check or {}, b.check or {}, prefix="check"
+        "check",
+        strip_wall_fields(a.check or {}),
+        strip_wall_fields(b.check or {}),
+        prefix="check",
     ) + _exact_deltas(
-        "check", a.oracle or {}, b.oracle or {}, prefix="oracle"
+        "check",
+        strip_wall_fields(a.oracle or {}),
+        strip_wall_fields(b.oracle or {}),
+        prefix="oracle",
     )
 
     a_wall_ns = int(a.wall_s * 1e9)
@@ -213,6 +220,7 @@ def render_comparison(comparison: RunComparison) -> str:
         f"compare: {n_effort} effort delta(s), "
         f"{len(comparison.iis)} II delta(s), "
         f"{len(comparison.speedups)} speedup drift(s), "
+        f"{len(comparison.checks)} check/oracle delta(s), "
         f"{sum(1 for d in comparison.walls if d.significant)} "
         f"significant wall change(s)"
     )

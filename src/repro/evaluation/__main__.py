@@ -9,26 +9,26 @@ Usage::
 
 Every run writes one machine-readable ``BENCH_<experiment>.json``
 artifact per experiment (disable with ``--no-bench-json``; redirect with
-``--bench-dir``).  ``--compare-baseline PATH`` diffs the run against a
-checked-in baseline and exits nonzero on II or speedup regressions;
-``--write-baseline PATH`` refreshes that baseline.  ``--explain LOOP``
-prints the II provenance report for one workload loop instead of
-running experiments.  ``--oracle-gap`` runs the exact-optimality
-oracle harness (``BENCH_oracle_gap.json``) instead, exiting nonzero
-if a *certified* loop shows a heuristic gap.
+``--bench-dir``).  ``--explain LOOP`` prints the II provenance report
+for one workload loop instead of running experiments.  ``--oracle-gap``
+runs the exact-optimality oracle harness (``BENCH_oracle_gap.json``)
+instead, exiting nonzero if a *certified* loop shows a heuristic gap.
 
 Compile-time fast paths (results are identical either way): ``--jobs N``
 fans loop compilations out to a process pool, ``--compile-cache DIR``
 persists compiled loops across runs, and every run writes a
 ``BENCH_compile_perf.json`` artifact recording wall clock, cache
-hits/misses, and the deterministic effort counters that
-``--gate-effort PATH`` checks against a baseline (see
+hits/misses, and the deterministic effort counters (see
 ``docs/performance.md``).
 
-Observability: ``--ledger[=DIR]`` (or the ``REPRO_LEDGER`` environment
-variable) appends an immutable run record — per-loop IIs, speedups,
-effort counters, check outcome — to the append-only run ledger that
-``python -m repro.dashboard`` queries and renders (see
+Regression gating: ``--ledger[=DIR]`` (or the ``REPRO_LEDGER``
+environment variable) appends an immutable run record — per-loop IIs,
+speedups, effort counters, check outcome — to the append-only run
+ledger that ``python -m repro.dashboard`` queries and renders.  The
+committed baseline is such a ledger (``benchmarks/baseline``): copy it,
+append a ``--check`` run of every experiment, and ``python -m
+repro.dashboard compare prev latest --fail-on-exact`` exits nonzero on
+any changed II, speedup, effort count or check outcome (see
 ``docs/observability.md``).
 """
 
@@ -169,24 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip writing BENCH_*.json artifacts",
     )
     parser.add_argument(
-        "--compare-baseline",
-        metavar="PATH",
-        help="diff this run against a baseline JSON; exit nonzero on II "
-        "or speedup regressions beyond tolerance",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the combined baseline JSON for the experiments run",
-    )
-    parser.add_argument(
-        "--speedup-tolerance",
-        type=float,
-        default=bench_io.DEFAULT_SPEEDUP_TOLERANCE,
-        help="relative speedup drop tolerated by --compare-baseline "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -201,13 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persist compiled loops in DIR keyed by loop/machine/"
         "strategy/compiler-version (default: off, or the "
         "REPRO_COMPILE_CACHE environment variable)",
-    )
-    parser.add_argument(
-        "--gate-effort",
-        metavar="PATH",
-        help="compare deterministic compile-effort counters (KL probes, "
-        "bin-packs, scheduler attempts) against a baseline JSON; exit "
-        "nonzero if any counter grew",
     )
     parser.add_argument(
         "--stats",
@@ -342,10 +317,6 @@ def main(argv: list[str] | None = None) -> int:
         path = bench_io.write_bench_json("compile_perf", perf, args.bench_dir)
         print(f"wrote {path}")
 
-    if args.write_baseline:
-        bench_io.write_baseline(args.write_baseline, payloads)
-        print(f"wrote baseline {args.write_baseline}")
-
     if recorder is not None:
         if args.stats:
             print(render_stats_table(recorder))
@@ -385,21 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             "findings": findings,
             "check_ms": round((time.time() - check_start) * 1e3, 3),
         }
-        failed = failed or errors > 0
-    if args.compare_baseline:
-        baseline = bench_io.load_baseline(args.compare_baseline)
-        regressions = bench_io.compare_to_baseline(
-            payloads,
-            baseline,
-            speedup_tolerance=args.speedup_tolerance,
-        )
-        print(bench_io.render_comparison(regressions))
-        failed = failed or bool(regressions)
-    if args.gate_effort:
-        baseline = bench_io.load_baseline(args.gate_effort)
-        effort_regressions = bench_io.compare_effort(payloads, baseline)
-        print(bench_io.render_effort_comparison(effort_regressions))
-        failed = failed or bool(effort_regressions)
+        failed = errors > 0
 
     if args.ledger is not None or os.environ.get("REPRO_LEDGER"):
         from repro.ledger import Ledger, record_from_payloads

@@ -1,16 +1,18 @@
-"""Benchmark artifacts (``BENCH_*.json``) and baseline regression gating.
+"""Benchmark artifacts (``BENCH_*.json``).
 
 Every evaluation run can leave a machine-readable trail: one
 ``BENCH_<experiment>.json`` per experiment, carrying the headline numbers
 (speedups / IIs), the per-loop II / ResMII / RecMII breakdown, and the
 compile-effort telemetry (wall ms, KL probe counts, scheduler attempts).
-A checked-in ``benchmarks/baseline.json`` — the same payloads, combined —
-turns any later run into a regression gate: ``compare_to_baseline``
-reports every loop whose II got worse and every benchmark whose speedup
-dropped beyond tolerance, and the ``--compare-baseline`` CLI mode exits
-nonzero when the list is non-empty.
 
-Wall-clock telemetry is recorded in the artifacts but never gated on:
+These files are the run's artifacts, not its gate: a run appended to the
+run ledger (``--ledger``) is compared against the committed baseline
+record in ``benchmarks/baseline/`` with ``python -m repro.dashboard
+compare prev latest --fail-on-exact`` (see ``docs/performance.md``).
+The one gate here is the oracle-gap gate, which checks a run against
+the exact optimum rather than against an earlier run.
+
+Wall-clock telemetry is recorded in the artifacts but never compared:
 the corpus and the compiler are deterministic, machine speed is not.
 """
 
@@ -26,21 +28,10 @@ from repro.workloads.spec import BENCHMARK_NAMES
 
 BENCH_SCHEMA_VERSION = 1
 
-#: Experiments with comparable headline metrics (everything the CLI runs).
-EXPERIMENTS = ("figure1", "table2", "table3", "table4", "table5")
-
-#: Relative drop in a speedup column that counts as a regression.
-DEFAULT_SPEEDUP_TOLERANCE = 0.02
-
-#: Absolute growth in a per-iteration II that counts as a regression
-#: (IIs are deterministic integers scaled by unroll factors — any real
-#: change exceeds this).
-DEFAULT_II_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class Regression:
-    """One metric that got worse than the baseline."""
+    """One metric that got worse than its reference value."""
 
     experiment: str
     metric: str
@@ -58,8 +49,9 @@ class Regression:
 # Collection
 
 
-#: Deterministic compile-effort counters gated by ``--gate-effort``:
-#: pure functions of the corpus and the compiler, unlike wall clock.
+#: Deterministic compile-effort counters: pure functions of the corpus
+#: and the compiler, unlike wall clock.  The totals land in the
+#: ``effort`` block of ``BENCH_compile_perf.json`` and of ledger records.
 EFFORT_COUNTERS = (
     "kl_iterations",
     "kl_probes",
@@ -174,17 +166,6 @@ def collect_experiment(
     return payload_for(experiment, data, evaluator, names)
 
 
-def collect(
-    evaluator: Evaluator,
-    experiments: tuple[str, ...] = EXPERIMENTS,
-    names: tuple[str, ...] = BENCHMARK_NAMES,
-) -> dict[str, dict[str, object]]:
-    return {
-        experiment: collect_experiment(evaluator, experiment, names)
-        for experiment in experiments
-    }
-
-
 # ----------------------------------------------------------------------
 # Artifact files
 
@@ -236,7 +217,7 @@ def _equivalent_artifact_exists(path: str, payload: object) -> bool:
 
 def _atomic_write_json(path: str, payload: object) -> None:
     """Write ``payload`` atomically: serialize to a sibling tempfile,
-    then ``os.replace``.  Sweep shards, the perf-smoke jobs, and the
+    then ``os.replace``.  Sweep shards, CI gate runs, and the
     dashboard all read BENCH artifacts while other processes rewrite
     them — a reader must only ever see a complete old or new file,
     never a torn write (F-ATOMIC)."""
@@ -273,201 +254,6 @@ def write_bench_json(
         return path
     _atomic_write_json(path, payload)
     return path
-
-
-def write_baseline(
-    path: str, payloads: dict[str, dict[str, object]]
-) -> str:
-    """Combine experiment payloads into one baseline file (canonical
-    form; an equivalent-modulo-volatile baseline is left untouched)."""
-    document = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "experiments": canonicalize_payload(payloads),
-    }
-    if os.path.exists(path) and _equivalent_artifact_exists(path, document):
-        return path
-    _atomic_write_json(path, document)
-    return path
-
-
-def load_baseline(path: str) -> dict[str, dict[str, object]]:
-    with open(path, encoding="utf-8") as f:
-        document = json.load(f)
-    if document.get("schema_version") != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline {path} has schema_version "
-            f"{document.get('schema_version')!r}, expected "
-            f"{BENCH_SCHEMA_VERSION}"
-        )
-    return document["experiments"]
-
-
-# ----------------------------------------------------------------------
-# Comparison
-
-
-def _walk_numeric(tree: object, prefix: str = "") -> dict[str, float]:
-    """Flatten nested dicts to ``dotted.path -> number`` leaves."""
-    leaves: dict[str, float] = {}
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            leaves.update(_walk_numeric(value, path))
-    elif isinstance(tree, bool):
-        pass
-    elif isinstance(tree, (int, float)):
-        leaves[prefix] = float(tree)
-    return leaves
-
-
-def _gate_lower_is_better(
-    experiment: str,
-    metric_prefix: str,
-    current: object,
-    baseline: object,
-    tolerance: float,
-) -> list[Regression]:
-    cur, base = _walk_numeric(current), _walk_numeric(baseline)
-    return [
-        Regression(experiment, f"{metric_prefix}{path}", base[path], cur[path])
-        for path in sorted(base)
-        if path in cur and cur[path] > base[path] + tolerance
-    ]
-
-
-def _gate_higher_is_better(
-    experiment: str,
-    metric_prefix: str,
-    current: object,
-    baseline: object,
-    tolerance: float,
-) -> list[Regression]:
-    cur, base = _walk_numeric(current), _walk_numeric(baseline)
-    return [
-        Regression(experiment, f"{metric_prefix}{path}", base[path], cur[path])
-        for path in sorted(base)
-        if path in cur and cur[path] < base[path] * (1.0 - tolerance)
-    ]
-
-
-def compare_to_baseline(
-    payloads: dict[str, dict[str, object]],
-    baseline: dict[str, dict[str, object]],
-    speedup_tolerance: float = DEFAULT_SPEEDUP_TOLERANCE,
-    ii_tolerance: float = DEFAULT_II_TOLERANCE,
-) -> list[Regression]:
-    """Regressions of ``payloads`` against ``baseline``.
-
-    Gated metrics: per-loop final II (lower is better, absolute
-    tolerance), figure1 IIs (lower is better), and table speedups (higher
-    is better, relative tolerance).  Only experiments present on both
-    sides are compared; table3 outcome counts and all telemetry are
-    informational.
-    """
-    regressions: list[Regression] = []
-    for experiment, base_payload in baseline.items():
-        payload = payloads.get(experiment)
-        if payload is None:
-            continue
-        if experiment == "figure1":
-            regressions += _gate_lower_is_better(
-                experiment,
-                "ii.",
-                payload["data"],
-                base_payload["data"],
-                ii_tolerance,
-            )
-            continue
-        if experiment in ("table2", "table4", "table5"):
-            regressions += _gate_higher_is_better(
-                experiment,
-                "speedup.",
-                payload["data"],
-                base_payload["data"],
-                speedup_tolerance,
-            )
-        base_loops = {
-            path: value
-            for path, value in _walk_numeric(
-                base_payload.get("loops", {})
-            ).items()
-            if path.endswith(".ii")
-        }
-        cur_loops = _walk_numeric(payload.get("loops", {}))
-        regressions += [
-            Regression(experiment, f"loop.{path}", base_loops[path], cur_loops[path])
-            for path in sorted(base_loops)
-            if path in cur_loops
-            and cur_loops[path] > base_loops[path] + ii_tolerance
-        ]
-    # A metric may be reachable through several experiments (per-loop IIs
-    # ride along with every table); report each offender once.
-    unique: dict[str, Regression] = {}
-    for r in regressions:
-        unique.setdefault(f"{r.metric}", r)
-    return list(unique.values())
-
-
-def render_comparison(regressions: list[Regression]) -> str:
-    if not regressions:
-        return "baseline comparison: OK (no II or speedup regressions)"
-    lines = [
-        f"baseline comparison: {len(regressions)} regression(s) detected"
-    ]
-    lines += [f"  {r.render()}" for r in regressions]
-    return "\n".join(lines)
-
-
-def compare_effort(
-    payloads: dict[str, dict[str, object]],
-    baseline: dict[str, dict[str, object]],
-) -> list[Regression]:
-    """Compile-*effort* regressions against the baseline.
-
-    Every deterministic counter in :data:`EFFORT_COUNTERS` must not grow
-    for any (benchmark, variant) batch: the compiler and the corpus are
-    pure, so a counter increase means the search genuinely got more
-    expensive — unlike wall clock, which this gate deliberately ignores.
-    """
-    regressions: list[Regression] = []
-    for experiment, base_payload in baseline.items():
-        payload = payloads.get(experiment)
-        if payload is None:
-            continue
-        base_tel = base_payload.get("telemetry")
-        cur_tel = payload.get("telemetry")
-        if not isinstance(base_tel, dict) or not isinstance(cur_tel, dict):
-            continue
-        for name, base_variants in base_tel.items():
-            cur_variants = cur_tel.get(name, {})
-            for label, base_row in base_variants.items():
-                cur_row = cur_variants.get(label)
-                if cur_row is None:
-                    continue
-                for counter in EFFORT_COUNTERS:
-                    if counter not in base_row or counter not in cur_row:
-                        continue
-                    if cur_row[counter] > base_row[counter]:
-                        regressions.append(
-                            Regression(
-                                experiment,
-                                f"effort.{name}.{label}.{counter}",
-                                float(base_row[counter]),
-                                float(cur_row[counter]),
-                            )
-                        )
-    unique: dict[str, Regression] = {}
-    for r in regressions:
-        unique.setdefault(r.metric, r)
-    return list(unique.values())
-
-
-def render_effort_comparison(regressions: list[Regression]) -> str:
-    if not regressions:
-        return "effort gate: OK (no compile-effort counter grew)"
-    lines = [f"effort gate: {len(regressions)} counter regression(s)"]
-    lines += [f"  {r.render()}" for r in regressions]
-    return "\n".join(lines)
 
 
 def oracle_gap_regressions(

@@ -287,53 +287,6 @@ def _relax_pred(arrays: GraphArrays, ii: int) -> tuple[list[int], int]:
             rec.count("mii.bf_edges_scanned", rounds * m)
 
 
-def _relax(
-    graph: DependenceGraph,
-    machine: MachineDescription,
-    ii: int,
-    delays: dict[DepEdge, int] | None = None,
-    dist: dict[int, int] | None = None,
-    arrays: GraphArrays | None = None,
-) -> tuple[dict[int, DepEdge], int | None]:
-    """Dict-shaped view of the flat relaxation (the original public
-    contract): returns the predecessor-edge map keyed by uid and the
-    witness uid (``None`` when no positive cycle exists).  ``dist``, when
-    given, is refilled with the final per-uid distances."""
-    if arrays is None:
-        arrays = GraphArrays(graph, machine, delays)
-    pred_idx, witness = _relax_pred(arrays, ii)
-    uids = arrays.uids
-    if dist is not None:
-        scratch = arrays._dist
-        for i, uid in enumerate(uids):
-            dist[uid] = scratch[i]
-    pred = {
-        uids[d]: arrays.edges[j]
-        for d, j in enumerate(pred_idx)
-        if j >= 0
-    }
-    return pred, (None if witness < 0 else uids[witness])
-
-
-def _has_positive_cycle(
-    graph: DependenceGraph,
-    machine: MachineDescription,
-    ii: int,
-    delays: dict[DepEdge, int] | None = None,
-    dist: dict[int, int] | None = None,
-    arrays: GraphArrays | None = None,
-) -> bool:
-    """Does any cycle have positive total weight ``delay - ii*distance``?"""
-    if arrays is None:
-        arrays = GraphArrays(graph, machine, delays)
-    witness = _relax_fast(arrays, ii)
-    if dist is not None:
-        scratch = arrays._dist
-        for i, uid in enumerate(arrays.uids):
-            dist[uid] = scratch[i]
-    return witness >= 0
-
-
 def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[DepEdge]:
     """The edges of one positive-weight cycle at ``ii`` (empty when no
     such cycle exists).  The witness of the final relaxation round is
@@ -356,18 +309,6 @@ def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[DepEdge]:
             break
     cycle.reverse()
     return cycle
-
-
-def _extract_positive_cycle(
-    graph: DependenceGraph,
-    machine: MachineDescription,
-    ii: int,
-    delays: dict[DepEdge, int] | None = None,
-    arrays: GraphArrays | None = None,
-) -> list[DepEdge]:
-    if arrays is None:
-        arrays = GraphArrays(graph, machine, delays)
-    return _extract_cycle_edges(arrays, ii)
 
 
 def res_mii(loop: Loop, machine: MachineDescription) -> ResMII:

@@ -16,15 +16,14 @@ lookups, and committing a placement is one OR.  Row ownership (needed
 for eviction and rendering) rides in a per-instance ``{row: holder}``
 dict that only placements touch.
 
-:class:`DictModuloReservationTable` is the original per-(instance, row)
-dict implementation, kept as the executable specification: the
+The original per-(instance, row) dict implementation is kept as the
+executable specification in ``tests/reservation_spec.py``: the
 hypothesis equivalence suite drives both tables through random
 placement/eviction sequences and requires identical observable state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.ir.operations import Operation
@@ -214,91 +213,6 @@ class ModuloReservationTable:
             for i, rows in enumerate(self.owner)
             for row, key in rows.items()
         }
-
-
-@dataclass
-class DictModuloReservationTable:
-    """The original per-(instance, row) dict table — the executable
-    specification the bitmask table must match observably (same fits,
-    same chosen instances, same eviction sets).  Kept for the hypothesis
-    equivalence suite; not used on the compile path."""
-
-    machine: MachineDescription
-    ii: int
-    # (resource instance, row) -> holder uid
-    table: dict[tuple[str, int], int] = field(default_factory=dict)
-    held: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
-
-    def _candidate_cells(
-        self, instance: str, cycle: int, cycles: int
-    ) -> list[tuple[str, int]]:
-        return [(instance, (cycle + k) % self.ii) for k in range(cycles)]
-
-    def _find_instances(
-        self, op: Operation, cycle: int
-    ) -> list[tuple[str, int]] | None:
-        """Free cells for every resource the op needs, or None."""
-        info = self.machine.opcode_info(op)
-        chosen: list[tuple[str, int]] = []
-        taken: set[tuple[str, int]] = set()
-        for use in info.uses:
-            if use.cycles > self.ii:
-                return None  # cannot fit a reservation longer than II
-            rc = self.machine.resource_class(use.resource)
-            placed = False
-            for instance in rc.instances():
-                cells = self._candidate_cells(instance, cycle, use.cycles)
-                if any(c in self.table or c in taken for c in cells):
-                    continue
-                chosen.extend(cells)
-                taken.update(cells)
-                placed = True
-                break
-            if not placed:
-                return None
-        return chosen
-
-    def fits(self, op: Operation, cycle: int) -> bool:
-        return self._find_instances(op, cycle) is not None
-
-    def place(self, op: Operation, cycle: int) -> None:
-        cells = self._find_instances(op, cycle)
-        if cells is None:
-            raise ValueError(f"no free resources for {op} at cycle {cycle}")
-        for cell in cells:
-            self.table[cell] = op.uid
-        self.held[op.uid] = cells
-
-    def conflicting_holders(self, op: Operation, cycle: int) -> set[int]:
-        info = self.machine.opcode_info(op)
-        holders: set[int] = set()
-        for use in info.uses:
-            rc = self.machine.resource_class(use.resource)
-            best: set[int] | None = None
-            for instance in rc.instances():
-                cells = self._candidate_cells(instance, cycle, use.cycles)
-                current = {self.table[c] for c in cells if c in self.table}
-                if best is None or len(current) < len(best):
-                    best = current
-                if not current:
-                    break
-            holders.update(best or set())
-        return holders
-
-    def place_evicting(self, op: Operation, cycle: int) -> set[int]:
-        evicted = self.conflicting_holders(op, cycle)
-        for uid in evicted:
-            self.remove(uid)
-        self.place(op, cycle)
-        return evicted
-
-    def remove(self, uid: int) -> None:
-        for cell in self.held.pop(uid, []):
-            if self.table.get(cell) == uid:
-                del self.table[cell]
-
-    def occupied_cells(self) -> dict[tuple[str, int], int]:
-        return dict(self.table)
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,13 @@ standard profiler surfaces:
   noise-aware thresholds on wall time and exact thresholds on effort
   counters (:mod:`repro.profiling.diff`);
 * sweep-scale progress telemetry for the evaluation harness
-  (:mod:`repro.profiling.progress`);
-* a perf-history tool aggregating the committed
-  ``BENCH_compile_perf.json`` across git history
-  (:mod:`repro.profiling.history`).
+  (:mod:`repro.profiling.progress`).
 
-CLI: ``python -m repro.profiling {show,diff,export,check,history}``, and
-``--profile[=PATH]`` on both the compiler and evaluation CLIs.
+CLI: ``python -m repro.profiling {show,diff,export,check}``, and
+``--profile[=PATH]`` on both the compiler and evaluation CLIs.  Whether
+a run's results or effort changed is the run ledger's question
+(``python -m repro.dashboard compare``); its per-commit timeline is
+``python -m repro.dashboard trend``.
 """
 
 from repro.profiling.diff import (
@@ -36,7 +36,6 @@ from repro.profiling.export import (
     to_collapsed,
     to_speedscope,
 )
-from repro.profiling.history import CommitPerf, perf_history, render_history
 from repro.profiling.profile import (
     EFFORT_COUNTER_MAP,
     PROFILE_SCHEMA_VERSION,
@@ -49,7 +48,6 @@ from repro.profiling.profile import (
 from repro.profiling.progress import ProgressMonitor
 
 __all__ = [
-    "CommitPerf",
     "EFFORT_COUNTER_MAP",
     "PROFILE_SCHEMA_VERSION",
     "PhaseDelta",
@@ -60,9 +58,7 @@ __all__ = [
     "diff_profiles",
     "effort_deltas",
     "load_profile",
-    "perf_history",
     "render_diff",
-    "render_history",
     "render_tree",
     "to_collapsed",
     "to_speedscope",

@@ -1,12 +1,11 @@
-"""CLI for profiles: show, diff, export, check, history.
+"""CLI for profiles: show, diff, export, check.
 
 Examples::
 
     python -m repro.profiling show profile.json --counters
-    python -m repro.profiling diff old.json new.json --fail-on-effort
+    python -m repro.profiling diff old.json new.json
     python -m repro.profiling export profile.json --format speedscope -o p.speedscope.json
     python -m repro.profiling check profile.json
-    python -m repro.profiling history --limit 10
 """
 
 from __future__ import annotations
@@ -19,15 +18,9 @@ from repro.profiling.diff import (
     DEFAULT_WALL_ABS_MS,
     DEFAULT_WALL_REL,
     diff_profiles,
-    effort_deltas,
     render_diff,
 )
 from repro.profiling.export import render_tree, to_collapsed, to_speedscope
-from repro.profiling.history import (
-    DEFAULT_ARTIFACT,
-    perf_history,
-    render_history,
-)
 from repro.profiling.profile import check_profile, load_profile
 
 
@@ -75,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list every phase's wall times, not just significant ones",
     )
-    diff.add_argument(
-        "--fail-on-effort",
-        action="store_true",
-        help="exit 1 if any deterministic effort counter differs",
-    )
 
     export = sub.add_parser(
         "export", help="export a profile for external viewers"
@@ -99,24 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("profile", help="profile JSON path")
 
-    history = sub.add_parser(
-        "history",
-        help="per-commit effort/wall timeline of the committed benchmark",
-    )
-    history.add_argument(
-        "--artifact",
-        default=DEFAULT_ARTIFACT,
-        help="artifact path inside the repo (default %(default)s)",
-    )
-    history.add_argument(
-        "--repo", default=".", help="git repository root (default .)"
-    )
-    history.add_argument(
-        "--limit", type=int, default=None, metavar="N", help="newest N commits"
-    )
-    history.add_argument(
-        "--json", action="store_true", help="emit JSON rows instead of a table"
-    )
     return parser
 
 
@@ -143,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             wall_abs_ms=args.wall_abs_ms,
         )
         print(render_diff(deltas, show_all=args.show_all))
-        if args.fail_on_effort and effort_deltas(deltas):
-            return 1
         return 0
 
     if args.command == "export":
@@ -168,20 +136,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"PROFILE INVARIANT VIOLATION: {problem}")
             return 1
         print("profile invariants hold")
-        return 0
-
-    if args.command == "history":
-        rows = perf_history(
-            args.repo, args.artifact, limit=args.limit
-        )
-        if args.json:
-            print(
-                json.dumps(
-                    [row.to_dict() for row in rows], indent=2, sort_keys=True
-                )
-            )
-        else:
-            print(render_history(rows))
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

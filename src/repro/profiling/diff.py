@@ -75,10 +75,6 @@ def wall_significant(
     return delta / base >= rel
 
 
-#: Backwards-compatible alias (pre-dashboard name).
-_wall_significant = wall_significant
-
-
 def diff_profiles(
     a: Profile,
     b: Profile,
@@ -109,7 +105,7 @@ def diff_profiles(
             a_calls=an.calls if an else 0,
             b_calls=bn.calls if bn else 0,
         )
-        delta.wall_significant = _wall_significant(
+        delta.wall_significant = wall_significant(
             delta.a_total_ns, delta.b_total_ns, wall_rel, wall_abs_ms
         )
         names = set(an.counters if an else {}) | set(bn.counters if bn else {})

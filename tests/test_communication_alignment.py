@@ -12,12 +12,13 @@ from repro.vectorize.communication import (
     Side,
     dataflow_of,
     transfer_cost_opcodes,
-    transfer_for_key,
     transfer_keys_touching,
     transfers_for,
 )
 
 from dataclasses import replace
+
+from tests.communication_spec import transfer_for_key
 
 
 class TestDataflow:

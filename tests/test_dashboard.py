@@ -7,7 +7,10 @@ Covers the PR's acceptance criteria end to end:
 * a deliberately sabotaged scheduler (the un-jittered restart variant
   always fails, so every loop costs extra attempts) surfaces as a
   ranked exact-effort regression in ``compare`` and in the rendered
-  HTML;
+  HTML, and fails the CLI gate (``compare --fail-on-exact``) after two
+  real evaluation runs;
+* a ``check`` block's wall time never counts as a delta; its outcome
+  counts always do;
 * the rendered dashboard is one self-contained file — no scripts, no
   external URLs — whose structure matches a frozen golden skeleton
   (regenerate with ``REPRO_REGEN_GOLDEN=1``).
@@ -92,26 +95,30 @@ class TestColdWarmClean:
         ) is False
 
 
+def _sabotaged(original):
+    """A ``_try_schedule`` whose un-jittered restart variant always
+    fails, so every loop burns at least one extra scheduling attempt."""
+
+    def sabotaged(loop, graph, machine, ii, budget, jitter_seed=None,
+                  *args, **kwargs):
+        if jitter_seed is None:
+            return None
+        return original(
+            loop, graph, machine, ii, budget, jitter_seed, *args, **kwargs
+        )
+
+    return sabotaged
+
+
 class TestSeededRegression:
     def test_sabotaged_scheduler_ranks_as_effort_regression(
         self, baseline_record, monkeypatch, tmp_path
     ):
         import repro.pipeline.scheduler as sched_mod
 
-        original = sched_mod._try_schedule
-
-        def sabotaged(loop, graph, machine, ii, budget, jitter_seed=None,
-                      *args, **kwargs):
-            # The un-jittered restart variant always fails, so every
-            # loop burns at least one extra scheduling attempt.
-            if jitter_seed is None:
-                return None
-            return original(
-                loop, graph, machine, ii, budget, jitter_seed,
-                *args, **kwargs,
-            )
-
-        monkeypatch.setattr(sched_mod, "_try_schedule", sabotaged)
+        monkeypatch.setattr(
+            sched_mod, "_try_schedule", _sabotaged(sched_mod._try_schedule)
+        )
         mutated = _evaluation_record(
             "run-0003", "2026-08-03T00:00:00Z", "mutated"
         )
@@ -139,6 +146,59 @@ class TestSeededRegression:
         html = render_dashboard(ledger)
         assert "sched_attempts" in html
         assert "regressed" in html
+
+    def test_sabotaged_scheduler_fails_the_cli_gate(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The gate end to end: two evaluation runs into one ledger, the
+        second with the sabotaged scheduler, then ``compare
+        --fail-on-exact`` — exit 1 with the effort regression first."""
+        import repro.pipeline.scheduler as sched_mod
+        from repro.evaluation.__main__ import main as evaluation_main
+
+        ledger = str(tmp_path / "ledger")
+        argv = [
+            "table2", "--benchmarks", *BENCH, "--no-bench-json",
+            "--ledger", ledger,
+        ]
+        assert evaluation_main(argv) == 0
+        monkeypatch.setattr(
+            sched_mod, "_try_schedule", _sabotaged(sched_mod._try_schedule)
+        )
+        assert evaluation_main(argv) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+
+        assert dashboard_main(
+            ["compare", "prev", "latest", "--ledger", ledger, "--fail-on-exact"]
+        ) == 1
+        out = capsys.readouterr().out
+        ranked = out.split("-- ranked deltas (exact families first) --\n")[1]
+        assert ranked.startswith("  [effort] effort.sched_attempts: ")
+
+
+class TestCheckOutcomes:
+    """``check`` blocks compare on their outcome counts only: the
+    checker's wall time (``check_ms``) differs between any two runs."""
+
+    @staticmethod
+    def _record(**check):
+        outcome = {"units": 40, "errors": 0, "findings": 0, "check_ms": 9147.69}
+        return record_from_payloads(
+            {"figure1": {"data": {"selective": 1.0}}},
+            git_sha="deadbeef",
+            check=dict(outcome, **check),
+        )
+
+    def test_check_wall_time_alone_compares_clean(self):
+        comparison = compare_runs(self._record(), self._record(check_ms=10225.3))
+        assert comparison.clean
+        assert "0 check/oracle delta(s)" in render_comparison(comparison)
+
+    def test_check_errors_fail(self):
+        comparison = compare_runs(self._record(), self._record(errors=1))
+        assert [d.path for d in comparison.exact_deltas()] == ["check.errors"]
+        assert "1 check/oracle delta(s)" in render_comparison(comparison)
 
 
 class TestQueries:

@@ -1,12 +1,14 @@
 """Tests for schedule explainability: MII provenance (pressure tables,
-critical cycles), remark emission, the ``--explain`` CLI, and the
-``BENCH_*.json`` baseline regression gate."""
+critical cycles), remark emission, the ``--explain`` CLI, and how
+``BENCH_*.json`` payloads, recorded in the run ledger, meet the
+regression gate (``dashboard compare --fail-on-exact``)."""
 
 import json
 
 import pytest
 
 from repro.compiler.__main__ import main as compiler_main
+from repro.dashboard.__main__ import main as dashboard_main
 from repro.dependence.analysis import analyze_loop
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
 from repro.evaluation import bench_io
@@ -14,6 +16,7 @@ from repro.evaluation.__main__ import main as evaluation_main
 from repro.ir.operations import Operation, OpKind
 from repro.ir.types import ScalarType
 from repro.ir.values import VirtualRegister, const_f64
+from repro.ledger import Ledger, record_from_payloads
 from repro.observability import recording
 from repro.pipeline.mii import (
     DependenceCycleError,
@@ -256,6 +259,21 @@ def _payloads(ii=2.0, speedup=1.2):
     }
 
 
+def _record(payloads):
+    return record_from_payloads(payloads, git_sha="deadbeef")
+
+
+def _gate(tmp_path, baseline, current):
+    """Record ``baseline`` then ``current`` in one ledger and run the
+    gate over the pair; returns its exit code."""
+    ledger = Ledger(str(tmp_path / "ledger"))
+    ledger.append(_record(baseline))
+    ledger.append(_record(current))
+    return dashboard_main(
+        ["compare", "prev", "latest", "--ledger", ledger.root, "--fail-on-exact"]
+    )
+
+
 class TestBenchIO:
     def test_artifact_round_trip(self, tmp_path):
         payloads = _payloads()
@@ -267,44 +285,39 @@ class TestBenchIO:
             assert json.load(f) == payloads["table2"]
 
     def test_baseline_round_trip(self, tmp_path):
-        payloads = _payloads()
-        path = str(tmp_path / "baseline.json")
-        bench_io.write_baseline(path, payloads)
-        assert bench_io.load_baseline(path) == payloads
+        """The baseline is one ledger record built from the payloads."""
+        ledger = Ledger(str(tmp_path / "baseline"))
+        ledger.append(_record(_payloads()))
+        (record,) = ledger.records()
+        assert ledger.warnings == []
+        assert record.experiments == {
+            name: payload["data"] for name, payload in _payloads().items()
+        }
+        assert record.loops == _payloads()["table2"]["loops"]
 
-    def test_baseline_schema_mismatch(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"schema_version": 999, "experiments": {}}')
-        with pytest.raises(ValueError, match="schema_version"):
-            bench_io.load_baseline(str(path))
+    def test_identical_run_passes(self, tmp_path):
+        assert _gate(tmp_path, _payloads(), _payloads()) == 0
 
-    def test_identical_run_passes(self):
-        payloads = _payloads()
-        assert bench_io.compare_to_baseline(payloads, _payloads()) == []
+    def test_improvement_fails(self, tmp_path, capsys):
+        """The gate is exact both ways: a better II or speedup is a
+        changed result too, and lands with a refreshed baseline."""
+        assert _gate(tmp_path, _payloads(), _payloads(ii=1.0, speedup=1.5)) == 1
+        assert "[ii] loop.bench.bench.L0.selective.ii: 2 -> 1" in (
+            capsys.readouterr().out
+        )
 
-    def test_improvements_pass(self):
-        current = _payloads(ii=1.0, speedup=1.5)
-        assert bench_io.compare_to_baseline(current, _payloads()) == []
+    def test_worsened_ii_fails(self, tmp_path, capsys):
+        assert _gate(tmp_path, _payloads(), _payloads(ii=3.0)) == 1
+        out = capsys.readouterr().out
+        assert "experiments.figure1.selective: 2 -> 3" in out
+        assert "[ii] loop.bench.bench.L0.selective.ii: 2 -> 3" in out
 
-    def test_worsened_ii_fails(self):
-        current = _payloads(ii=3.0)
-        regressions = bench_io.compare_to_baseline(current, _payloads())
-        metrics = {r.metric for r in regressions}
-        assert "ii.selective" in metrics  # figure1 headline
-        assert "loop.bench.bench.L0.selective.ii" in metrics
-        rendered = bench_io.render_comparison(regressions)
-        assert "regression(s) detected" in rendered
-        assert "baseline 2 -> current 3" in rendered
+    def test_speedup_drop_fails(self, tmp_path, capsys):
+        assert _gate(tmp_path, _payloads(), _payloads(speedup=1.19)) == 1
+        out = capsys.readouterr().out
+        assert "experiments.table2.bench.selective: 1.2 -> 1.19" in out
+        assert "0 II delta(s), 1 speedup drift(s)" in out
 
-    def test_speedup_drop_beyond_tolerance_fails(self):
-        current = _payloads(speedup=1.1)
-        regressions = bench_io.compare_to_baseline(current, _payloads())
-        assert [r.metric for r in regressions] == ["speedup.bench.selective"]
-
-    def test_speedup_drop_within_tolerance_passes(self):
-        current = _payloads(speedup=1.19)
-        assert bench_io.compare_to_baseline(current, _payloads()) == []
-
-    def test_missing_experiment_is_skipped(self):
+    def test_missing_experiment_fails(self, tmp_path):
         current = {"figure1": _payloads()["figure1"]}
-        assert bench_io.compare_to_baseline(current, _payloads()) == []
+        assert _gate(tmp_path, _payloads(), current) == 1

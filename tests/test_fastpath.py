@@ -25,7 +25,7 @@ import pytest
 from repro.dependence.analysis import analyze_loop
 from repro.machine.configs import paper_machine
 from repro.pipeline.mii import edge_delay, edge_delays
-from repro.vectorize.communication import Side, transfer_for_key
+from repro.vectorize.communication import Side
 from repro.vectorize.partition import (
     IncrementalPacker,
     PartitionCostModel,
@@ -33,6 +33,7 @@ from repro.vectorize.partition import (
     partition_operations,
 )
 from repro.workloads.generator import generate
+from tests.communication_spec import transfer_for_key
 
 MACHINE = paper_machine()
 
@@ -328,7 +329,9 @@ def test_cache_key_invariant_to_uid_numbering():
 
 
 def test_effort_gate_flags_counter_growth():
-    from repro.evaluation import bench_io
+    """The ledger gate sees one extra KL probe in one telemetry row."""
+    from repro.dashboard import compare_runs
+    from repro.ledger import record_from_payloads
 
     row = {
         "loops": 1,
@@ -338,13 +341,17 @@ def test_effort_gate_flags_counter_growth():
         "kl_repacks": 10,
         "kl_pack_steps": 50,
         "sched_attempts": 3,
+        "wall_ms": 1.0,
     }
-    base = {"table2": {"telemetry": {"b": {"selective": dict(row)}}}}
-    same = {"table2": {"telemetry": {"b": {"selective": dict(row)}}}}
-    assert bench_io.compare_effort(same, base) == []
-    worse_row = dict(row, kl_probes=101)
-    worse = {"table2": {"telemetry": {"b": {"selective": worse_row}}}}
-    regressions = bench_io.compare_effort(worse, base)
-    assert [r.metric for r in regressions] == [
-        "effort.b.selective.kl_probes"
+
+    def record(**changes):
+        telemetry = {"b": {"selective": dict(row, **changes)}}
+        return record_from_payloads(
+            {"table2": {"telemetry": telemetry}}, git_sha="deadbeef"
+        )
+
+    assert compare_runs(record(), record(wall_ms=9.0)).clean
+    comparison = compare_runs(record(), record(kl_probes=101))
+    assert [d.path for d in comparison.exact_deltas()] == [
+        "telemetry.b.selective.kl_probes"
     ]

@@ -7,12 +7,12 @@ observable behavior —
 
 * :class:`ModuloReservationTable` (bitmask rows) vs
   :class:`DictModuloReservationTable` (the original per-cell dict, kept
-  in-tree as the executable specification): same fits verdicts, same
+  as the executable specification in ``tests/reservation_spec.py``): same fits verdicts, same
   occupied cells after every action, same eviction sets, across random
   machines (including few-unit machines that force conflicts and
   non-pipelined multi-cycle divides) and random place / force-place /
   remove sequences;
-* :func:`_relax` / :func:`rec_mii` / :func:`_heights` vs reference
+* :func:`_relax_pred` / :func:`rec_mii` / :func:`_heights` vs reference
   reimplementations of the original dict-based relaxations: same
   distances, same predecessor edges, same witness, same RecMII value and
   critical cycle, same heights, on random dependence graphs (zero-
@@ -30,13 +30,11 @@ from repro.ir.values import VirtualRegister, const_f64, const_i64
 from repro.machine.configs import figure1_machine, paper_machine
 from repro.machine.machine import LatencyTable, MachineDescription
 from repro.machine.resources import ResourceClass
-from repro.pipeline.mii import _relax, edge_delays, rec_mii
-from repro.pipeline.reservation import (
-    DictModuloReservationTable,
-    ModuloReservationTable,
-)
+from repro.pipeline.mii import GraphArrays, _relax_pred, edge_delays, rec_mii
+from repro.pipeline.reservation import ModuloReservationTable
 from repro.pipeline.scheduler import _heights
 from repro.workloads.generator import GENERATORS, generate
+from tests.reservation_spec import DictModuloReservationTable
 
 F64 = ScalarType.F64
 I64 = ScalarType.I64
@@ -169,6 +167,17 @@ def _relax_ref(graph, machine, ii, delays):
     return dist, pred, witness
 
 
+def _relax_view(graph, machine, ii, delays):
+    """The flat predecessor-tracking relaxation read back by uid, in the
+    ``(dist, pred, witness)`` shape of :func:`_relax_ref`."""
+    arrays = GraphArrays(graph, machine, delays)
+    pred_idx, witness = _relax_pred(arrays, ii)
+    uids = arrays.uids
+    dist = dict(zip(uids, arrays._dist))
+    pred = {uids[d]: arrays.edges[j] for d, j in enumerate(pred_idx) if j >= 0}
+    return dist, pred, (None if witness < 0 else uids[witness])
+
+
 def _rec_mii_ref(graph, machine):
     if not graph.edges:
         return 1, (), 0, 0
@@ -271,8 +280,7 @@ def test_flat_relax_matches_reference(graph, machine_idx, ii):
     machine = MACHINES[machine_idx]
     delays = edge_delays(graph, machine)
     ref_dist, ref_pred, ref_witness = _relax_ref(graph, machine, ii, delays)
-    dist: dict[int, int] = {}
-    pred, witness = _relax(graph, machine, ii, delays, dist)
+    dist, pred, witness = _relax_view(graph, machine, ii, delays)
     assert dist == ref_dist
     assert witness == ref_witness
     assert pred == ref_pred

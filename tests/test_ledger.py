@@ -24,6 +24,12 @@ from repro.ledger import (
 )
 from repro.ledger.record import VOLATILE_FIELDS, WALL_FIELDS
 
+BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "baseline",
+)
+
 BENCH_POOL = ("alpha", "beta.2", "gamma", "delta")
 COUNTERS = ("sched_attempts", "kl_pack_steps", "kl_probes")
 
@@ -387,17 +393,6 @@ class TestCanonicalArtifacts:
         raw = open(path, encoding="utf-8").read()
         assert not raw.endswith("\n")  # equivalent: left untouched
 
-    def test_baseline_write_is_churn_free_too(self, tmp_path):
-        from repro.evaluation.bench_io import write_baseline
-
-        path = str(tmp_path / "baseline.json")
-        write_baseline(path, {"table2": dict(self.PAYLOAD)})
-        before = open(path, "rb").read()
-        rerun = json.loads(json.dumps(self.PAYLOAD))
-        rerun["telemetry"]["alpha"]["selective"]["wall_ms"] = 1.0
-        write_baseline(path, {"table2": rerun})
-        assert open(path, "rb").read() == before
-
 
 class TestRecordFromPayloads:
     def test_compile_perf_payload_is_used_not_duplicated(self):
@@ -424,3 +419,43 @@ class TestRecordFromPayloads:
             "l",
         )
         assert small.corpus_digest != large.corpus_digest
+
+
+class TestCommittedBaseline:
+    """The committed ledger ``benchmarks/baseline`` holds the reference
+    records the regression gate compares every run against, newest
+    last (a refresh appends one)."""
+
+    @pytest.fixture(scope="class")
+    def latest(self):
+        ledger = Ledger(BASELINE_DIR, warn=lambda message: None)
+        records = ledger.records()
+        assert records and ledger.warnings == []
+        return records[-1]
+
+    def test_latest_record_is_clean_over_every_experiment(self, latest):
+        from repro.evaluation.__main__ import EXPERIMENTS
+        from repro.workloads.spec import BENCHMARK_NAMES
+
+        assert sorted(latest.experiments) == sorted(EXPERIMENTS)
+        assert sorted(latest.loops) == sorted(BENCHMARK_NAMES)
+        assert latest.config["benchmarks"] == sorted(BENCHMARK_NAMES)
+        assert latest.check is not None and latest.check["errors"] == 0
+
+    def test_figure1_matches_a_fresh_run(self, latest):
+        from repro.evaluation.experiments import figure1_iis
+
+        assert latest.experiments["figure1"] == figure1_iis()
+
+    def test_trend_reads_the_committed_baseline(self, latest, capsys):
+        from repro.dashboard.__main__ import main as dashboard_main
+
+        assert (
+            dashboard_main(
+                ["trend", "effort.sched_attempts", "--ledger", BASELINE_DIR]
+            )
+            == 0
+        )
+        last_row = capsys.readouterr().out.splitlines()[-1]
+        assert last_row.startswith(f"  {latest.run_id}")
+        assert last_row.endswith(f" {latest.effort['sched_attempts']}")
