@@ -104,7 +104,7 @@ class FunctionInfo:
     submitted: list[FuncKey] = field(default_factory=list)
     facts: list[BodyFact] = field(default_factory=list)
     #: attribute names this function assigns / augments on any object
-    #: (``telemetry.kl_probes += n`` records ``kl_probes``); the zone
+    #: (``self.n_probes += 1`` records ``n_probes``); the zone
     #: classifier uses these to find effort-counter mutators.
     attr_stores: set[str] = field(default_factory=set)
 

@@ -5,8 +5,9 @@ share.  :func:`default_config` encodes the repro tree's own zone seeds:
 
 * the deterministic core is rooted at the pure compile entry point
   (:func:`repro.compiler.service.compile_one`), cache-key construction,
-  ledger content digests, and the canonical BENCH payload builders —
-  plus every detected ``CompileTelemetry`` effort-counter mutator;
+  ledger content digests, the canonical BENCH payload builders and
+  ``CompileTelemetry.absorb`` — plus every detected effort-counter
+  mutator (a store to a :data:`EFFORT_FIELDS` attribute);
 * the async zone is everything coroutine-shaped under ``repro.serve``;
 * the shared-filesystem zone is the modules owning on-disk protocols
   shared between processes (compile cache, artifact store, ledger,
@@ -33,21 +34,16 @@ from repro.analysis.findings import AnalysisFinding, Severity, sort_findings
 from repro.analysis.modules import ModuleInfo, discover_modules
 from repro.analysis.rules import RULES, run_rules
 from repro.analysis.zones import Zone, ZoneMap, ZoneSeeds, classify_zones
+from repro.observability.effort import EFFORT
 
 ZONE_MAP_VERSION = 1
 
-#: ``CompileTelemetry`` fields that are deterministic effort (the
-#: wall/circumstance fields — wall_ms, check_ms, cache_hits,
-#: cache_misses — are excluded on purpose: mutating those is not a
-#: determinism obligation).
-EFFORT_FIELDS = (
-    "kl_iterations",
-    "kl_probes",
-    "kl_bin_packs",
-    "kl_repacks",
-    "kl_pack_steps",
-    "sched_attempts",
-)
+#: Attribute names whose stores mark a function as an effort-counter
+#: mutator: every registry counter's name and the attribute it is
+#: counted in (``n_probes``, ``n_bin_packs``, ...), so the code that
+#: does the counting is deterministic-core.  Wall and cache fields are
+#: not effort: mutating those is not a determinism obligation.
+EFFORT_FIELDS = tuple(c.name for c in EFFORT) + tuple(c.source for c in EFFORT)
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,8 @@ def default_config() -> AnalysisConfig:
             "repro.compiler.service:compile_one",
             "repro.compiler.service:CompiledLoopPayload.summary",
             "repro.compiler.service:effort_counters",
+            # Folds effort into a dict, which no attribute store shows.
+            "repro.evaluation.experiments:CompileTelemetry.absorb",
             # Content-addressed cache keys.
             "repro.compiler.service:CompileRequest.cache_key",
             "repro.evaluation.compile_cache:cache_key",

@@ -5,7 +5,7 @@ A *zone* is a region of the codebase carrying an obligation:
 * ``deterministic-core`` — everything reachable from the configured
   determinism seeds (the pure compile entry point, cache-key and
   content-digest construction, canonical BENCH payload builders) plus
-  every function that mutates a ``CompileTelemetry`` effort counter.
+  every function that stores to an effort-counter attribute.
   Obligation: no wall clock, no unseeded RNG, no set-order leaks, no
   env-dependent values — the ``D-*`` rules.
 * ``async-handler`` — every coroutine defined in the configured async

@@ -26,6 +26,7 @@ from repro.compiler.driver import CompiledLoop, compile_loop
 from repro.compiler.strategies import Strategy
 from repro.ir.loop import Loop
 from repro.machine.machine import MachineDescription
+from repro.observability.effort import EFFORT
 from repro.vectorize.partition import PartitionConfig
 
 
@@ -58,21 +59,18 @@ class CompileRequest:
 
 
 def effort_counters(compiled: CompiledLoop) -> dict[str, int]:
-    """The deterministic effort one compiled loop carries.
-
-    These counters ride on the compiled object itself, so they are
-    identical whether the loop was compiled in-process, in a pool
-    worker, behind the compile server, or served from the artifact
-    store."""
-    effort = {
-        "sched_attempts": sum(u.schedule.attempts for u in compiled.units)
-    }
-    if compiled.partition is not None:
-        effort["kl_iterations"] = compiled.partition.iterations
-        effort["kl_probes"] = compiled.partition.n_probes
-        effort["kl_bin_packs"] = compiled.partition.n_bin_packs
-        effort["kl_repacks"] = compiled.partition.n_repacks
-        effort["kl_pack_steps"] = compiled.partition.n_pack_steps
+    """The deterministic effort one compiled loop carries, keyed by
+    :data:`~repro.observability.effort.EFFORT` name; the partition
+    counters appear only when the partitioner ran."""
+    partition = compiled.partition
+    effort: dict[str, int] = {}
+    for counter in EFFORT:
+        if counter.per_unit:
+            effort[counter.name] = sum(
+                getattr(u.schedule, counter.source) for u in compiled.units
+            )
+        elif partition is not None:
+            effort[counter.name] = getattr(partition, counter.source)
     return effort
 
 

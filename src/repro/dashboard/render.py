@@ -38,18 +38,9 @@ from repro.dashboard.queries import (
 )
 from repro.ledger.record import RunRecord
 from repro.ledger.store import Ledger
+from repro.observability.effort import EFFORT
 
 DASHBOARD_TITLE = "repro observability dashboard"
-
-#: Effort counters charted in the trends section, in display order.
-TREND_COUNTERS = (
-    "sched_attempts",
-    "kl_pack_steps",
-    "kl_probes",
-    "kl_bin_packs",
-    "kl_repacks",
-    "kl_iterations",
-)
 
 _CSS = """
 :root {
@@ -421,10 +412,10 @@ def _experiment_trend_series(
 
 def _trends(records: list[RunRecord]) -> str:
     rows = []
-    for counter in TREND_COUNTERS:
-        values = [v for _, v in trend(records, f"effort.{counter}")]
+    for counter in EFFORT:
+        values = [v for _, v in trend(records, f"effort.{counter.name}")]
         if any(v for v in values if v):
-            rows.append(_spark_row(f"effort · {counter}", values))
+            rows.append(_spark_row(f"effort · {counter.name}", values))
     for label, values in _experiment_trend_series(records):
         rows.append(_spark_row(label, values))
     wall = [v for _, v in trend(records, "wall_s")]

@@ -24,6 +24,7 @@ import tempfile
 from dataclasses import dataclass
 
 from repro.evaluation.experiments import Evaluator, figure1_iis
+from repro.observability.effort import EFFORT
 from repro.workloads.spec import BENCHMARK_NAMES
 
 BENCH_SCHEMA_VERSION = 1
@@ -49,19 +50,6 @@ class Regression:
 # Collection
 
 
-#: Deterministic compile-effort counters: pure functions of the corpus
-#: and the compiler, unlike wall clock.  The totals land in the
-#: ``effort`` block of ``BENCH_compile_perf.json`` and of ledger records.
-EFFORT_COUNTERS = (
-    "kl_iterations",
-    "kl_probes",
-    "kl_bin_packs",
-    "kl_repacks",
-    "kl_pack_steps",
-    "sched_attempts",
-)
-
-
 def telemetry_payload(
     evaluator: Evaluator, names: tuple[str, ...]
 ) -> dict[str, dict[str, dict[str, float]]]:
@@ -70,12 +58,7 @@ def telemetry_payload(
             label: {
                 "loops": t.loops,
                 "wall_ms": round(t.wall_ms, 3),
-                "kl_iterations": t.kl_iterations,
-                "kl_probes": t.kl_probes,
-                "kl_bin_packs": t.kl_bin_packs,
-                "kl_repacks": t.kl_repacks,
-                "kl_pack_steps": t.kl_pack_steps,
-                "sched_attempts": t.sched_attempts,
+                **t.effort,
                 "cache_hits": t.cache_hits,
                 "cache_misses": t.cache_misses,
                 "check_ms": round(t.check_ms, 3),
@@ -97,7 +80,7 @@ def compile_perf_payload(
     cache hit/miss split, wall clock).  The ``effort`` block is
     deterministic and comparable across machines; ``wall_s`` is not."""
     telemetry = telemetry_payload(evaluator, names)
-    totals = {counter: 0 for counter in EFFORT_COUNTERS}
+    totals = {counter.name: 0 for counter in EFFORT}
     cache_hits = cache_misses = loops = 0
     for variants in telemetry.values():
         for row in variants.values():

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.driver import CompiledLoop, compile_loop
 from repro.compiler.service import CompileRequest, compile_one, effort_counters
 from repro.compiler.strategies import Strategy
 from repro.machine.configs import aligned_machine, figure1_machine, paper_machine
 from repro.machine.machine import MachineDescription
+from repro.observability.effort import EFFORT
 from repro.observability.recorder import active_recorder, maybe_span
 from repro.vectorize.partition import PartitionConfig
 from repro.workloads.kernels import dot_product
@@ -78,21 +79,18 @@ class LoopComparison:
 class CompileTelemetry:
     """Aggregate compile-time effort for one (benchmark, variant) batch.
 
-    The ``kl_*`` and ``sched_attempts`` counters are *deterministic
-    effort* metrics: they ride on the compiled objects themselves, so
-    they are identical whether a loop was compiled in-process, in a
-    worker, or served from the on-disk compile cache.  ``wall_ms`` and
-    the ``cache_hits``/``cache_misses`` split describe how this
-    particular run obtained the results."""
+    ``effort`` holds every :data:`~repro.observability.effort.EFFORT`
+    counter, summed: *deterministic effort* that rides on the compiled
+    objects themselves, so it is identical whether a loop was compiled
+    in-process, in a worker, or served from the on-disk compile cache.
+    ``wall_ms`` and the ``cache_hits``/``cache_misses`` split describe
+    how this particular run obtained the results."""
 
     loops: int = 0
     wall_ms: float = 0.0
-    kl_iterations: int = 0
-    kl_probes: int = 0
-    kl_bin_packs: int = 0
-    kl_repacks: int = 0
-    kl_pack_steps: int = 0
-    sched_attempts: int = 0
+    effort: dict[str, int] = field(
+        default_factory=lambda: {counter.name: 0 for counter in EFFORT}
+    )
     cache_hits: int = 0
     cache_misses: int = 0
     # Translation-validation overhead (populated when checks run, either
@@ -105,13 +103,8 @@ class CompileTelemetry:
         self.loops += 1
         self.check_ms += getattr(compiled, "check_ms", 0.0)
         self.check_findings += getattr(compiled, "check_findings", 0)
-        if compiled.partition is not None:
-            self.kl_iterations += compiled.partition.iterations
-            self.kl_probes += compiled.partition.n_probes
-            self.kl_bin_packs += compiled.partition.n_bin_packs
-            self.kl_repacks += compiled.partition.n_repacks
-            self.kl_pack_steps += compiled.partition.n_pack_steps
-        self.sched_attempts += sum(u.schedule.attempts for u in compiled.units)
+        for name, value in effort_counters(compiled).items():
+            self.effort[name] += value
 
 
 @dataclass
@@ -140,16 +133,6 @@ def _timed_compile_job(request: CompileRequest) -> tuple[CompiledLoop, float]:
     start = time.perf_counter()
     compiled = _compile_job(request)
     return compiled, (time.perf_counter() - start) * 1e3
-
-
-def _loop_effort(compiled: CompiledLoop) -> dict[str, int]:
-    """The progress monitor's per-strategy effort subset."""
-    effort = effort_counters(compiled)
-    return {
-        key: effort[key]
-        for key in ("sched_attempts", "kl_pack_steps", "kl_probes")
-        if key in effort
-    }
 
 
 class Evaluator:
@@ -302,7 +285,7 @@ class Evaluator:
                                 wl.loop.name,
                                 variant.label,
                                 cache_hit=True,
-                                effort=_loop_effort(cached),
+                                effort=effort_counters(cached),
                             )
                         continue
                     telemetry.cache_misses += 1
@@ -330,7 +313,7 @@ class Evaluator:
                         request.loop.name,
                         key[1],
                         wall_ms=loop_ms,
-                        effort=_loop_effort(compiled),
+                        effort=effort_counters(compiled),
                     )
             elapsed_ms = (time.perf_counter() - start) * 1e3
             for (key, _, _, _) in misses:
@@ -366,7 +349,7 @@ class Evaluator:
                                 request.loop.name,
                                 variant.label,
                                 wall_ms=loop_ms,
-                                effort=_loop_effort(compiled),
+                                effort=effort_counters(compiled),
                             )
                     batch_wall[key] = (time.perf_counter() - start) * 1e3
 

@@ -198,32 +198,16 @@ def _try_schedule(
     machine: MachineDescription,
     ii: int,
     budget: int,
-    jitter_seed: int | None = None,
-    rec: Recorder | None = None,
-    delays: dict[DepEdge, int] | None = None,
-    base_height: list[int] | dict[int, int] | None = None,
-    body_index: dict[int, int] | None = None,
-    by_uid: dict[int, Operation] | None = None,
-    state: _SchedulerState | None = None,
+    jitter_seed: int | None,
+    rec: Recorder | None,
+    *,
+    base_height: list[int],
+    state: _SchedulerState,
 ) -> dict[int, int] | None:
     # The II-invariant state and the per-II un-jittered heights are
     # computed by the caller once and shared by the four restart
-    # variants; standalone calls fall back to computing them here.
-    # ``body_index``/``by_uid`` are subsumed by ``state`` and accepted
-    # for signature compatibility.
-    del body_index, by_uid
-    if state is None:
-        state = _SchedulerState(loop, graph, machine, delays)
-    if base_height is None:
-        base = _heights_flat(state, ii)
-    elif isinstance(base_height, dict):
-        base = [0] * state.n
-        for uid, h in base_height.items():
-            base[state.index[uid]] = h
-    else:
-        base = base_height
-
-    height: list[float] = base
+    # variants.
+    height: list[float] = base_height
     rng = None
     if jitter_seed is not None:
         # Deterministic perturbation: tight kernels (every issue slot
@@ -234,7 +218,7 @@ def _try_schedule(
         import random
 
         rng = random.Random(jitter_seed)
-        height = list(base)
+        height = list(base_height)
         for i in state.body_idx:
             height[i] += rng.random() * 2.0
 

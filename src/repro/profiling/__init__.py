@@ -37,7 +37,6 @@ from repro.profiling.export import (
     to_speedscope,
 )
 from repro.profiling.profile import (
-    EFFORT_COUNTER_MAP,
     PROFILE_SCHEMA_VERSION,
     PhaseProfile,
     Profile,
@@ -48,7 +47,6 @@ from repro.profiling.profile import (
 from repro.profiling.progress import ProgressMonitor
 
 __all__ = [
-    "EFFORT_COUNTER_MAP",
     "PROFILE_SCHEMA_VERSION",
     "PhaseDelta",
     "PhaseProfile",

@@ -32,19 +32,6 @@ PROFILE_KIND = "repro-profile"
 #: Root node name: the synthetic parent of the session's top-level spans.
 ROOT_NAME = "(session)"
 
-#: CompileTelemetry field -> recorder counter carrying the same effort.
-#: The profile's per-phase attribution of each counter must sum exactly
-#: to the flat telemetry total (verified by tests/test_profiling.py).
-EFFORT_COUNTER_MAP = {
-    "kl_iterations": "kl.iterations",
-    "kl_probes": "kl.moves_evaluated",
-    "kl_bin_packs": "kl.bin_packs",
-    "kl_repacks": "kl.repacks",
-    "kl_pack_steps": "kl.pack_steps",
-    "sched_attempts": "sched.ii_attempts",
-}
-
-
 @dataclass
 class PhaseProfile:
     """One phase (unique by path) of the merged call tree."""

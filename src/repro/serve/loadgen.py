@@ -39,7 +39,7 @@ import time
 
 from repro.compiler.service import compile_one
 from repro.compiler.strategies import Strategy
-from repro.evaluation.bench_io import EFFORT_COUNTERS, write_bench_json
+from repro.evaluation.bench_io import write_bench_json
 from repro.ledger.record import (
     RunRecord,
     current_git_sha,
@@ -49,6 +49,7 @@ from repro.ledger.record import (
 )
 from repro.ledger.store import Ledger
 from repro.machine.configs import MACHINE_FACTORIES
+from repro.observability.effort import EFFORT
 from repro.serve.protocol import parse_compile_request
 from repro.workloads.generator import CorpusSpec, corpus_plan
 
@@ -246,7 +247,7 @@ def build_record(
     deltas under ``dashboard compare --fail-on-exact``.
     """
     loops_grid: dict[str, dict[str, dict[str, float]]] = {}
-    effort = {counter: 0 for counter in EFFORT_COUNTERS}
+    effort = {counter.name: 0 for counter in EFFORT}
     for summary in summaries.values():
         row = loops_grid.setdefault(summary["loop"], {})
         row[summary["strategy"]] = {
@@ -254,8 +255,8 @@ def build_record(
             "res_mii": summary["res_mii"],
             "rec_mii": summary["rec_mii"],
         }
-        for counter in EFFORT_COUNTERS:
-            effort[counter] += int(summary["effort"].get(counter, 0))
+        for counter in EFFORT:
+            effort[counter.name] += int(summary["effort"].get(counter.name, 0))
     config = {
         "experiments": ["serve"],
         "serve": {

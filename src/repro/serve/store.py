@@ -27,6 +27,10 @@ from repro.compiler.service import (
 )
 from repro.evaluation.compile_cache import CompileCache
 
+#: Summaries the in-memory memo keeps (LRU).  The memo pays: without it
+#: the served p50 latency rose ~10% (see ``docs/performance.md``).
+SUMMARY_SLOTS = 4096
+
 
 class ArtifactStore:
     """Content-addressed compile artifacts plus a summary memo.
@@ -35,15 +39,9 @@ class ArtifactStore:
     them through ``asyncio.to_thread`` / inside pool workers.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_bytes: int | None = None,
-        summary_slots: int = 4096,
-    ) -> None:
+    def __init__(self, directory: str, max_bytes: int | None = None) -> None:
         self.cache = CompileCache(directory, max_bytes=max_bytes)
         self._summaries: OrderedDict[str, dict] = OrderedDict()
-        self._summary_slots = summary_slots
         self.memo_hits = 0
 
     @property
@@ -53,7 +51,7 @@ class ArtifactStore:
     def _memoize(self, key: str, summary: dict) -> dict:
         self._summaries[key] = summary
         self._summaries.move_to_end(key)
-        while len(self._summaries) > self._summary_slots:
+        while len(self._summaries) > SUMMARY_SLOTS:
             self._summaries.popitem(last=False)
         return summary
 

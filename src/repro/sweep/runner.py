@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.compiler.driver import check_env_enabled
 from repro.compiler.service import CompileRequest, compile_one
 from repro.compiler.strategies import Strategy
-from repro.evaluation.bench_io import EFFORT_COUNTERS, write_bench_json
+from repro.evaluation.bench_io import write_bench_json
 from repro.evaluation.experiments import CompileTelemetry
 from repro.ledger.record import (
     RunRecord,
@@ -206,7 +206,6 @@ def _run_shard(task: dict) -> dict:
         loop_wall_ms.append((time.perf_counter() - loop_start) * 1e3)
     wall_s = time.perf_counter() - start
 
-    effort = {counter: getattr(telemetry, counter) for counter in EFFORT_COUNTERS}
     record = RunRecord(
         run_id=f"{task['run_id']}-s{shard:05d}",
         created_at=utc_now_iso(),
@@ -224,7 +223,7 @@ def _run_shard(task: dict) -> dict:
             }
         },
         loops={"sweep": loops},
-        effort=effort,
+        effort=telemetry.effort,
         jobs=1,
         cache={
             "hits": 0,

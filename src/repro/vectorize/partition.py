@@ -49,6 +49,7 @@ from repro.dependence.analysis import LoopDependence
 from repro.ir.operations import Operation, OpKind
 from repro.machine.machine import MachineDescription
 from repro.machine.resources import OpcodeInfo
+from repro.observability.effort import PARTITION_EFFORT
 from repro.vectorize.alignment import merge_overhead_opcodes
 from repro.vectorize.bins import Bins, Plan, placement_freedom
 from repro.vectorize.communication import (
@@ -533,12 +534,9 @@ def partition_operations(
             _oracle_second_witness(dep, machine, config, result)
         if rec is not None:
             rec.count("kl.loops_partitioned")
-            rec.count("kl.iterations", iterations)
-            rec.count("kl.moves_evaluated", model.n_probes)
             rec.count("kl.moves_accepted", moves_accepted)
-            rec.count("kl.bin_packs", model.n_bin_packs)
-            rec.count("kl.repacks", model.n_repacks)
-            rec.count("kl.pack_steps", model.n_pack_steps)
+            for counter in PARTITION_EFFORT:
+                rec.count(counter.recorder, getattr(result, counter.source))
             rec.observe("kl.cost_reduction", scalar_cost - best_cost)
             rec.event(
                 "kl.converged",

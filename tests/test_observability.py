@@ -1,6 +1,7 @@
 """Tests for the observability subsystem: spans, stats, events, export."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from repro.observability import (
     render_stats_table,
     write_trace,
 )
+from repro.observability.effort import EFFORT
 from repro.workloads.livermore import k1_hydro
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 class TestSpans:
@@ -272,3 +276,9 @@ class TestRegallocRetryTelemetry:
         assert "all_carried" in message
         assert "II=" in message
         assert "fp" in message
+
+
+def test_counter_catalog_lists_every_effort_counter():
+    catalog = (DOCS / "observability.md").read_text(encoding="utf-8")
+    for counter in EFFORT:
+        assert f"| `{counter.recorder}` |" in catalog, counter.recorder

@@ -8,13 +8,14 @@ import json
 
 import pytest
 
-from repro.compiler.driver import compile_loop
+from repro.compiler.driver import CompiledLoop, compile_loop
+from repro.compiler.service import effort_counters
 from repro.compiler.strategies import Strategy
 from repro.evaluation.experiments import CompileTelemetry, Evaluator
-from repro.machine.configs import figure1_machine
+from repro.machine.configs import figure1_machine, paper_machine
 from repro.observability import recording
+from repro.observability.effort import EFFORT
 from repro.profiling import (
-    EFFORT_COUNTER_MAP,
     PhaseProfile,
     Profile,
     ProgressMonitor,
@@ -30,6 +31,7 @@ from repro.profiling import (
 )
 from repro.profiling.__main__ import main as profiling_main
 from repro.workloads.kernels import dot_product
+from repro.workloads.spec import build_benchmark
 
 FIGURE1_STRATEGIES = (
     Strategy.BASELINE,
@@ -39,39 +41,72 @@ FIGURE1_STRATEGIES = (
 )
 
 
-def figure1_profile() -> tuple[Profile, CompileTelemetry]:
-    """Compile the Figure 1 example under every strategy inside one
-    recording session: the profile and the flat telemetry it must match."""
+def _record_compiles(
+    jobs,
+) -> tuple[Profile, CompileTelemetry, list[CompiledLoop]]:
+    """Compile each ``(loop, machine, strategy, baseline_unroll)`` inside
+    one recording session: the profile, the flat telemetry it must
+    match, and the compiled loops."""
+    telemetry = CompileTelemetry()
+    compiled_loops = []
+    with recording() as rec:
+        for loop, machine, strategy, unroll in jobs:
+            compiled = compile_loop(loop, machine, strategy, baseline_unroll=unroll)
+            telemetry.absorb(compiled)
+            compiled_loops.append(compiled)
+    return Profile.from_recorder(rec), telemetry, compiled_loops
+
+
+def _figure1_jobs() -> list:
     machine = figure1_machine()
     loop = dot_product()
-    telemetry = CompileTelemetry()
-    with recording() as rec:
-        for strategy in FIGURE1_STRATEGIES:
-            compiled = compile_loop(
-                loop,
-                machine,
-                strategy,
-                baseline_unroll=1 if strategy is Strategy.BASELINE else None,
-            )
-            telemetry.absorb(compiled)
-    return Profile.from_recorder(rec), telemetry
+    return [
+        (loop, machine, s, 1 if s is Strategy.BASELINE else None)
+        for s in FIGURE1_STRATEGIES
+    ]
+
+
+def figure1_profile() -> tuple[Profile, CompileTelemetry]:
+    """The Figure 1 example under every strategy, in one session."""
+    profile, telemetry, _ = _record_compiles(_figure1_jobs())
+    return profile, telemetry
+
+
+def _assert_effort_agrees(profile, telemetry, compiled_loops) -> None:
+    """The acceptance invariant, for every registry counter: the
+    recorder total (summed over the profile's per-phase attribution)
+    equals the flat CompileTelemetry total and the sum of the compiled
+    loops' own effort exactly.  (Holds while no compile needs a regalloc
+    II-retry: a retried schedule's attempts reach the recorder but not
+    the compiled loop, which carries only the final schedule.)"""
+    totals = profile.counter_totals()
+    for counter in EFFORT:
+        summed = sum(
+            effort_counters(c).get(counter.name, 0) for c in compiled_loops
+        )
+        assert (
+            totals.get(counter.recorder, 0)
+            == telemetry.effort[counter.name]
+            == summed
+        ), f"{counter.recorder} / {counter.name} disagree"
 
 
 class TestProfileFromRecorder:
     def test_figure1_effort_counters_match_flat_telemetry_exactly(self):
-        # The acceptance invariant: every effort counter, summed over the
-        # profile's per-phase attribution, equals the flat
-        # CompileTelemetry total exactly.  (Holds because figure1 needs
-        # no regalloc II-retries; retried schedules would make recorder
-        # attempts exceed the telemetry, which only absorbs the final
-        # schedule's attempts.)
-        profile, telemetry = figure1_profile()
-        totals = profile.counter_totals()
-        for field, counter in EFFORT_COUNTER_MAP.items():
-            assert totals.get(counter, 0) == getattr(telemetry, field), (
-                f"{counter} attributed in the profile tree disagrees with "
-                f"CompileTelemetry.{field}"
-            )
+        _assert_effort_agrees(*_record_compiles(_figure1_jobs()))
+
+    def test_tomcatv_effort_counters_match_flat_telemetry_exactly(self):
+        # Corpus scale: 101.tomcatv's nine loops under all four
+        # strategies, traditional's distributed units included.
+        machine = paper_machine()
+        loops = [wl.loop for wl in build_benchmark("101.tomcatv").loops]
+        profile, telemetry, compiled_loops = _record_compiles(
+            (loop, machine, s, None) for s in FIGURE1_STRATEGIES for loop in loops
+        )
+        assert telemetry.loops == 36
+        assert any(len(c.units) > 1 for c in compiled_loops)
+        assert all(telemetry.effort.values())
+        _assert_effort_agrees(profile, telemetry, compiled_loops)
 
     def test_profile_counters_reproduce_flat_registry(self):
         machine = figure1_machine()

@@ -17,13 +17,13 @@ from repro.compiler.service import (
     effort_counters,
 )
 from repro.compiler.strategies import Strategy
-from repro.evaluation.bench_io import EFFORT_COUNTERS
 from repro.frontend import parse_loop
 from repro.machine.configs import (
     MACHINE_FACTORIES,
     machine_by_name,
     paper_machine,
 )
+from repro.observability.effort import EFFORT
 from repro.workloads.generator import generate
 
 DSL = "array x(64), z(64)\ndo i\n z(i) = x(i) + x(i) * 2.0\nend"
@@ -150,7 +150,7 @@ class TestSummary:
         if payload.compiled.partition is not None:
             # Exactly the gated counters: the dead probe-cache counter is
             # gone from every effort record.
-            assert set(effort) == set(EFFORT_COUNTERS)
+            assert set(effort) == {counter.name for counter in EFFORT}
 
 
 class TestMachineRegistry:
