@@ -5,9 +5,10 @@ share.  :func:`default_config` encodes the repro tree's own zone seeds:
 
 * the deterministic core is rooted at the pure compile entry point
   (:func:`repro.compiler.service.compile_one`), cache-key construction,
-  ledger content digests, the canonical BENCH payload builders and
-  ``CompileTelemetry.absorb`` — plus every detected effort-counter
-  mutator (a store to a :data:`EFFORT_FIELDS` attribute);
+  ledger content digests, the canonical BENCH payload builders,
+  ``CompileTelemetry.absorb`` and the dependence classification that
+  property reads trigger — plus every detected effort-counter mutator
+  (a store to a :data:`EFFORT_FIELDS` attribute);
 * the async zone is everything coroutine-shaped under ``repro.serve``;
 * the shared-filesystem zone is the modules owning on-disk protocols
   shared between processes (compile cache, artifact store, ledger,
@@ -83,6 +84,10 @@ def default_config() -> AnalysisConfig:
             "repro.compiler.service:effort_counters",
             # Folds effort into a dict, which no attribute store shows.
             "repro.evaluation.experiments:CompileTelemetry.absorb",
+            # Runs on the first read of a LoopDependence's components or
+            # classification; the call graph does not follow property
+            # reads.
+            "repro.dependence.analysis:classify_operations",
             # Content-addressed cache keys.
             "repro.compiler.service:CompileRequest.cache_key",
             "repro.evaluation.compile_cache:cache_key",

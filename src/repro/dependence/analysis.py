@@ -5,6 +5,11 @@ scalars, and memory dependences from the subscript tests), finds strongly
 connected components with Tarjan's algorithm, and classifies each
 operation as vectorizable or not for a given vector length.
 
+The graph is built eagerly; the components and the classification are
+computed on first read.  The back end — modulo scheduler, register
+allocator, cleanup list scheduler — reads only the graph, so the
+analyses of transformed units and cleanup loops never run Tarjan.
+
 Following the paper (Section 3): an operation is vectorizable when it does
 not lie on a dependence cycle, *except* that cycles whose total carried
 distance is at least the vector length do not prevent vectorization (the
@@ -14,7 +19,7 @@ unit-stride — the modeled machines have no scatter/gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
 from repro.dependence.scc import scc_membership, tarjan_sccs
@@ -42,16 +47,47 @@ _VECTORIZABLE_KINDS = frozenset(
 )
 
 
+#: (sccs, scc_of, vectorizable) — see :func:`classify_operations`.
+Classification = tuple[list[list[int]], dict[int, int], set[int]]
+
+
 @dataclass
 class LoopDependence:
-    """The result of dependence analysis on one loop."""
+    """The result of dependence analysis on one loop.
+
+    ``sccs``, ``scc_of`` and ``vectorizable`` are computed together on
+    the first read of any of them and kept for the object's lifetime.
+    """
 
     loop: Loop
     graph: DependenceGraph
-    sccs: list[list[int]]
-    scc_of: dict[int, int]
-    vectorizable: set[int]
     vector_length: int
+    _classification: Classification | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _classified(self) -> Classification:
+        if self._classification is None:
+            self._classification = classify_operations(
+                self.loop, self.graph, self.vector_length
+            )
+        return self._classification
+
+    @property
+    def sccs(self) -> list[list[int]]:
+        """Strongly connected components, in Tarjan's (reverse
+        topological) order."""
+        return self._classified()[0]
+
+    @property
+    def scc_of(self) -> dict[int, int]:
+        """Operation uid -> index of its component in ``sccs``."""
+        return self._classified()[1]
+
+    @property
+    def vectorizable(self) -> set[int]:
+        """Uids of the operations that may be vectorized."""
+        return self._classified()[2]
 
     def is_vectorizable(self, op: Operation) -> bool:
         return op.uid in self.vectorizable
@@ -61,13 +97,6 @@ class LoopDependence:
         if len(scc) > 1:
             return True
         return any(e.dst == uid for e in self.graph.successors(uid))
-
-    def register_flow_edges(self) -> list[DepEdge]:
-        return [
-            e
-            for e in self.graph.edges
-            if e.kind is DepKind.FLOW and e.via in (Via.REGISTER, Via.CARRIED)
-        ]
 
 
 def build_dependence_graph(loop: Loop, trip_count: int | None = None) -> DependenceGraph:
@@ -261,13 +290,11 @@ def _scc_safe_for_vectorization(
     return True
 
 
-def analyze_loop(
-    loop: Loop,
-    vector_length: int,
-    trip_count: int | None = None,
-) -> LoopDependence:
-    """Full dependence analysis of ``loop`` for a given vector length."""
-    graph = build_dependence_graph(loop, trip_count)
+def classify_operations(
+    loop: Loop, graph: DependenceGraph, vector_length: int
+) -> Classification:
+    """Tarjan's components of ``graph`` and the uids of the operations
+    of ``loop`` that may be vectorized at ``vector_length``."""
     sccs = tarjan_sccs(
         graph.node_ids(), lambda n: (e.dst for e in graph.successors(n))
     )
@@ -295,12 +322,18 @@ def analyze_loop(
             if not scc_safe[scc_index]:
                 continue
         vectorizable.add(op.uid)
+    return sccs, scc_of, vectorizable
 
+
+def analyze_loop(
+    loop: Loop,
+    vector_length: int,
+    trip_count: int | None = None,
+) -> LoopDependence:
+    """Dependence analysis of ``loop`` for a given vector length: the
+    graph now, the components and classification on first read."""
     return LoopDependence(
         loop=loop,
-        graph=graph,
-        sccs=sccs,
-        scc_of=scc_of,
-        vectorizable=vectorizable,
+        graph=build_dependence_graph(loop, trip_count),
         vector_length=vector_length,
     )

@@ -24,12 +24,16 @@ class DepKind(enum.Enum):
     OUTPUT = "output"
     CONTROL = "control"
 
+    __hash__ = object.__hash__  # identity hash, as ScalarType's
+
 
 class Via(enum.Enum):
     REGISTER = "register"
     MEMORY = "memory"
     CARRIED = "carried"
     CONTROL = "control"
+
+    __hash__ = object.__hash__  # identity hash, as ScalarType's
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,6 @@ class DependenceGraph:
 
     def node_ids(self) -> list[int]:
         return list(self.ops.keys())
-
-    def intra_iteration_edges(self) -> list[DepEdge]:
-        return [e for e in self.edges if e.distance == 0]
 
     def __len__(self) -> int:
         return len(self.ops)

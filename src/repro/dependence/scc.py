@@ -71,19 +71,6 @@ def tarjan_sccs(
     return sccs
 
 
-def condensation_order(
-    sccs: Sequence[Sequence[int]],
-    successors: Callable[[int], Iterable[int]],
-) -> list[int]:
-    """Indices of ``sccs`` in topological (sources-first) order.
-
-    Tarjan emits components in reverse topological order, so this is just
-    the reversed index sequence; exposed as a named helper for clarity at
-    call sites that emit distributed loops.
-    """
-    return list(range(len(sccs)))[::-1]
-
-
 def scc_membership(sccs: Sequence[Sequence[int]]) -> dict[int, int]:
     member: dict[int, int] = {}
     for i, comp in enumerate(sccs):

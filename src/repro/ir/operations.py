@@ -50,6 +50,8 @@ class OpKind(enum.Enum):
     IVINC = "ivinc"
     CBR = "cbr"
 
+    __hash__ = object.__hash__  # identity hash, as ScalarType's
+
     @property
     def is_memory(self) -> bool:
         return self in (OpKind.LOAD, OpKind.STORE)

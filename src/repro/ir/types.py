@@ -19,6 +19,12 @@ class ScalarType(enum.Enum):
     F64 = "f64"
     PRED = "pred"
 
+    # Members are singletons compared by identity, so an identity hash is
+    # consistent with equality; it replaces Enum's Python-level
+    # ``hash(self._name_)``, which every opcode-memo key and register
+    # hash would otherwise call.
+    __hash__ = object.__hash__
+
     @property
     def is_integer(self) -> bool:
         return self is ScalarType.I64

@@ -19,12 +19,13 @@ class VerificationError(Exception):
 def verify_loop(loop: Loop) -> None:
     defined: set[VirtualRegister] = set()
     defined_names: dict[str, VirtualRegister] = {}
-    available: set[VirtualRegister] = set(loop.carried_entries())
+    entries = loop.carried_entries()
+    available: set[VirtualRegister] = set(entries)
 
     for op in loop.preheader:
-        _verify_op(loop, op, available, defined, defined_names)
+        _verify_op(loop, op, entries, available, defined, defined_names)
     for op in loop.body:
-        _verify_op(loop, op, available, defined, defined_names)
+        _verify_op(loop, op, entries, available, defined, defined_names)
 
     for c in loop.carried:
         if isinstance(c.exit, VirtualRegister):
@@ -58,6 +59,7 @@ def verify_loop(loop: Loop) -> None:
 def _verify_op(
     loop: Loop,
     op: Operation,
+    entries: set[VirtualRegister],
     available: set[VirtualRegister],
     defined: set[VirtualRegister],
     defined_names: dict[str, VirtualRegister],
@@ -116,7 +118,7 @@ def _verify_op(
                 f"register name {op.dest.name!r} defined more than once "
                 f"(as {previous.type} and {op.dest.type})"
             )
-        if op.dest in loop.carried_entries():
+        if op.dest in entries:
             raise VerificationError(
                 f"register {op.dest} is a carried-scalar entry and cannot be "
                 "a destination"

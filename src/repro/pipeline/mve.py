@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.dependence.graph import DependenceGraph, DepKind, Via
+from repro.dependence.graph import DependenceGraph
 from repro.ir.values import VirtualRegister
 from repro.pipeline.scheduler import ModuloSchedule
-from repro.regalloc.allocator import register_file_of
+from repro.regalloc.allocator import register_file_of, value_lifetimes
 
 
 @dataclass
@@ -33,30 +33,6 @@ class MVEResult:
     def names_for(self, reg: VirtualRegister) -> list[str]:
         copies = self.copies_per_value.get(reg, 1)
         return [f"{reg.name}#{k}" for k in range(copies)]
-
-
-def value_lifetimes(
-    schedule: ModuloSchedule, graph: DependenceGraph
-) -> dict[VirtualRegister, tuple[int, int]]:
-    """Absolute [def, last-use) intervals for every defined value."""
-    loop = schedule.loop
-    machine = schedule.machine
-    ii = schedule.ii
-    lifetimes: dict[VirtualRegister, tuple[int, int]] = {}
-    for op in loop.body:
-        if op.dest is None:
-            continue
-        start = schedule.times[op.uid]
-        end = start + max(1, machine.opcode_info(op).latency)
-        for edge in graph.successors(op.uid):
-            if edge.kind is not DepKind.FLOW or edge.via not in (
-                Via.REGISTER,
-                Via.CARRIED,
-            ):
-                continue
-            end = max(end, schedule.times[edge.dst] + ii * edge.distance + 1)
-        lifetimes[op.dest] = (start, end)
-    return lifetimes
 
 
 def modulo_variable_expansion(

@@ -35,7 +35,7 @@ from repro.ir.operations import Operation
 from repro.machine.machine import MachineDescription
 from repro.observability.recorder import Recorder, active_recorder, maybe_span
 from repro.dependence.graph import DepEdge
-from repro.pipeline.mii import GraphArrays, RecMII, ResMII, edge_delays, minimum_ii
+from repro.pipeline.mii import GraphArrays, RecMII, ResMII, edge_delay, minimum_ii
 from repro.pipeline.reservation import ModuloReservationTable
 
 
@@ -441,8 +441,9 @@ def modulo_schedule(
                         at_bound=ii == mii,
                     )
                 if times is not None:
-                    delays = dict(zip(state.arrays.edges, state.arrays.delay))
-                    _check_schedule(loop, graph, machine, ii, times, delays)
+                    _check_schedule(
+                        loop, graph, machine, ii, times, state.arrays.delay
+                    )
                     if recorder is not None:
                         recorder.count("sched.loops_scheduled")
                         recorder.count("sched.ii_attempts", attempts)
@@ -559,22 +560,24 @@ def _check_schedule(
     machine: MachineDescription,
     ii: int,
     times: dict[int, int],
-    delays: dict[DepEdge, int] | None = None,
+    delays: list[int] | None = None,
 ) -> None:
-    """Validate dependence and resource feasibility of a finished schedule."""
+    """Validate dependence and resource feasibility of a finished schedule.
+
+    ``delays`` holds each edge's delay in ``graph.edges`` order.  Every
+    edge is checked, then every op is replayed into a fresh reservation
+    table in issue order with one probe, whose token is the placement."""
     if delays is None:
-        delays = edge_delays(graph, machine)
-    for edge in graph.edges:
-        lhs = times[edge.dst] + ii * edge.distance
-        rhs = times[edge.src] + delays[edge]
-        if lhs < rhs:
+        delays = [edge_delay(e, graph, machine) for e in graph.edges]
+    for edge, delay in zip(graph.edges, delays):
+        if times[edge.dst] + ii * edge.distance < times[edge.src] + delay:
             raise SchedulingError(
                 f"schedule violates {edge} in {loop.name!r} (ii={ii})"
             )
     mrt = ModuloReservationTable(machine, ii)
     for op in sorted(loop.body, key=lambda o: times[o.uid]):
-        if not mrt.fits(op, times[op.uid]):
-            raise SchedulingError(
-                f"resource overflow at cycle {times[op.uid]} for {op}"
-            )
-        mrt.place(op, times[op.uid])
+        t = times[op.uid]
+        token = mrt.probe_spec(mrt.spec_of(op), t)
+        if token is None:
+            raise SchedulingError(f"resource overflow at cycle {t} for {op}")
+        mrt.commit(op.uid, token)

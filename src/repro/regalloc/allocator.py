@@ -3,15 +3,16 @@
 A value defined in stage ``s`` and consumed in stage ``s+k`` is live
 across ``k`` kernel copies, so it needs ``k+1`` rotating registers (the
 Trimaran/Itanium scheme; modulo variable expansion achieves the same
-effect by unrolling).  We compute, for every kernel cycle, how many
-simultaneously live copies each register file must hold (MaxLive), assign
+effect by unrolling).  We compute, per register file, the most copies
+simultaneously live at any kernel cycle (MaxLive) in closed form, assign
 rotating indices, and report whether the Table 1 file capacities suffice.
 Allocation failure sends the loop back to the scheduler at a higher II.
+The per-cycle count the closed form replaced is the executable
+specification in ``tests/regalloc_spec.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -68,14 +69,49 @@ class AllocationResult:
         return p.max_live if p else 0
 
 
-def _live_copies(start: int, end: int, cycle: int, ii: int) -> int:
-    """Number of rotating copies of a value live at kernel cycle ``cycle``
-    given an absolute lifetime [start, end)."""
-    if end <= start:
-        return 0
-    lo = math.ceil((start - cycle) / ii)
-    hi = math.ceil((end - cycle) / ii)
-    return max(0, hi - lo)
+def _max_live(
+    lifetimes: dict[VirtualRegister, tuple[int, int]], ii: int
+) -> dict[str, int]:
+    """Per register file, the most rotating copies live at any one
+    kernel cycle.
+
+    A value live over ``[start, end)`` holds ``(end - start) // ii``
+    copies at every kernel cycle, plus one more on the
+    ``(end - start) % ii`` consecutive cycles from ``start mod ii``
+    (wrapping): each absolute cycle of the lifetime lands on one kernel
+    cycle.  Those extra copies go into a per-file difference array, so
+    the count is O(values + II) rather than O(values * II).
+    """
+    base: dict[str, int] = {}
+    extra: dict[str, list[int]] = {}
+    for reg, (start, end) in lifetimes.items():
+        length = end - start
+        if length <= 0:
+            continue
+        file = register_file_of(reg)
+        full, rest = divmod(length, ii)
+        base[file] = base.get(file, 0) + full
+        diff = extra.get(file)
+        if diff is None:
+            diff = extra[file] = [0] * ii
+        if rest:
+            first = start % ii
+            last = first + rest  # exclusive, and past ii when it wraps
+            diff[first] += 1
+            if last < ii:
+                diff[last] -= 1
+            elif last > ii:
+                diff[0] += 1
+                diff[last - ii] -= 1
+    max_live: dict[str, int] = {}
+    for file, diff in extra.items():
+        running = peak = 0
+        for step in diff:
+            running += step
+            if running > peak:
+                peak = running
+        max_live[file] = base[file] + peak
+    return max_live
 
 
 def allocate_kernel(
@@ -105,20 +141,18 @@ def allocate_kernel(
         return result
 
 
-def _allocate_kernel(
-    schedule: ModuloSchedule,
-    graph: DependenceGraph,
-) -> AllocationResult:
-    loop = schedule.loop
+def value_lifetimes(
+    schedule: ModuloSchedule, graph: DependenceGraph
+) -> dict[VirtualRegister, tuple[int, int]]:
+    """Absolute [def, last-use) intervals for every defined value: from
+    issue to the latest consumer read (offset by II per carried
+    distance); values without consumers live through their own
+    latency."""
     machine = schedule.machine
     ii = schedule.ii
     times = schedule.times
-
-    # Lifetime of each defined value: from issue to the latest consumer
-    # read (offset by II per carried distance); values without consumers
-    # live through their own latency.
     lifetimes: dict[VirtualRegister, tuple[int, int]] = {}
-    for op in loop.body:
+    for op in schedule.loop.body:
         if op.dest is None:
             continue
         start = times[op.uid]
@@ -131,24 +165,32 @@ def _allocate_kernel(
                 continue
             end = max(end, times[edge.dst] + ii * edge.distance + 1)
         lifetimes[op.dest] = (start, end)
+    return lifetimes
 
-    # Live-out values persist past the loop: round their lifetime up to a
-    # full extra stage so the epilogue can still read them.
-    for reg in loop.live_out:
+
+def kernel_lifetimes(
+    schedule: ModuloSchedule, graph: DependenceGraph
+) -> dict[VirtualRegister, tuple[int, int]]:
+    """The lifetimes the allocator counts: :func:`value_lifetimes`, with
+    live-out values rounded up to a full extra stage — they persist past
+    the loop, and the epilogue must still read them."""
+    ii = schedule.ii
+    lifetimes = value_lifetimes(schedule, graph)
+    for reg in schedule.loop.live_out:
         if reg in lifetimes:
             start, end = lifetimes[reg]
             lifetimes[reg] = (start, max(end, start + ii + 1))
+    return lifetimes
 
-    max_live: dict[str, int] = {}
-    for cycle in range(ii):
-        live_now: dict[str, int] = {}
-        for reg, (start, end) in lifetimes.items():
-            copies = _live_copies(start, end, cycle, ii)
-            if copies:
-                file = register_file_of(reg)
-                live_now[file] = live_now.get(file, 0) + copies
-        for file, count in live_now.items():
-            max_live[file] = max(max_live.get(file, 0), count)
+
+def _allocate_kernel(
+    schedule: ModuloSchedule,
+    graph: DependenceGraph,
+) -> AllocationResult:
+    loop = schedule.loop
+    machine = schedule.machine
+    lifetimes = kernel_lifetimes(schedule, graph)
+    max_live = _max_live(lifetimes, schedule.ii)
 
     # Persistent values: carried entries without a body definition and
     # loop invariants defined in the preheader each pin one register.

@@ -30,6 +30,8 @@ class Side(enum.Enum):
     SCALAR = "scalar"
     VECTOR = "vector"
 
+    __hash__ = object.__hash__  # identity hash, as ScalarType's
+
     def flipped(self) -> Side:
         return Side.VECTOR if self is Side.SCALAR else Side.SCALAR
 

@@ -32,8 +32,8 @@ class _WholeIterationEmitter(_Emitter):
     ``0..VL-1``) and once per extra scalar iteration (lanes ``VL..``)."""
 
     def emit_component(self, members: list[int]) -> None:
-        for uid in _topo_by_intra_edges(self.dep, members):
-            op = self.loop.op_by_uid(uid)
+        for uid in _topo_by_intra_edges(self.dep, members, self.body_index):
+            op = self.op_of[uid]
             self.emit_vector(op)
             for lane in range(self.vector_width, self.factor):
                 self.emit_scalar(op, lane)

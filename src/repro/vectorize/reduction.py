@@ -128,8 +128,8 @@ class _ReductionEmitter(_Emitter):
         self._acc_regs: dict[int, VirtualRegister] = {}  # op uid -> vector acc
 
     def emit_component(self, members: list[int]) -> None:
-        for uid in _topo_by_intra_edges(self.dep, members):
-            op = self.loop.op_by_uid(uid)
+        for uid in _topo_by_intra_edges(self.dep, members, self.body_index):
+            op = self.op_of[uid]
             reduction = next(
                 (r for r in self.reductions.values() if r.op.uid == uid), None
             )

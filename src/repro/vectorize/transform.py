@@ -123,12 +123,12 @@ def ordered_components(dep: LoopDependence) -> list[list[int]]:
 
 
 def _topo_by_intra_edges(
-    dep: LoopDependence, members: list[int]
+    dep: LoopDependence, members: list[int], body_index: dict[int, int]
 ) -> list[int]:
     """Order a component's members so zero-distance edges go forward;
-    ties follow program order.  (The zero-distance subgraph of an SCC is
-    acyclic — a zero-distance cycle would be unschedulable.)"""
-    body_index = {op.uid: i for i, op in enumerate(dep.loop.body)}
+    ties follow program order (``body_index``: uid -> body position).
+    (The zero-distance subgraph of an SCC is acyclic — a zero-distance
+    cycle would be unschedulable.)"""
     member_set = set(members)
     import heapq
 
@@ -186,6 +186,8 @@ class _Emitter:
         self.arrays: dict[str, ArrayInfo] = dict(self.loop.arrays)
         self.carried: list[CarriedScalar] = []
 
+        self.op_of: dict[int, Operation] = {op.uid: op for op in self.loop.body}
+        self.body_index = {op.uid: i for i, op in enumerate(self.loop.body)}
         self.def_op: dict[VirtualRegister, Operation] = {
             op.dest: op for op in self.loop.body if op.dest is not None
         }
@@ -534,7 +536,7 @@ class _Emitter:
     # ------------------------------------------------------------------
 
     def emit_component(self, members: list[int]) -> None:
-        ops = [self.loop.op_by_uid(uid) for uid in members]
+        ops = [self.op_of[uid] for uid in members]
         has_vector = any(
             self.assignment[uid] is Side.VECTOR for uid in members
         )
@@ -550,8 +552,8 @@ class _Emitter:
         # least VL original iterations, so lanes of a scalar member are
         # mutually independent within one transformed iteration.  Emit in
         # zero-distance topological order; scalar members as lane groups.
-        for uid in _topo_by_intra_edges(self.dep, members):
-            op = self.loop.op_by_uid(uid)
+        for uid in _topo_by_intra_edges(self.dep, members, self.body_index):
+            op = self.op_of[uid]
             if self.assignment[uid] is Side.VECTOR:
                 self.emit_vector(op)
             else:

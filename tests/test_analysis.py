@@ -280,6 +280,26 @@ def test_effort_producers_are_deterministic_core(tree_result):
         assert Zone.DETERMINISTIC_CORE.value in functions[key]["zones"], key
 
 
+def test_back_end_kernels_are_deterministic_core(tree_result):
+    # The per-unit back end decides every II, schedule and cleanup
+    # length.  The dependence classification runs on a property read,
+    # which the call graph does not follow, so it is a configured seed;
+    # Tarjan and the SCC safety test are deterministic-core through it.
+    functions = zone_map_payload(tree_result)["functions"]
+    for key in (
+        "repro.dependence.analysis:classify_operations",
+        "repro.dependence.scc:tarjan_sccs",
+        "repro.dependence.scc:scc_membership",
+        "repro.dependence.analysis:_scc_safe_for_vectorization",
+        "repro.pipeline.list_schedule:list_schedule_length",
+        "repro.pipeline.scheduler:_check_schedule",
+        "repro.regalloc.allocator:_allocate_kernel",
+        "repro.regalloc.allocator:_max_live",
+    ):
+        assert key in functions, f"{key} missing from zone map"
+        assert Zone.DETERMINISTIC_CORE.value in functions[key]["zones"], key
+
+
 def test_zone_map_payload_shape(tree_result):
     payload = zone_map_payload(tree_result)
     assert payload["version"] == 1

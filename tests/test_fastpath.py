@@ -13,6 +13,8 @@ Covered here:
 * the remaining fast paths fire: resumed packs replay fewer steps than
   fresh packs, and each (op, side) plan is resolved once per model;
 * ``edge_delays`` equals per-edge ``edge_delay``;
+* unit and cleanup analyses are graph-only: Tarjan runs only where the
+  components or the classification are read;
 * the parallel evaluator and the compile cache reproduce serial,
   cold-compile results bit-for-bit, with identical deterministic effort
   counters.
@@ -22,6 +24,7 @@ import random
 
 import pytest
 
+from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop
 from repro.machine.configs import paper_machine
 from repro.pipeline.mii import edge_delay, edge_delays
@@ -265,6 +268,39 @@ def test_edge_delays_table_matches_per_edge(archetype, seed):
 
 
 # ----------------------------------------------------------------------
+# Graph-only unit and cleanup analyses
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_tarjan_runs_only_where_components_are_read(strategy, monkeypatch):
+    """The scheduler, the allocator and the cleanup list scheduler read
+    only the dependence graph, so the analyses of the transformed unit
+    and of its cleanup loop never run Tarjan: one run for the loop, plus
+    one per distributed piece under traditional vectorization."""
+    import repro.dependence.analysis as analysis
+    from repro.compiler.driver import compile_loop
+    from repro.workloads.kernels import dot_product
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    runs = []
+    tarjan = analysis.tarjan_sccs
+
+    def counting_tarjan(*args):
+        runs.append(args)
+        return tarjan(*args)
+
+    monkeypatch.setattr(analysis, "tarjan_sccs", counting_tarjan)
+    compiled = compile_loop(dot_product(), MACHINE, strategy)
+    if strategy is Strategy.TRADITIONAL:
+        # The products vectorize; the reduction is a scalar piece.
+        assert len(compiled.units) == 2
+        assert len(runs) == 1 + len(compiled.units)
+    else:
+        assert any(u.transform.cleanup is not None for u in compiled.units)
+        assert len(runs) == 1
+
+
+# ----------------------------------------------------------------------
 # Evaluation harness: parallel and cached runs
 
 
@@ -304,7 +340,6 @@ def test_compile_cache_cold_warm_identical(tmp_path):
 
 
 def test_cache_key_invariant_to_uid_numbering():
-    from repro.compiler.strategies import Strategy
     from repro.evaluation.compile_cache import cache_key
     from repro.workloads.spec import build_benchmark
 

@@ -16,24 +16,44 @@ observable behavior —
   reimplementations of the original dict-based relaxations: same
   distances, same predecessor edges, same witness, same RecMII value and
   critical cycle, same heights, on random dependence graphs (zero-
-  distance edges kept acyclic, loop-carried edges unrestricted).
+  distance edges kept acyclic, loop-carried edges unrestricted);
+* :func:`list_schedule_length` (bitmask busy cycles) vs the original
+  dict-and-name list scheduler (``tests/list_schedule_spec.py``): same
+  makespan for every unit and cleanup loop of generated loops compiled
+  under all four strategies on the ``paper`` and Figure 1 machines, of
+  generated loops with divides (which the generator never emits) and of
+  random graphs — both covering non-pipelined multi-cycle reservations;
+* the closed-form per-file MaxLive vs the per-kernel-cycle count
+  (``tests/regalloc_spec.py``) on the same compiled kernels and on random
+  lifetimes.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.driver import compile_loop
+from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
+from repro.ir.loop import Loop
 from repro.ir.operations import Operation, OpKind
-from repro.ir.types import ScalarType
+from repro.ir.types import ScalarType, VectorType
 from repro.ir.values import VirtualRegister, const_f64, const_i64
 from repro.machine.configs import figure1_machine, paper_machine
 from repro.machine.machine import LatencyTable, MachineDescription
 from repro.machine.resources import ResourceClass
+from repro.pipeline.list_schedule import list_schedule_length
 from repro.pipeline.mii import GraphArrays, _relax_pred, edge_delays, rec_mii
 from repro.pipeline.reservation import ModuloReservationTable
 from repro.pipeline.scheduler import _heights
+from repro.regalloc.allocator import _max_live, kernel_lifetimes
+from repro.vectorize.communication import Side
+from repro.vectorize.full import full_assignment
+from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import GENERATORS, generate
+from tests import list_schedule_spec, regalloc_spec
 from tests.reservation_spec import DictModuloReservationTable
 
 F64 = ScalarType.F64
@@ -313,3 +333,108 @@ def test_flat_heights_match_reference(loop, ii):
     delays = edge_delays(dep.graph, machine)
     ref = _heights_ref(loop, dep.graph, machine, ii, delays)
     assert _heights(loop, dep.graph, machine, ii, delays) == ref
+
+
+# ----------------------------------------------------------------------
+# Cleanup list scheduling and MaxLive: the flat kernels vs their specs.
+
+compiled_strategy = st.builds(
+    compile_loop,
+    loop_strategy,
+    st.sampled_from([paper_machine(), figure1_machine()]),
+    st.sampled_from(list(Strategy)),
+)
+
+
+def _assert_list_schedule_matches_spec(loop, graph, machine):
+    assert list_schedule_length(
+        loop, graph, machine
+    ) == list_schedule_spec.list_schedule_length(loop, graph, machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(compiled=compiled_strategy)
+def test_flat_list_schedule_matches_spec(compiled):
+    machine = compiled.machine
+    for unit in compiled.units:
+        for loop in (unit.transform.loop, unit.transform.cleanup):
+            if loop is not None:
+                graph = analyze_loop(loop, machine.vector_length).graph
+                _assert_list_schedule_matches_spec(loop, graph, machine)
+
+
+@st.composite
+def divided_loop_strategy(draw):
+    """A generated loop with up to two of its adds and multiplies turned
+    into divides, whose units stay busy for many cycles."""
+    loop = draw(loop_strategy)
+    arith = [
+        i for i, op in enumerate(loop.body) if op.kind in (OpKind.ADD, OpKind.MUL)
+    ]
+    picks = draw(st.sets(st.sampled_from(arith), max_size=2)) if arith else set()
+    return loop.with_body(
+        tuple(
+            replace(op, kind=OpKind.DIV) if i in picks else op
+            for i, op in enumerate(loop.body)
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop=divided_loop_strategy(), vectorize=st.booleans())
+def test_flat_list_schedule_matches_spec_with_divides(loop, vectorize):
+    # Transformed, not compiled: on the paper machine a divide holds its
+    # unit for 32 cycles, which many unrolled kernels cannot modulo
+    # schedule, but every body still has a list schedule.
+    machine = paper_machine()
+    dep = analyze_loop(loop, machine.vector_length)
+    if vectorize:
+        assignment = full_assignment(dep)
+    else:
+        assignment = {op.uid: Side.SCALAR for op in loop.body}
+    tr = transform_loop(dep, machine, assignment, machine.vector_length)
+    for body in (tr.loop, tr.cleanup):
+        graph = analyze_loop(body, machine.vector_length).graph
+        _assert_list_schedule_matches_spec(body, graph, machine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=graph_strategy(), machine_idx=st.integers(0, len(MACHINES) - 1))
+def test_flat_list_schedule_matches_spec_on_random_graphs(graph, machine_idx):
+    loop = Loop("random", tuple(graph.ops.values()))
+    _assert_list_schedule_matches_spec(loop, graph, MACHINES[machine_idx])
+
+
+@settings(max_examples=40, deadline=None)
+@given(compiled=compiled_strategy)
+def test_closed_form_max_live_matches_spec(compiled):
+    machine = compiled.machine
+    for unit in compiled.units:
+        graph = analyze_loop(unit.transform.loop, machine.vector_length).graph
+        lifetimes = kernel_lifetimes(unit.schedule, graph)
+        assert _max_live(lifetimes, unit.ii) == regalloc_spec.max_live(
+            lifetimes, unit.ii
+        )
+
+
+REGISTER_TYPES = [F64, I64, ScalarType.PRED, VectorType(F64, 2), VectorType(I64, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ii=st.integers(1, 12),
+    spans=st.lists(
+        st.tuples(
+            st.sampled_from(REGISTER_TYPES),
+            st.integers(0, 60),
+            st.integers(-2, 40),
+        ),
+        max_size=12,
+    ),
+)
+def test_closed_form_max_live_matches_spec_on_random_lifetimes(ii, spans):
+    lifetimes = {
+        VirtualRegister(f"v{k}", ty): (start, start + length)
+        for k, (ty, start, length) in enumerate(spans)
+    }
+    assert _max_live(lifetimes, ii) == regalloc_spec.max_live(lifetimes, ii)

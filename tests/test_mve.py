@@ -13,8 +13,8 @@ from repro.pipeline.mve import (
     modulo_variable_expansion,
     value_lifetimes,
 )
-from repro.regalloc.allocator import _live_copies
 from repro.workloads.kernels import ALL_KERNELS
+from tests.regalloc_spec import _live_copies
 
 
 def unit_and_graph(kernel, strategy=Strategy.BASELINE):

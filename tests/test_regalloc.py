@@ -8,14 +8,11 @@ from repro.ir.types import ScalarType, VectorType
 from repro.ir.values import VirtualRegister
 from repro.machine.machine import RegisterFiles
 from repro.pipeline.scheduler import modulo_schedule
-from repro.regalloc.allocator import (
-    _live_copies,
-    allocate_kernel,
-    register_file_of,
-)
+from repro.regalloc.allocator import allocate_kernel, register_file_of
 from repro.vectorize.communication import Side
 from repro.vectorize.full import full_assignment
 from repro.vectorize.transform import transform_loop
+from tests.regalloc_spec import _live_copies
 
 F64 = ScalarType.F64
 I64 = ScalarType.I64

@@ -4,6 +4,7 @@ modulo scheduler."""
 import pytest
 
 from repro.dependence.analysis import analyze_loop
+from repro.dependence.graph import DependenceGraph
 from repro.ir.builder import LoopBuilder
 from repro.ir.operations import Operation, OpKind
 from repro.ir.types import ScalarType
@@ -11,7 +12,11 @@ from repro.ir.values import VirtualRegister, const_f64
 from repro.pipeline.list_schedule import list_schedule_length
 from repro.pipeline.mii import edge_delay, minimum_ii, rec_mii, res_mii
 from repro.pipeline.reservation import ModuloReservationTable
-from repro.pipeline.scheduler import SchedulingError, modulo_schedule
+from repro.pipeline.scheduler import (
+    SchedulingError,
+    _check_schedule,
+    modulo_schedule,
+)
 from repro.vectorize.communication import Side
 from repro.vectorize.transform import transform_loop
 
@@ -161,7 +166,6 @@ class TestModuloScheduler:
         assert schedule.ii >= 9
 
     def test_empty_body_rejected(self, paper):
-        from repro.dependence.graph import DependenceGraph
         from repro.ir.loop import Loop
 
         with pytest.raises(SchedulingError):
@@ -171,6 +175,42 @@ class TestModuloScheduler:
         loop, dep = lowered(dot_loop, paper, factor=2)
         schedule = modulo_schedule(loop, dep.graph, paper)
         assert schedule.ii_per_original_iteration() == schedule.ii / 2
+
+
+class TestScheduleCheck:
+    """``_check_schedule`` validates every schedule the scheduler returns;
+    these pin that it rejects broken ones."""
+
+    def test_accepts_the_scheduler_result(self, dot_loop, paper):
+        loop, dep = lowered(dot_loop, paper, factor=2)
+        schedule = modulo_schedule(loop, dep.graph, paper)
+        _check_schedule(loop, dep.graph, paper, schedule.ii, schedule.times)
+
+    def test_rejects_a_violated_zero_distance_edge(self, dot_loop, paper):
+        loop, dep = lowered(dot_loop, paper, factor=2)
+        schedule = modulo_schedule(loop, dep.graph, paper)
+        edge = next(
+            e
+            for e in dep.graph.edges
+            if e.distance == 0 and edge_delay(e, dep.graph, paper) > 0
+        )
+        times = dict(schedule.times)
+        # Issue the consumer one cycle before the producer's result.
+        times[edge.dst] = times[edge.src] + edge_delay(edge, dep.graph, paper) - 1
+        with pytest.raises(SchedulingError, match="violates"):
+            _check_schedule(loop, dep.graph, paper, schedule.ii, times)
+
+    def test_rejects_a_resource_overflow(self, paper):
+        loop, dep = lowered(build_big_loop(), paper, factor=2)
+        schedule = modulo_schedule(loop, dep.graph, paper)
+        # With the dependences out of the way, only the reservation
+        # replay can catch every op issuing at cycle 0.
+        independent = DependenceGraph()
+        for op in loop.body:
+            independent.add_op(op)
+        times = {op.uid: 0 for op in loop.body}
+        with pytest.raises(SchedulingError, match="resource overflow"):
+            _check_schedule(loop, independent, paper, schedule.ii, times)
 
 
 def build_big_loop():
@@ -195,7 +235,6 @@ class TestListScheduler:
         assert length >= 11
 
     def test_empty_loop(self, paper):
-        from repro.dependence.graph import DependenceGraph
         from repro.ir.loop import Loop
 
         assert list_schedule_length(Loop("e", ()), DependenceGraph(), paper) == 0
