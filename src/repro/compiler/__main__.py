@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the compilation: a call tree of per-phase wall time "
         "and deterministic effort counters (covers --check and --oracle "
         "phases too). With PATH, write the profile JSON for "
-        "python -m repro.profiling; without, print the tree",
+        "python -m repro.profiling; without, print the tree. With "
+        "--ledger, the record carries the profile too",
     )
     parser.add_argument(
         "--ledger",
@@ -138,6 +139,7 @@ def _append_ledger_record(
     check_report,
     *,
     wall_s: float,
+    profile: dict | None,
 ) -> None:
     """Record this single-loop compilation in the run ledger.  The
     record shares the evaluation harness's shape, so the dashboard
@@ -200,7 +202,7 @@ def _append_ledger_record(
         effort=effort,
         wall_s=round(wall_s, 3),
         check=check,
-        profile=args.profile if args.profile not in (None, "-") else None,
+        profile=profile,
     )
     ledger = Ledger(
         args.ledger or os.environ.get("REPRO_LEDGER") or Ledger().root
@@ -352,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in sorted(result.live_outs.items()):
             print(f"  result {name} = {value}")
 
+    profile = None
     if recorder is not None:
         if args.stats:
             print()
@@ -378,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             compiled,
             check_report,
             wall_s=compile_wall_s,
+            profile=profile.to_dict() if profile is not None else None,
         )
     return 1 if check_failed else 0
 

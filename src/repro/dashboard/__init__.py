@@ -1,9 +1,9 @@
 """Cross-run observability: ledger queries and the HTML dashboard.
 
 Built on :mod:`repro.ledger`.  The query layer answers "what changed
-between runs" with the profiling diff's noise discipline (exact effort
-and II deltas, noise-gated wall clock); the renderer turns the run
-history into a single self-contained HTML file.
+between runs" with exact effort and II deltas and noise-gated wall
+clock, per compile phase too when both runs carry a profile; the
+renderer turns the run history into a single self-contained HTML file.
 
 CLI: ``python -m repro.dashboard {record,list,compare,trend,outliers,
 render,merge}``.

@@ -30,6 +30,8 @@ import os
 import sys
 
 from repro.dashboard.queries import (
+    DEFAULT_WALL_ABS_MS,
+    DEFAULT_WALL_REL,
     compare_runs,
     outliers,
     render_comparison,
@@ -44,7 +46,7 @@ from repro.ledger import (
     merge_records,
     record_from_payloads,
 )
-from repro.profiling.diff import DEFAULT_WALL_ABS_MS, DEFAULT_WALL_REL
+from repro.profiling import load_profile
 
 LEDGER_ENV = "REPRO_LEDGER"
 
@@ -87,7 +89,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         payloads,
         label=args.label,
         repo=args.repo,
-        profile=args.profile,
+        profile=load_profile(args.profile).to_dict() if args.profile else None,
         notes=args.note,
     )
     ledger = Ledger(resolve_ledger_dir(args.ledger))
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repo", default=".", help="git repo to stamp the record's sha from"
     )
     p.add_argument(
-        "--profile", default=None, help="path of a profile JSON to reference"
+        "--profile", default=None, help="path of a profile JSON to embed"
     )
     p.add_argument(
         "--note",

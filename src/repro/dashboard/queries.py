@@ -1,16 +1,17 @@
 """Cross-run analytics over the ledger.
 
-The noise discipline is inherited from the profiling diff
-(:mod:`repro.profiling.diff`): **wall-clock deltas only count when they
-clear both a relative and an absolute threshold; deterministic deltas —
-effort counters, per-loop IIs, table speedups — are exact** (the corpus
-and the compiler are pure, so any change is a real change).
+The noise discipline: **wall-clock deltas only count when they clear
+both a relative and an absolute threshold** (:func:`wall_significant`);
+**deterministic deltas — effort counters, per-loop IIs, table speedups
+— are exact** (the corpus and the compiler are pure, so any change is a
+real change).
 
 Queries:
 
 * :func:`compare_runs` — run B against run A; regressions ranked by
   exact effort delta first (the same ranking the dashboard's
-  "top regressions" table uses);
+  "top regressions" table uses), plus per-phase deltas when both runs
+  carry a profile;
 * :func:`trend` — one metric's value across runs, by dotted path;
 * :func:`outliers` — runs whose metric deviates from the median by more
   than ``k`` robust standard deviations (MAD-based);
@@ -22,15 +23,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ledger.record import RunRecord, strip_wall_fields
-from repro.profiling.diff import (
-    DEFAULT_WALL_ABS_MS,
-    DEFAULT_WALL_REL,
-    wall_significant,
-)
+from repro.profiling.profile import ROOT_NAME, PhaseProfile, Profile
 
 #: Deterministic float metrics (speedups, IIs) still ride through
 #: floating point; equality below this is equality.
 EXACT_EPSILON = 1e-9
+
+#: Wall-time deltas below these thresholds are treated as noise.
+DEFAULT_WALL_REL = 0.20  # 20 % relative change, and
+DEFAULT_WALL_ABS_MS = 1.0  # at least 1 ms absolute change.
+
+
+def wall_significant(
+    a_ns: int, b_ns: int, rel: float, abs_ms: float
+) -> bool:
+    """True when a wall-clock delta clears *both* noise thresholds."""
+    delta = abs(b_ns - a_ns)
+    if delta < abs_ms * 1e6:
+        return False
+    base = max(a_ns, 1)
+    return delta / base >= rel
 
 
 @dataclass
@@ -75,6 +87,13 @@ class RunComparison:
     walls: list[MetricDelta] = field(default_factory=list)
     #: Check/oracle outcome changes.
     checks: list[MetricDelta] = field(default_factory=list)
+    #: Per-phase deltas of the runs' profiles, or ``None`` unless both
+    #: records carry one.  Counter deltas are exact, phase wall times
+    #: noise-gated.  A profile covers only the compiles a run did
+    #: in-process and uncached, so this family informs and never gates:
+    #: it stays out of :meth:`exact_deltas`, :meth:`ranked` and
+    #: :attr:`clean`.
+    phases: list[MetricDelta] | None = None
 
     def exact_deltas(self) -> list[MetricDelta]:
         return self.effort + self.iis + self.speedups + self.checks
@@ -131,6 +150,42 @@ def _exact_deltas(
     return deltas
 
 
+def _phase_deltas(
+    a_doc: dict, b_doc: dict, wall_rel: float, wall_abs_ms: float
+) -> list[MetricDelta]:
+    """Two profile documents lined up by phase path, in A-then-B order;
+    a phase missing on one side compares against zeros.  Every counter
+    that differs is a delta; a phase's total wall time only when it
+    clears both noise thresholds."""
+    a_phases = Profile.from_dict(a_doc).phases()
+    b_phases = Profile.from_dict(b_doc).phases()
+    absent = PhaseProfile("", "")
+    deltas = []
+    for path in list(a_phases) + [p for p in b_phases if p not in a_phases]:
+        an = a_phases.get(path, absent)
+        bn = b_phases.get(path, absent)
+        label = path or ROOT_NAME
+        if wall_significant(an.total_ns, bn.total_ns, wall_rel, wall_abs_ms):
+            deltas.append(
+                MetricDelta(
+                    kind="wall", path=f"{label} total_ms",
+                    a=an.total_ns / 1e6, b=bn.total_ns / 1e6, exact=False,
+                    significant=True,
+                )
+            )
+        for name in sorted(set(an.counters) | set(bn.counters)):
+            av = an.counters.get(name, 0)
+            bv = bn.counters.get(name, 0)
+            if av != bv:
+                deltas.append(
+                    MetricDelta(
+                        kind="effort", path=f"{label} {name}", a=av, b=bv,
+                        exact=True, significant=True,
+                    )
+                )
+    return deltas
+
+
 def compare_runs(
     a: RunRecord,
     b: RunRecord,
@@ -138,8 +193,8 @@ def compare_runs(
     wall_rel: float = DEFAULT_WALL_REL,
     wall_abs_ms: float = DEFAULT_WALL_ABS_MS,
 ) -> RunComparison:
-    """Diff run ``b`` against run ``a`` with the profiling-diff noise
-    discipline: effort/II/speedup deltas exact, wall deltas gated."""
+    """Diff run ``b`` against run ``a``: effort/II/speedup deltas exact,
+    wall deltas noise-gated, per-phase deltas when both carry a profile."""
     comparison = RunComparison(a=a, b=b)
 
     comparison.effort = _exact_deltas(
@@ -191,6 +246,12 @@ def compare_runs(
             ),
         )
     ]
+    # Records written before profiles were embedded hold a file path
+    # (or nothing) here; they compare without a phase block.
+    if isinstance(a.profile, dict) and isinstance(b.profile, dict):
+        comparison.phases = _phase_deltas(
+            a.profile, b.profile, wall_rel, wall_abs_ms
+        )
     return comparison
 
 
@@ -215,6 +276,12 @@ def render_comparison(comparison: RunComparison) -> str:
             f"  [wall] wall_s: {wall.a:g} -> {wall.b:g} "
             "(below noise thresholds; informational)"
         )
+    phases = comparison.phases
+    if phases is not None:
+        lines += ["", "-- per-phase deltas (profiles; informational) --"]
+        lines += [f"  {d.render()}" for d in phases] or [
+            "  (no per-phase delta)"
+        ]
     lines.append("")
     lines.append(
         f"compare: {n_effort} effort delta(s), "
@@ -223,6 +290,11 @@ def render_comparison(comparison: RunComparison) -> str:
         f"{len(comparison.checks)} check/oracle delta(s), "
         f"{sum(1 for d in comparison.walls if d.significant)} "
         f"significant wall change(s)"
+        + (
+            ""
+            if phases is None
+            else f", {sum(d.exact for d in phases)} per-phase counter delta(s)"
+        )
     )
     return "\n".join(lines)
 

@@ -14,7 +14,7 @@ Sections:
   and per-experiment headline trends (mean speedups, Figure 1 IIs);
 * top regressions — latest vs previous run, ranked by exact effort
   delta, with II changes and speedup drifts (wall deltas shown only when
-  they clear the profiling-diff noise thresholds, and marked as such);
+  they clear the compare noise thresholds, and marked as such);
 * per-experiment result grids for the latest run;
 * per-benchmark drill-down: per-loop II/ResMII/RecMII by variant, plus
   check/oracle outcomes and run notes.

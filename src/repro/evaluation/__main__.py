@@ -202,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="profile the run: a call tree of per-phase wall time and "
         "deterministic effort counters. With PATH, write the profile "
-        "JSON for python -m repro.profiling; without, print the tree",
+        "JSON for python -m repro.profiling; without, print the tree. "
+        "With --ledger, the record carries the profile too",
     )
     parser.add_argument(
         "--ledger",
@@ -317,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         path = bench_io.write_bench_json("compile_perf", perf, args.bench_dir)
         print(f"wrote {path}")
 
+    profile = None
     if recorder is not None:
         if args.stats:
             print(render_stats_table(recorder))
@@ -370,11 +372,7 @@ def main(argv: list[str] | None = None) -> int:
                 "compile_cache": args.compile_cache is not None,
             },
             check=check_outcome,
-            profile=(
-                args.profile
-                if args.profile not in (None, "-")
-                else None
-            ),
+            profile=profile.to_dict() if profile is not None else None,
             notes=(["gate failed"] if failed else []),
         )
         ledger = Ledger(

@@ -124,8 +124,11 @@ class RunRecord:
     check: dict | None = None
     #: Oracle certification outcome, when the oracle ran.
     oracle: dict | None = None
-    #: Optional pointer to a profile JSON for drill-down.
-    profile: str | None = None
+    #: The run's call-tree profile document (``Profile.to_dict()``),
+    #: when the run was profiled.  Older records may hold a file path
+    #: here instead; ``dashboard compare`` reports per-phase deltas only
+    #: when both records hold a document.
+    profile: dict | None = None
     #: Free-form notes/remarks worth surfacing in the dashboard.
     notes: list = field(default_factory=list)
     schema_version: int = LEDGER_SCHEMA_VERSION
@@ -198,7 +201,7 @@ def record_from_payloads(
     config: dict | None = None,
     check: dict | None = None,
     oracle: dict | None = None,
-    profile: str | None = None,
+    profile: dict | None = None,
     notes: list | None = None,
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` from the ``BENCH_*`` payloads the

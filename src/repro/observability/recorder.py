@@ -44,12 +44,11 @@ class Recorder:
     """One recording session: a span forest, a stat registry, an event log.
 
     ``trace=False`` turns spans into no-ops (counters/events still
-    record); ``stats=False`` turns counters/distributions into no-ops.
+    record).
     """
 
-    def __init__(self, *, trace: bool = True, stats: bool = True):
+    def __init__(self, *, trace: bool = True):
         self.trace_enabled = trace
-        self.stats_enabled = stats
         self.tracer = SpanTracer()
         self.stats = StatRegistry()
         self.events = EventLog()
@@ -64,8 +63,7 @@ class Recorder:
     # -- counters / distributions --------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
-        if self.stats_enabled:
-            self.stats.add(name, n)
+        self.stats.add(name, n)
         if self.trace_enabled:
             # Attribute the effort to the innermost open phase so the
             # profiler can turn the span tree into a call-tree profile.
@@ -74,8 +72,7 @@ class Recorder:
                 span.count(name, n)
 
     def observe(self, name: str, value: float) -> None:
-        if self.stats_enabled:
-            self.stats.observe(name, value)
+        self.stats.observe(name, value)
 
     def counter(self, name: str) -> int:
         return self.stats.counter(name)
@@ -144,10 +141,10 @@ class _RecordingContext:
 
 
 def recording(
-    recorder: Recorder | None = None, *, trace: bool = True, stats: bool = True
+    recorder: Recorder | None = None, *, trace: bool = True
 ) -> _RecordingContext:
     """``with recording() as rec:`` — scoped instrumentation session."""
-    return _RecordingContext(recorder or Recorder(trace=trace, stats=stats))
+    return _RecordingContext(recorder or Recorder(trace=trace))
 
 
 def maybe_span(rec: Recorder | None, name: str, **attrs: object):
@@ -171,7 +168,7 @@ def _install_from_env() -> None:
     want_stats = _env_truthy(os.environ.get("REPRO_STATS"))
     if not trace_path and not profile_path and not want_stats:
         return
-    recorder = Recorder(trace=bool(trace_path or profile_path), stats=True)
+    recorder = Recorder(trace=bool(trace_path or profile_path))
     install(recorder)
 
     import atexit

@@ -4,9 +4,8 @@
 module is its counterpart: :func:`validate_trace` checks a parsed
 document against the schema (raising :class:`TraceSchemaError` with the
 offending path), and :func:`load_trace` reads + validates + *normalizes*
-a document so consumers — the profiler, the diff tool, trace viewers —
-can rely on every field being present regardless of which schema version
-wrote it:
+a document so a consumer of a written trace can rely on every field
+being present regardless of which schema version wrote it:
 
 * version 1 documents lack the ``remarks`` array (added in v2);
 * version 2 documents lack per-span ``counters`` (added in v3).

@@ -12,25 +12,17 @@ standard profiler surfaces:
   obligations) attributed to the phase that spent them;
 * text tree, collapsed-stack (flamegraph.pl) and speedscope-JSON
   exporters (:mod:`repro.profiling.export`);
-* a differential profiler aligning two profiles by phase path, with
-  noise-aware thresholds on wall time and exact thresholds on effort
-  counters (:mod:`repro.profiling.diff`);
 * sweep-scale progress telemetry for the evaluation harness
   (:mod:`repro.profiling.progress`).
 
-CLI: ``python -m repro.profiling {show,diff,export,check}``, and
-``--profile[=PATH]`` on both the compiler and evaluation CLIs.  Whether
-a run's results or effort changed is the run ledger's question
-(``python -m repro.dashboard compare``); its per-commit timeline is
+CLI: ``python -m repro.profiling {show,export,check}``, and
+``--profile[=PATH]`` on both the compiler and evaluation CLIs.  With
+``--ledger`` as well, the run's ledger record carries its profile, and
+``python -m repro.dashboard compare`` lines up two such records by phase
+path: that is the cross-run diff.  Its per-commit timeline is
 ``python -m repro.dashboard trend``.
 """
 
-from repro.profiling.diff import (
-    PhaseDelta,
-    diff_profiles,
-    effort_deltas,
-    render_diff,
-)
 from repro.profiling.export import (
     render_tree,
     to_collapsed,
@@ -48,15 +40,11 @@ from repro.profiling.progress import ProgressMonitor
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
-    "PhaseDelta",
     "PhaseProfile",
     "Profile",
     "ProgressMonitor",
     "check_profile",
-    "diff_profiles",
-    "effort_deltas",
     "load_profile",
-    "render_diff",
     "render_tree",
     "to_collapsed",
     "to_speedscope",

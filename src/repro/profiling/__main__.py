@@ -1,9 +1,8 @@
-"""CLI for profiles: show, diff, export, check.
+"""CLI for profiles: show, export, check.
 
 Examples::
 
     python -m repro.profiling show profile.json --counters
-    python -m repro.profiling diff old.json new.json
     python -m repro.profiling export profile.json --format speedscope -o p.speedscope.json
     python -m repro.profiling check profile.json
 """
@@ -14,12 +13,6 @@ import argparse
 import json
 import sys
 
-from repro.profiling.diff import (
-    DEFAULT_WALL_ABS_MS,
-    DEFAULT_WALL_REL,
-    diff_profiles,
-    render_diff,
-)
 from repro.profiling.export import render_tree, to_collapsed, to_speedscope
 from repro.profiling.profile import check_profile, load_profile
 
@@ -27,7 +20,7 @@ from repro.profiling.profile import check_profile, load_profile
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.profiling",
-        description="Inspect, diff, export and audit repro profiles.",
+        description="Inspect, export and audit repro profiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -44,29 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="hide phases below this total wall time",
-    )
-
-    diff = sub.add_parser(
-        "diff", help="compare two profiles aligned by phase path"
-    )
-    diff.add_argument("a", help="baseline profile JSON")
-    diff.add_argument("b", help="candidate profile JSON")
-    diff.add_argument(
-        "--wall-rel",
-        type=float,
-        default=DEFAULT_WALL_REL,
-        help="relative wall-time noise threshold (default %(default)s)",
-    )
-    diff.add_argument(
-        "--wall-abs-ms",
-        type=float,
-        default=DEFAULT_WALL_ABS_MS,
-        help="absolute wall-time noise threshold in ms (default %(default)s)",
-    )
-    diff.add_argument(
-        "--show-all",
-        action="store_true",
-        help="list every phase's wall times, not just significant ones",
     )
 
     export = sub.add_parser(
@@ -103,16 +73,6 @@ def main(argv: list[str] | None = None) -> int:
                 min_total_ns=int(args.min_ms * 1e6),
             )
         )
-        return 0
-
-    if args.command == "diff":
-        deltas = diff_profiles(
-            load_profile(args.a),
-            load_profile(args.b),
-            wall_rel=args.wall_rel,
-            wall_abs_ms=args.wall_abs_ms,
-        )
-        print(render_diff(deltas, show_all=args.show_all))
         return 0
 
     if args.command == "export":

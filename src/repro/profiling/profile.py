@@ -5,18 +5,19 @@ A :class:`Profile` is built from one recorder session
 ``compile_loop/compile_unit/modulo_schedule`` span in the session folds
 into one :class:`PhaseProfile` node accumulating call count, total and
 self wall time, and the effort counters attributed to exactly that
-phase.  Merging by path is what makes two profiles comparable — the
-differential profiler aligns nodes by their unique path.
+phase.  Merging by path is what makes two profiles comparable —
+``dashboard compare`` aligns two runs' profiles by their unique paths.
 
 Wall time is machine noise; the effort counters are not.  They are pure
 functions of (loop corpus, machine, compiler version), so two runs of
-the same build must agree on them exactly — the property the
-``profiling diff`` exact thresholds and the profile-vs-telemetry test
-both lean on.
+the same build must agree on them exactly — the property the exact
+per-phase counter deltas of ``dashboard compare`` and the
+profile-vs-telemetry test both lean on.
 
 The JSON form (:func:`write_profile` / :func:`load_profile`) is its own
 small schema (``repro-profile`` version 1), independent of the trace
 schema so a profile stays loadable even as the trace grows new fields.
+A ledger record embeds the same document.
 """
 
 from __future__ import annotations

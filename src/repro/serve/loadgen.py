@@ -434,7 +434,7 @@ def _finish_run(
         observed["summaries"],
         wall_s=wall_s,
         label=args.run_label,
-        jobs=args.concurrency,
+        jobs=observed["server_stats"]["jobs"],
         cache_info={
             "hits": cache,
             "misses": served.get("compiled", 0),

@@ -351,6 +351,7 @@ class CompileServer:
 
     def _stats_body(self) -> dict:
         body = self.stats.to_dict()
+        body["jobs"] = self.config.jobs
         body["draining"] = self._draining
         body["queue_depth"] = self._queue.qsize() if self._queue else 0
         body["inflight"] = len(self._inflight)

@@ -11,6 +11,8 @@ Covers the PR's acceptance criteria end to end:
   real evaluation runs;
 * a ``check`` block's wall time never counts as a delta; its outcome
   counts always do;
+* two records that carry profiles compare phase by phase: counter
+  deltas exact, phase wall times noise-gated, and never a gate;
 * the rendered dashboard is one self-contained file — no scripts, no
   external URLs — whose structure matches a frozen golden skeleton
   (regenerate with ``REPRO_REGEN_GOLDEN=1``).
@@ -24,6 +26,8 @@ from html.parser import HTMLParser
 
 import pytest
 
+from repro.compiler.driver import compile_loop
+from repro.compiler.strategies import ALL_STRATEGIES
 from repro.dashboard import (
     compare_runs,
     metric_value,
@@ -37,7 +41,17 @@ from repro.dashboard import (
 from repro.dashboard.__main__ import main as dashboard_main
 from repro.evaluation import bench_io
 from repro.evaluation.experiments import Evaluator
-from repro.ledger import Ledger, record_from_payloads
+from repro.ledger import Ledger, RunRecord, record_from_payloads
+from repro.machine.configs import figure1_machine
+from repro.observability import recording
+from repro.profiling import (
+    PhaseProfile,
+    Profile,
+    check_profile,
+    load_profile,
+    write_profile,
+)
+from repro.workloads.kernels import dot_product
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "data", "golden_dashboard.html"
@@ -199,6 +213,130 @@ class TestCheckOutcomes:
         comparison = compare_runs(self._record(), self._record(errors=1))
         assert [d.path for d in comparison.exact_deltas()] == ["check.errors"]
         assert "1 check/oracle delta(s)" in render_comparison(comparison)
+
+
+def _compiled_profile() -> Profile:
+    """A real profile: the Figure 1 loop under every strategy."""
+    with recording() as rec:
+        for strategy in ALL_STRATEGIES:
+            compile_loop(dot_product(), figure1_machine(), strategy)
+    return Profile.from_recorder(rec)
+
+
+def _leaf(path: str, total_ns: int, counters=None) -> PhaseProfile:
+    name = path.rsplit("/", 1)[-1]
+    return PhaseProfile(
+        name=name,
+        path=path,
+        calls=1,
+        total_ns=total_ns,
+        self_ns=total_ns,
+        counters=dict(counters or {}),
+    )
+
+
+def _profile_of(*leaves: PhaseProfile) -> Profile:
+    root = PhaseProfile("(session)", "", calls=1)
+    for leaf in leaves:
+        root.children[leaf.name] = leaf
+    root.total_ns = sum(leaf.total_ns for leaf in leaves)
+    return Profile(root=root)
+
+
+def _profiled(profile: Profile | None, run_id: str) -> RunRecord:
+    """A record of fixed deterministic content carrying ``profile``."""
+    return record_from_payloads(
+        {"figure1": {"data": {"selective": 1.0}}},
+        run_id=run_id,
+        git_sha="deadbeef",
+        profile=None if profile is None else profile.to_dict(),
+    )
+
+
+def _compare(a: Profile, b: Profile, **thresholds):
+    return compare_runs(
+        _profiled(a, "run-a"), _profiled(b, "run-b"), **thresholds
+    )
+
+
+class TestComparePhases:
+    """``compare`` lines up two records' profiles by phase path."""
+
+    def test_self_compare_reports_zero_phase_deltas(self):
+        profile = _compiled_profile()
+        comparison = _compare(profile, profile)
+        assert comparison.phases == []
+        assert "0 per-phase counter delta(s)" in render_comparison(comparison)
+
+    def test_wall_noise_below_thresholds_is_insignificant(self):
+        a = _profile_of(_leaf("sched", 10_000_000))
+        b = _profile_of(_leaf("sched", 11_000_000))  # +10 %, +1 ms
+        assert _compare(a, b, wall_rel=0.20, wall_abs_ms=1.0).phases == []
+
+    def test_wall_change_needs_both_relative_and_absolute(self):
+        # +50 % but only +0.5 ms: absolute threshold filters it.
+        a = _profile_of(_leaf("sched", 1_000_000))
+        b = _profile_of(_leaf("sched", 1_500_000))
+        assert _compare(a, b).phases == []
+        # +2 ms but only +2 %: relative threshold filters it.
+        a = _profile_of(_leaf("sched", 100_000_000))
+        b = _profile_of(_leaf("sched", 102_000_000))
+        assert _compare(a, b).phases == []
+        # +50 % and +5 ms: significant.
+        a = _profile_of(_leaf("sched", 10_000_000))
+        b = _profile_of(_leaf("sched", 15_000_000))
+        d = {d.path: d for d in _compare(a, b).phases}["sched total_ms"]
+        assert d.significant and not d.exact
+        assert d.b / d.a == pytest.approx(1.5)
+
+    def test_counter_deltas_are_exact(self):
+        a = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 44}))
+        b = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 45}))
+        comparison = _compare(a, b)
+        [d] = comparison.phases
+        assert (d.path, d.a, d.b, d.exact) == (
+            "sched sched.ii_attempts", 44, 45, True
+        )
+        assert "44 -> 45 (+1)" in render_comparison(comparison)
+
+    def test_phase_missing_on_one_side_compares_against_zero(self):
+        a = _profile_of(_leaf("sched", 5_000_000))
+        b = _profile_of(
+            _leaf("sched", 5_000_000),
+            _leaf("oracle_certify", 9_000_000, {"oracle.partition_nodes": 7}),
+        )
+        by_path = {d.path: d for d in _compare(a, b).phases}
+        wall = by_path["oracle_certify total_ms"]
+        assert wall.a == 0 and wall.significant
+        counter = by_path["oracle_certify oracle.partition_nodes"]
+        assert (counter.a, counter.b) == (0, 7)
+
+    def test_no_phase_block_unless_both_records_carry_a_profile(self):
+        profiled = _profiled(_compiled_profile(), "run-profiled")
+        plain = _profiled(None, "run-plain")
+        # Records written before profiles were embedded hold a path.
+        legacy = RunRecord.from_dict(
+            dict(plain.to_dict(), run_id="run-legacy", profile="p.json")
+        )
+        for a, b in (
+            (plain, profiled), (profiled, plain), (legacy, profiled),
+            (profiled, legacy),
+        ):
+            comparison = compare_runs(a, b)
+            assert comparison.phases is None
+            text = render_comparison(comparison)
+            assert "per-phase" not in text
+            assert text.endswith(" significant wall change(s)")
+
+    def test_phase_counter_delta_never_gates(self):
+        a = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 44}))
+        b = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 49}))
+        comparison = _compare(a, b)
+        assert [d.path for d in comparison.phases] == [
+            "sched sched.ii_attempts"
+        ]
+        assert comparison.clean
+        assert comparison.ranked() == []
 
 
 class TestQueries:
@@ -492,6 +630,58 @@ class TestDashboardCLI:
         out = capsys.readouterr()
         assert "sched_attempts" in out.out
 
+    @pytest.fixture
+    def profile_path(self, tmp_path):
+        path = tmp_path / "profile.json"
+        write_profile(_compiled_profile(), str(path))
+        return str(path)
+
+    def _record_profiled_pair(self, bench_dir, ledger_dir, a, b) -> None:
+        for profile in (a, b):
+            argv = ["--ledger", ledger_dir, "--bench-dir", bench_dir]
+            assert dashboard_main(["record", *argv, "--profile", profile]) == 0
+
+    def test_self_compare_reports_zero_phase_counter_deltas(
+        self, bench_dir, profile_path, tmp_path, capsys
+    ):
+        ledger_dir = str(tmp_path / "ledger")
+        self._record_profiled_pair(
+            bench_dir, ledger_dir, profile_path, profile_path
+        )
+        capsys.readouterr()
+        assert (
+            dashboard_main(["compare", "prev", "latest", "--ledger", ledger_dir])
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "(no per-phase delta)" in out
+        assert "0 per-phase counter delta(s)" in out
+
+    def test_compare_reports_phase_effort_regression(
+        self, bench_dir, profile_path, tmp_path, capsys
+    ):
+        """Compare attributes an effort change to its phase; a per-phase
+        delta informs and never fails the gate."""
+        regressed = load_profile(profile_path)
+        node = regressed.phases()["compile_loop/compile_unit/modulo_schedule"]
+        node.counters["sched.ii_attempts"] += 5
+        other = str(tmp_path / "regressed.json")
+        write_profile(regressed, other)
+        ledger_dir = str(tmp_path / "ledger")
+        self._record_profiled_pair(bench_dir, ledger_dir, profile_path, other)
+        capsys.readouterr()
+        assert (
+            dashboard_main(
+                ["compare", "prev", "latest", "--ledger", ledger_dir,
+                 "--fail-on-exact"]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "compile_loop/compile_unit/modulo_schedule sched.ii_attempts: " in out
+        assert "(+5)" in out
+        assert "1 per-phase counter delta(s)" in out
+
     def test_merge_subcommand_folds_shards(
         self, bench_dir, tmp_path, capsys
     ):
@@ -544,3 +734,65 @@ class TestDashboardCLI:
         assert len(records) == 1
         assert set(records[0].loops) == {"alpha", "beta"}
         assert records[0].effort["sched_attempts"] == 8
+
+
+LOOP_DSL = """
+loop ledgerdemo
+array x(512), y(512)
+carry s = 0.0
+do i
+    t = x(i) * y(i)
+    s = s + t
+end
+result s
+"""
+
+
+class TestProfiledRecords:
+    """With ``--profile`` and ``--ledger``, both CLIs embed the run's
+    profile in its record; two runs of one build then compare with a
+    phase block and zero per-phase counter deltas."""
+
+    @staticmethod
+    def _assert_profiled_pair(ledger_dir, capsys) -> None:
+        records = Ledger(ledger_dir).records()
+        assert len(records) == 2
+        for record in records:
+            assert check_profile(load_profile(record.profile)) == []
+        comparison = compare_runs(*records)
+        assert comparison.phases is not None
+        assert [d for d in comparison.phases if d.exact] == []
+        capsys.readouterr()
+        assert (
+            dashboard_main(
+                ["compare", "prev", "latest", "--ledger", ledger_dir,
+                 "--fail-on-exact"]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "-- per-phase deltas (profiles; informational) --" in out
+        assert "0 per-phase counter delta(s)" in out
+
+    def test_evaluation_records_carry_profiles(self, tmp_path, capsys):
+        from repro.evaluation.__main__ import main as evaluation_main
+
+        ledger_dir = str(tmp_path / "ledger")
+        argv = [
+            "table2", "--benchmarks", *BENCH, "--no-bench-json",
+            "--profile", "--ledger", ledger_dir,
+        ]
+        assert evaluation_main(argv) == 0
+        assert evaluation_main(argv) == 0
+        self._assert_profiled_pair(ledger_dir, capsys)
+
+    def test_compiler_records_carry_profiles(self, tmp_path, capsys):
+        from repro.compiler.__main__ import main as compiler_main
+
+        src = tmp_path / "k.loop"
+        src.write_text(LOOP_DSL)
+        ledger_dir = str(tmp_path / "ledger")
+        argv = [str(src), "--profile", "--ledger", ledger_dir]
+        assert compiler_main(argv) == 0
+        assert compiler_main(argv) == 0
+        self._assert_profiled_pair(ledger_dir, capsys)

@@ -1,5 +1,6 @@
-"""The deterministic profiler, differential profiler and progress
-monitor."""
+"""The deterministic profiler, its CLI and the progress monitor.  Two
+runs' profiles are compared by ``dashboard compare`` (see
+``tests/test_dashboard.py``)."""
 
 from __future__ import annotations
 
@@ -16,14 +17,10 @@ from repro.machine.configs import figure1_machine, paper_machine
 from repro.observability import recording
 from repro.observability.effort import EFFORT
 from repro.profiling import (
-    PhaseProfile,
     Profile,
     ProgressMonitor,
     check_profile,
-    diff_profiles,
-    effort_deltas,
     load_profile,
-    render_diff,
     render_tree,
     to_collapsed,
     to_speedscope,
@@ -175,79 +172,6 @@ class TestExporters:
         assert sum(prof["weights"]) == prof["endValue"]
 
 
-def _leaf(path: str, total_ns: int, counters=None) -> PhaseProfile:
-    name = path.rsplit("/", 1)[-1]
-    return PhaseProfile(
-        name=name,
-        path=path,
-        calls=1,
-        total_ns=total_ns,
-        self_ns=total_ns,
-        counters=dict(counters or {}),
-    )
-
-
-def _profile_of(*leaves: PhaseProfile) -> Profile:
-    root = PhaseProfile("(session)", "", calls=1)
-    for leaf in leaves:
-        root.children[leaf.name] = leaf
-    root.total_ns = sum(leaf.total_ns for leaf in leaves)
-    return Profile(root=root)
-
-
-class TestDiff:
-    def test_self_diff_reports_zero_deltas(self):
-        profile, _ = figure1_profile()
-        deltas = diff_profiles(profile, profile)
-        assert effort_deltas(deltas) == []
-        assert not any(d.wall_significant for d in deltas)
-        assert "0 effort counter delta(s)" in render_diff(deltas)
-
-    def test_wall_noise_below_thresholds_is_insignificant(self):
-        a = _profile_of(_leaf("sched", 10_000_000))
-        b = _profile_of(_leaf("sched", 11_000_000))  # +10 %, +1 ms
-        (root_d, d) = diff_profiles(a, b, wall_rel=0.20, wall_abs_ms=1.0)
-        assert d.path == "sched"
-        assert not d.significant
-
-    def test_wall_change_needs_both_relative_and_absolute(self):
-        # +50 % but only +0.5 ms: absolute threshold filters it.
-        a = _profile_of(_leaf("sched", 1_000_000))
-        b = _profile_of(_leaf("sched", 1_500_000))
-        assert not diff_profiles(a, b)[1].wall_significant
-        # +2 ms but only +2 %: relative threshold filters it.
-        a = _profile_of(_leaf("sched", 100_000_000))
-        b = _profile_of(_leaf("sched", 102_000_000))
-        assert not diff_profiles(a, b)[1].wall_significant
-        # +50 % and +5 ms: significant.
-        a = _profile_of(_leaf("sched", 10_000_000))
-        b = _profile_of(_leaf("sched", 15_000_000))
-        d = diff_profiles(a, b)[1]
-        assert d.wall_significant
-        assert d.ratio == pytest.approx(1.5)
-
-    def test_effort_deltas_are_exact(self):
-        a = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 44}))
-        b = _profile_of(_leaf("sched", 5_000_000, {"sched.ii_attempts": 45}))
-        deltas = diff_profiles(a, b)
-        effort = effort_deltas(deltas)
-        assert len(effort) == 1
-        assert effort[0].counter_deltas == {"sched.ii_attempts": (44, 45)}
-        assert "44 -> 45 (+1)" in render_diff(deltas)
-
-    def test_phase_missing_on_one_side_compares_against_zero(self):
-        a = _profile_of(_leaf("sched", 5_000_000))
-        b = _profile_of(
-            _leaf("sched", 5_000_000),
-            _leaf("oracle_certify", 9_000_000, {"oracle.partition_nodes": 7}),
-        )
-        by_path = {d.path: d for d in diff_profiles(a, b)}
-        new = by_path["oracle_certify"]
-        assert new.a_total_ns == 0 and new.wall_significant
-        assert new.ratio == float("inf")
-        assert new.counter_deltas == {"oracle.partition_nodes": (0, 7)}
-
-
 class TestProgressMonitor:
     def _monitor(self, **kwargs):
         clock = iter(float(t) for t in range(0, 10_000))
@@ -370,24 +294,11 @@ class TestProfilingCLI:
         assert profiling_main(["check", profile_path]) == 0
         assert "invariants hold" in capsys.readouterr().out
 
-    def test_self_diff_reports_zero_effort_deltas(self, profile_path, capsys):
-        assert profiling_main(["diff", profile_path, profile_path]) == 0
-        assert "0 effort counter delta(s)" in capsys.readouterr().out
-
-    def test_diff_reports_effort_regression(
-        self, profile_path, tmp_path, capsys
-    ):
-        """The diff attributes an effort change to its phase; whether a
-        change fails a run is the ledger gate's call, not the diff's."""
-        regressed = load_profile(profile_path)
-        node = regressed.phases()["compile_loop/compile_unit/modulo_schedule"]
-        node.counters["sched.ii_attempts"] += 5
-        other = tmp_path / "regressed.json"
-        write_profile(regressed, str(other))
-        assert profiling_main(["diff", profile_path, str(other)]) == 0
-        out = capsys.readouterr().out
-        assert "compile_loop/compile_unit/modulo_schedule: " in out
-        assert "(+5)" in out
+    def test_diff_subcommand_is_gone(self, profile_path):
+        # Two runs' profiles are compared by ``dashboard compare``.
+        with pytest.raises(SystemExit) as exc:
+            profiling_main(["diff", profile_path, profile_path])
+        assert exc.value.code == 2
 
     def test_export_speedscope_and_collapsed(
         self, profile_path, tmp_path, capsys

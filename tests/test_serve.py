@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.ledger import Ledger
 from repro.serve.loadgen import HttpClient
 from repro.serve.server import CompileServer, ServerConfig
 
@@ -289,11 +290,14 @@ class TestShutdown:
 class TestLoadgenEndToEnd:
     def test_spawned_server_cold_then_warm(self, tmp_path):
         """The CI smoke in miniature: a cold loadgen run compiles, a
-        warm rerun over the same store must be 100% cache/dedup."""
+        warm rerun over the same store must be 100% cache/dedup.  The
+        ledger record's ``jobs`` is the server's worker count, not the
+        client's connection count."""
         from repro.serve import loadgen
 
         store = str(tmp_path / "store")
         out = str(tmp_path / "bench")
+        ledger_dir = str(tmp_path / "ledger")
         common = [
             "--spawn",
             "--store",
@@ -307,8 +311,10 @@ class TestLoadgenEndToEnd:
             "--duplicates",
             "2",
         ]
-        assert loadgen.main(common + ["--out", out]) == 0
+        assert loadgen.main(common + ["--out", out, "--ledger", ledger_dir]) == 0
         bench = json.load(open(f"{out}/BENCH_serve.json"))
         assert bench["data"]["requests"] == 8
         assert bench["data"]["failures"] == 0
+        [record] = Ledger(ledger_dir).records()
+        assert record.jobs == 1
         assert loadgen.main(common + ["--expect-no-compiles"]) == 0
