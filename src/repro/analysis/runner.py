@@ -6,9 +6,10 @@ share.  :func:`default_config` encodes the repro tree's own zone seeds:
 * the deterministic core is rooted at the pure compile entry point
   (:func:`repro.compiler.service.compile_one`), cache-key construction,
   ledger content digests, the canonical BENCH payload builders,
-  ``CompileTelemetry.absorb`` and the dependence classification that
-  property reads trigger — plus every detected effort-counter mutator
-  (a store to a :data:`EFFORT_FIELDS` attribute);
+  ``CompileTelemetry.absorb``, the ``Bins`` calls that price KL moves
+  and the dependence classification that property reads trigger — plus
+  every detected effort-counter mutator (a store to a
+  :data:`EFFORT_FIELDS` attribute);
 * the async zone is everything coroutine-shaped under ``repro.serve``;
 * the shared-filesystem zone is the modules owning on-disk protocols
   shared between processes (compile cache, artifact store, ledger,
@@ -84,6 +85,10 @@ def default_config() -> AnalysisConfig:
             "repro.compiler.service:effort_counters",
             # Folds effort into a dict, which no attribute store shows.
             "repro.evaluation.experiments:CompileTelemetry.absorb",
+            # Compute the KL costs the effort counters count, called on a
+            # ``Bins`` receiver the call graph does not resolve.
+            "repro.vectorize.bins:Bins.probe",
+            "repro.vectorize.bins:Bins.replay",
             # Runs on the first read of a LoopDependence's components or
             # classification; the call graph does not follow property
             # reads.

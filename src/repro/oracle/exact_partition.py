@@ -14,12 +14,12 @@ Search structure:
   pinned scalar), ordered by descending resource weight so heavy
   commitments happen near the root where pruning pays most.
 * **Lower bound** — decided work is accumulated in a live :class:`Bins`
-  via the PR 3 checkpoint/rollback journal: the decided operations'
+  and undone by rolling back to a snapshot mark: the decided operations'
   opcodes plus every transfer already *forced* by decided ops (a
   producer and a crossing consumer both decided; a decided vector
-  consumer of a non-constant carried scalar).  Undecided operations
-  contribute, per resource class, the cheaper of their two sides
-  (precomputed suffix sums).  The bound is
+  consumer of a non-constant carried scalar), each reserved as one plan
+  under its key.  Undecided operations contribute, per resource class,
+  the cheaper of their two sides (precomputed suffix sums).  The bound is
   ``max_c ceil(total_c / instances_c)`` — admissible because a greedy
   high-water mark can never undercut the per-class average, every
   completion reserves at least the accounted cycles, and transfers only
@@ -307,7 +307,7 @@ def exact_partition(
 
     # Decided-work accumulator: pinned-scalar ops and loop overhead are
     # packed once, outside any checkpoint; candidate decisions and the
-    # transfers they force ride the journal.
+    # transfers they force are dropped by rolling back to a mark.
     bins = Bins(machine, balance_ties=config.balanced_bin_packing)
     for op in body:
         if op.uid in side_of:
@@ -374,9 +374,9 @@ def exact_partition(
             transfer = forced_transfer(key)
             if transfer is None:
                 continue
-            opcodes = model.transfer_opcodes(transfer)
-            if opcodes:
-                bins.reserve_all(opcodes, ("comm", key))
+            plan = model.plan_for(model.transfer_opcodes(transfer))
+            if plan:
+                bins.reserve(plan, ("comm", key))
             forced.add(key)
             newly.append(key)
         return newly

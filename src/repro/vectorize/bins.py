@@ -15,8 +15,9 @@ of instance ``i`` and a resource class is the span
 ``load[first:first + count]``.  A reservation is a *plan*, a tuple of
 ``(first, count, cycles)`` triples, one per resource use
 (:meth:`MachineDescription.reservation_spec`), and the ledger records
-``(instance index, cycles)`` per key so a reservation can be released
-exactly (``RELEASE-RESOURCES``), including communication overhead.
+``(instance index, cycles)`` per key so a probe can release a
+reservation exactly (``RELEASE-RESOURCES``), including communication
+overhead.
 :attr:`Bins.weights` is the derived name-to-weight view.
 
 ``RESERVE-LEAST-USED`` picks the alternative that minimizes the
@@ -26,16 +27,25 @@ of old weight ``w`` gives high-water mark ``max(hwm, w + cycles)`` and
 squared-sum change ``2 * w * cycles + cycles ** 2``: the first is
 non-decreasing in ``w`` and the second strictly increasing, so the
 paper's choice is exactly the first least-loaded instance of the class,
-``load.index(min(span))``.  The explicit scan survives only for the
-first-fit ablation (``balance_ties=False``).
+``load.index(min(span))`` (of two instances, the second only when it is
+strictly lighter, which :func:`_pack` compares without the slice).  The
+explicit scan survives only for the first-fit ablation
+(``balance_ties=False``).
 
-:meth:`Bins.checkpoint` / :meth:`Bins.rollback` journal every
-reserve/release so a cost probe can mutate the live bins and undo
-exactly; the high-water mark is cached and only recomputed after a
-release could have lowered it.
+The bins are append-only: each key is reserved once, so a key's ledger
+entries never change.  :meth:`Bins.checkpoint` returns a snapshot mark
+(the loads, the high-water mark and the ledger size) and
+:meth:`Bins.rollback` restores it, dropping the keys reserved since;
+:meth:`Bins.replay` reserves a whole step sequence with a mark before
+each step, so a pack can resume mid-sequence.  ``TEST-REPARTITION``
+(:meth:`Bins.probe`) releases and re-reserves on a copy of the loads and
+never touches the live bins.  Both place through one routine,
+:func:`_pack`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.machine.machine import MachineDescription
 from repro.machine.resources import OpcodeInfo
@@ -43,10 +53,14 @@ from repro.machine.resources import OpcodeInfo
 #: One reservation: a ``(first instance, instance count, busy cycles)``
 #: triple per resource use, in use order.
 Plan = tuple[tuple[int, int, int], ...]
+#: A :meth:`Bins.checkpoint`: the loads, the high-water mark and the
+#: ledger size.
+Mark = tuple[list[int], int, int]
 
 
 class Bins:
-    """Weights per resource instance plus a reservation ledger."""
+    """Weights per resource instance plus an append-only reservation
+    ledger."""
 
     def __init__(self, machine: MachineDescription, balance_ties: bool = True):
         self.machine = machine
@@ -56,154 +70,125 @@ class Bins:
         self.balance_ties = balance_ties
         self.names, _ = machine.instance_layout()
         self.load: list[int] = [0] * len(self.names)
+        # One entry per key, in reservation order (dicts keep it).
         self.reservations: dict[object, list[tuple[int, int]]] = {}
         self._hwm = 0
-        self._hwm_dirty = False
-        # Undo journal: None when no checkpoint is active (mutations are
-        # then unrecorded), else ``(key, released entries or None,
-        # entries appended, key created)`` per reserve/release.
-        self._journal: list[tuple] | None = None
-
-    def copy(self) -> Bins:
-        clone = Bins(self.machine, balance_ties=self.balance_ties)
-        clone.load = list(self.load)
-        clone.reservations = {k: list(v) for k, v in self.reservations.items()}
-        clone._hwm = self.high_water_mark()
-        return clone
 
     @property
     def weights(self) -> dict[str, int]:
         """Weight per instance name, in layout order."""
         return dict(zip(self.names, self.load))
 
-    # ------------------------------------------------------------------
-
     def high_water_mark(self) -> int:
-        if self._hwm_dirty:
-            self._hwm = max(self.load, default=0)
-            self._hwm_dirty = False
         return self._hwm
 
-    def sum_of_squares(self) -> int:
-        return sum(w * w for w in self.load)
-
     # ------------------------------------------------------------------
-    # Checkpoint / rollback (apply-undo delta protocol)
+    # Snapshot marks
 
-    def checkpoint(self) -> int:
-        """Start (or nest within) an undoable region; returns a mark to
-        pass to :meth:`rollback`.  Journaling stays active until the
-        outermost mark is rolled back."""
-        if self._journal is None:
-            self._journal = []
-        return len(self._journal)
+    def checkpoint(self) -> Mark:
+        """A mark to pass to :meth:`rollback`."""
+        return (self.load.copy(), self._hwm, len(self.reservations))
 
-    def rollback(self, mark: int = 0) -> None:
-        """Undo every reserve/release journaled after ``mark``."""
-        journal = self._journal
-        if journal is None:
-            raise RuntimeError("rollback without an active checkpoint")
-        load = self.load
+    def rollback(self, mark: Mark) -> None:
+        """Restore the loads and high-water mark of ``mark`` and drop every
+        key reserved since.
+
+        ``mark`` must be no newer than the current state: marks are
+        restored last-in first-out, and a mark stays valid after use only
+        until an older one is restored."""
+        load, self._hwm, size = mark
+        self.load[:] = load
         reservations = self.reservations
-        while len(journal) > mark:
-            key, released, appended, created = journal.pop()
-            if released is None:
-                entries = reservations[key]
-                keep = len(entries) - appended
-                hwm = self._hwm
-                for i, cycles in entries[keep:]:
-                    old = load[i]
-                    load[i] = old - cycles
-                    if old == hwm:
-                        self._hwm_dirty = True
-                del entries[keep:]
-                if created:
-                    del reservations[key]
-            else:
-                reservations[key] = released
-                for i, cycles in released:
-                    new = load[i] + cycles
-                    load[i] = new
-                    if new > self._hwm:
-                        self._hwm = new
-        if mark == 0:
-            self._journal = None
+        for _ in range(len(reservations) - size):
+            reservations.popitem()
 
     # ------------------------------------------------------------------
 
     def reserve(self, plan: Plan, key: object) -> None:
         """Reserve every use of ``plan`` on a least-used alternative,
-        recording the choices under ``key`` for later release."""
-        reservations = self.reservations
-        ledger = reservations.get(key)
-        created = ledger is None
-        if created:
-            ledger = reservations[key] = []
-        load = self.load
-        # Raising a stale (dirty) mark is harmless: it is recomputed.
-        hwm = self._hwm
-        for first, count, cycles in plan:
-            if count == 1:
-                i = first
-            elif self.balance_ties:
-                span = load[first : first + count]
-                i = first + span.index(min(span))
-            else:
-                self._hwm = hwm
-                i = self._first_fit(first, count, cycles)
-                hwm = self._hwm
-            new = load[i] + cycles
-            load[i] = new
-            if new > hwm:
-                hwm = new
-            ledger.append((i, cycles))
-        self._hwm = hwm
-        if self._journal is not None and (plan or created):
-            self._journal.append((key, None, len(plan), created))
-
-    def _first_fit(self, first: int, count: int, cycles: int) -> int:
-        """The first alternative that leaves the high-water mark lowest."""
-        hwm = self.high_water_mark()
-        best = first
-        best_high = None
-        for i in range(first, first + count):
-            new = self.load[i] + cycles
-            high = hwm if hwm > new else new
-            if best_high is None or high < best_high:
-                best, best_high = i, high
-        return best
+        recording the choices under ``key``, which must be new."""
+        self.replay(((key, plan),))
 
     def reserve_least_used(self, opcode: OpcodeInfo, key: object) -> None:
         """Reserve ``opcode``'s resources on least-used alternatives."""
         self.reserve(self.machine.reservation_spec(opcode), key)
 
-    def reserve_all(self, opcodes: list[OpcodeInfo], key: object) -> None:
-        for opcode in opcodes:
-            self.reserve_least_used(opcode, key)
+    def replay(
+        self, steps: Iterable[tuple[object, Plan]], marks: list[Mark] | None = None
+    ) -> None:
+        """Reserve each ``(key, plan)`` step in order (BIN-PACK), appending
+        to ``marks``, when given, the mark taken before each step."""
+        try:
+            self._hwm = _pack(
+                self.load, steps, self._hwm, self.balance_ties, self.reservations, marks
+            )
+        except KeyError:
+            self._hwm = max(self.load)
+            raise
 
-    def release(self, key: object) -> None:
-        """Release every reservation recorded under ``key``."""
-        entries = self.reservations.pop(key, None)
-        if not entries:
-            return
-        load = self.load
-        hwm = self._hwm
-        for i, cycles in entries:
-            old = load[i]
-            if old < cycles:
-                raise RuntimeError(f"bin {self.names[i]} released below zero")
-            load[i] = old - cycles
-            if old == hwm:
-                self._hwm_dirty = True
-        if self._journal is not None:
-            self._journal.append((key, entries, 0, False))
+    def probe(self, keys: Iterable[object], plans: Iterable[Plan]) -> int:
+        """The high-water mark after releasing ``keys`` (absent ones are
+        skipped) and reserving ``plans`` in order, computed on a copy of
+        the loads: the bins are left untouched (TEST-REPARTITION).
 
-    def has_key(self, key: object) -> bool:
-        return key in self.reservations
+        ``keys`` must be distinct: each occurrence releases the key's
+        ledger once more."""
+        load = self.load.copy()
+        reservations = self.reservations
+        for key in keys:
+            for i, cycles in reservations.get(key, ()):
+                load[i] -= cycles
+        return _pack(load, enumerate(plans), max(load), self.balance_ties, {})
 
-    def __str__(self) -> str:
-        parts = [f"{k}={v}" for k, v in sorted(self.weights.items())]
-        return "bins[" + ", ".join(parts) + f"] hwm={self.high_water_mark()}"
+
+def _pack(
+    load: list[int],
+    steps: Iterable[tuple[object, Plan]],
+    hwm: int,
+    balance: bool,
+    ledgers: dict[object, list[tuple[int, int]]],
+    marks: list[Mark] | None = None,
+) -> int:
+    """Place every use of each ``(key, plan)`` step on ``load``
+    (RESERVE-LEAST-USED, or first fit without ``balance``), recording the
+    ``(instance, cycles)`` choices under the step's new key in
+    ``ledgers`` and appending to ``marks``, when given, the mark taken
+    before each step.  ``hwm`` is the high-water mark of ``load``; the
+    new one is returned."""
+    for key, plan in steps:
+        if marks is not None:
+            marks.append((load.copy(), hwm, len(ledgers)))
+        ledger: list[tuple[int, int]] = []
+        if ledgers.setdefault(key, ledger) is not ledger:
+            raise KeyError(f"{key!r} is already reserved")
+        for i, count, cycles in plan:
+            if count != 1:
+                if not balance:
+                    i = _first_fit(load, i, count, cycles, hwm)
+                elif count == 2:
+                    if load[i + 1] < load[i]:
+                        i += 1
+                else:
+                    span = load[i : i + count]
+                    i += span.index(min(span))
+            new = load[i] + cycles
+            load[i] = new
+            if new > hwm:
+                hwm = new
+            ledger.append((i, cycles))
+    return hwm
+
+
+def _first_fit(load: list[int], first: int, count: int, cycles: int, hwm: int) -> int:
+    """The first alternative that leaves the high-water mark lowest."""
+    best = first
+    best_high = None
+    for i in range(first, first + count):
+        new = load[i] + cycles
+        high = hwm if hwm > new else new
+        if best_high is None or high < best_high:
+            best, best_high = i, high
+    return best
 
 
 def placement_freedom(machine: MachineDescription, opcode: OpcodeInfo) -> int:

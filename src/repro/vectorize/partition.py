@@ -14,10 +14,10 @@ operation exactly once (greedily choosing, at each step, the unlocked
 operation whose move yields the cheapest configuration — moves may
 *increase* cost mid-iteration), remembers the best configuration seen,
 and restarts from it.  It terminates when an iteration fails to improve
-on its starting configuration.  Cost probes checkpoint the bins and
-release/reserve only the moved operation's resources and the transfers it
-touches, exactly as ``TEST-REPARTITION`` prescribes; a full bin-pack is
-performed only once per Kernighan-Lin iteration.
+on its starting configuration.  A cost probe releases only the moved
+operation's resources and the transfers it touches and reserves its
+other side, exactly as ``TEST-REPARTITION`` prescribes; a full bin-pack
+is performed only once per Kernighan-Lin iteration.
 
 Fast-path engineering (behavior-preserving — every optimization below
 reproduces the original trajectory bit-for-bit):
@@ -27,16 +27,17 @@ reproduces the original trajectory bit-for-bit):
   plus a flat plan of ``(first instance, count, cycles)`` triples, so
   packing and probing index the flat bins (:mod:`repro.vectorize.bins`)
   and never rehash opcodes, transfers or sides;
-* probes run the apply/undo delta protocol (:meth:`Bins.checkpoint` /
-  :meth:`Bins.rollback`) on the live bins instead of deep-copying the
-  ledger per ``TEST-REPARTITION``;
+* a probe is one :meth:`Bins.probe`, which releases and re-reserves on a
+  copy of the loads, so the live bins are never written or undone per
+  ``TEST-REPARTITION``;
 * an accepted move re-packs only the *suffix* of the deterministic
   ``BIN-PACK`` reservation sequence that the flip invalidates
-  (:class:`IncrementalPacker`): the journal rolls the bins back to the
-  first changed step and replays from there, which yields a state
-  identical to a from-scratch ``BIN-PACK`` of the flipped assignment.
-  Set ``REPRO_KL_VERIFY=1`` to assert full state equality (weights and
-  ledger) against an uncounted reference pack after every move.
+  (:class:`IncrementalPacker`): the bins roll back to the snapshot mark
+  taken before the first changed step and replay from there, which
+  yields a state identical to a from-scratch ``BIN-PACK`` of the flipped
+  assignment.  Set ``REPRO_KL_VERIFY=1`` to assert full state equality
+  (weights and ledger) and the returned cost against an uncounted
+  reference pack after every move.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.machine.machine import MachineDescription
 from repro.machine.resources import OpcodeInfo
 from repro.observability.effort import PARTITION_EFFORT
 from repro.vectorize.alignment import merge_overhead_opcodes
-from repro.vectorize.bins import Bins, Plan, placement_freedom
+from repro.vectorize.bins import Bins, Mark, Plan, placement_freedom
 from repro.vectorize.communication import (
     Dataflow,
     Side,
@@ -190,12 +191,18 @@ class PartitionCostModel:
             tuple(by_key[k] for k in self.touch_keys[op.uid] if k in by_key)
             for op in body
         ]
+        # Per dense op index: the keys a flip of the op releases.
+        self._probe_keys = [
+            (op_key, *(site.ledger_key for site in sites))
+            for op_key, sites in zip(self._op_keys, self._touch_sites)
+        ]
         self._overhead_steps = [
-            (("overhead", i), self._plan((info,)))
+            (("overhead", i), self.plan_for((info,)))
             for i, info in enumerate(self.overhead_opcodes())
         ]
 
-    def _plan(self, opcodes) -> Plan:
+    def plan_for(self, opcodes) -> Plan:
+        """The flat plan that reserves ``opcodes`` in order."""
         spec = self.machine.reservation_spec
         return tuple(use for info in opcodes for use in spec(info))
 
@@ -207,7 +214,7 @@ class PartitionCostModel:
             opcodes = self._select_op_opcodes(op, Side.VECTOR if vector else Side.SCALAR)
             # Bin-pack ordering key: fewest placement alternatives first.
             freedom = min(placement_freedom(self.machine, info) for info in opcodes)
-            step = (self._op_keys[i], self._plan(opcodes))
+            step = (self._op_keys[i], self.plan_for(opcodes))
             entry = self._op_memo[i][vector] = (step, freedom, opcodes)
         return entry
 
@@ -282,7 +289,7 @@ class PartitionCostModel:
         if step is None:
             opcodes = self.transfer_opcodes(Transfer(site.key, site.dtype, to_vector))
             step = site.steps[to_vector] = (
-                (site.ledger_key, self._plan(opcodes)) if opcodes else ()
+                (site.ledger_key, self.plan_for(opcodes)) if opcodes else ()
             )
         return step
 
@@ -320,38 +327,8 @@ class PartitionCostModel:
         """:meth:`bin_pack` without counting it: the self-check's
         reference pack must leave the effort counters alone."""
         bins = Bins(self.machine, balance_ties=self.config.balanced_bin_packing)
-        for key, plan in self.pack_sequence(assignment):
-            bins.reserve(plan, key)
+        bins.replay(self.pack_sequence(assignment))
         return bins
-
-    def _apply_flip(
-        self,
-        bins: Bins,
-        assignment: dict[int, Side],
-        op: Operation,
-    ) -> None:
-        """Apply the release/reserve delta of flipping ``op`` to ``bins``
-        (TEST-REPARTITION's incremental re-reservation).  ``assignment``
-        is left unchanged."""
-        i = self._index[op.uid]
-        sites = self._touch_sites[i]
-        bins.release(self._op_keys[i])
-        reservations = bins.reservations
-        for site in sites:
-            if site.ledger_key in reservations:
-                bins.release(site.ledger_key)
-        old_side = assignment[op.uid]
-        new_side = old_side.flipped()
-        assignment[op.uid] = new_side
-        try:
-            key, plan = self._op_entry(i, new_side is Side.VECTOR)[0]
-            bins.reserve(plan, key)
-            for site in sites:
-                step = self._transfer_step(site, assignment)
-                if step:
-                    bins.reserve(step[1], step[0])
-        finally:
-            assignment[op.uid] = old_side
 
     def probe_cost(
         self,
@@ -360,29 +337,38 @@ class PartitionCostModel:
         op: Operation,
     ) -> int:
         """Cost of the configuration with ``op`` switched, without a full
-        re-pack (Figure 2, TEST-REPARTITION).  The delta is applied to the
-        live bins and journaled, then rolled back exactly."""
+        re-pack (Figure 2, TEST-REPARTITION): one :meth:`Bins.probe`
+        releases the op and the transfers it touches and reserves its
+        other side on a copy of the loads.  ``assignment`` is left
+        unchanged."""
         self.n_probes += 1
-        mark = bins.checkpoint()
+        i = self._index[op.uid]
+        old_side = assignment[op.uid]
+        plans = [self._op_entry(i, old_side is Side.SCALAR)[0][1]]
+        assignment[op.uid] = old_side.flipped()
         try:
-            self._apply_flip(bins, assignment, op)
-            return bins.high_water_mark()
+            for site in self._touch_sites[i]:
+                step = self._transfer_step(site, assignment)
+                if step:
+                    plans.append(step[1])
         finally:
-            bins.rollback(mark)
+            assignment[op.uid] = old_side
+        return bins.probe(self._probe_keys[i], plans)
 
 
 class IncrementalPacker:
     """A packed :class:`Bins` kept in lockstep with an assignment by
     resuming BIN-PACK mid-sequence instead of re-running it.
 
-    The pack is applied step by step with a journal mark recorded before
-    each step.  When the assignment changes, the new
+    The pack is replayed with a snapshot mark taken before each step.
+    When the assignment changes, the new
     :meth:`PartitionCostModel.pack_sequence` is diffed against the packed
-    one by step identity; the bins roll back to the first differing step
-    and only the suffix is replayed.  Because a step's effect is a pure
-    function of the bins state it is applied to, the result is identical
-    — weights and ledger — to a from-scratch ``BIN-PACK`` of the new
-    assignment, so the Kernighan-Lin trajectory is preserved exactly.
+    one by step identity; the bins roll back to the mark of the first
+    differing step and only the suffix is replayed.  Because a step's
+    effect is a pure function of the bins state it is applied to, the
+    result is identical — weights and ledger — to a from-scratch
+    ``BIN-PACK`` of the new assignment, so the Kernighan-Lin trajectory
+    is preserved exactly.
     """
 
     def __init__(self, model: PartitionCostModel, assignment: dict[int, Side]):
@@ -391,17 +377,13 @@ class IncrementalPacker:
             model.machine, balance_ties=model.config.balanced_bin_packing
         )
         self.steps: list[tuple[object, Plan]] = []
-        self.marks: list[int] = []
+        self.marks: list[Mark] = []
         model.n_bin_packs += 1
         self._extend(model.pack_sequence(assignment))
 
     def _extend(self, steps: list[tuple[object, Plan]]) -> None:
-        bins = self.bins
-        marks = self.marks
-        for key, plan in steps:
-            marks.append(bins.checkpoint())
-            bins.reserve(plan, key)
-        self.steps.extend(steps)
+        self.bins.replay(steps, self.marks)
+        self.steps += steps
         self.model.n_pack_steps += len(steps)
 
     def repack(self, assignment: dict[int, Side]) -> int:
@@ -504,10 +486,11 @@ def partition_operations(
                     if (
                         bins.load != reference.load
                         or bins.reservations != reference.reservations
+                        or cost != max(reference.load)
                     ):
                         raise AssertionError(
-                            "resumed pack state diverged from reference "
-                            f"bin-pack after moving op {best_op.uid} in "
+                            "resumed pack state or cost diverged from "
+                            f"reference bin-pack after moving op {best_op.uid} in "
                             f"loop {dep.loop.name!r}"
                         )
                 if cost < best_cost:

@@ -5,7 +5,9 @@ This is the dict-keyed ``Bins`` the flat-array implementation in
 instance name, ledger entries ``(instance name, cycles)``, and
 ``RESERVE-LEAST-USED`` as the paper's explicit scan for the lowest
 (high-water mark, sum of squares) alternative (Figure 2, lines 50-66).
-``tests/test_bins.py`` checks the flat bins against it step by step.
+It keeps the release, copy and undo journal the append-only flat bins
+dropped: ``tests/test_bins.py`` checks the flat bins' reserve, snapshot
+marks and probe against it step by step.
 """
 
 from __future__ import annotations

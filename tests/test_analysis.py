@@ -267,13 +267,17 @@ def test_effort_mutators_are_deterministic_core(tree_result):
 
 def test_effort_producers_are_deterministic_core(tree_result):
     # The KL cost model and packer increment the counters the registry
-    # reads (``n_probes``, ``n_bin_packs``, ``n_repacks``); the telemetry
-    # fold sums them into a dict and is a configured seed.
+    # reads (``n_probes``, ``n_bin_packs``, ``n_repacks``), and the bins
+    # compute the costs they count; the telemetry fold sums them into a
+    # dict and is a configured seed.
     functions = zone_map_payload(tree_result)["functions"]
     for key in (
         "repro.vectorize.partition:PartitionCostModel.probe_cost",
         "repro.vectorize.partition:PartitionCostModel.bin_pack",
         "repro.vectorize.partition:IncrementalPacker.repack",
+        "repro.vectorize.bins:Bins.probe",
+        "repro.vectorize.bins:Bins.replay",
+        "repro.vectorize.bins:_pack",
         "repro.evaluation.experiments:CompileTelemetry.absorb",
     ):
         assert key in functions, f"{key} missing from zone map"

@@ -24,9 +24,10 @@ def info(paper, kind, dtype=F64, vector=False):
 
 
 class TestBins:
-    def test_starts_empty(self, bins):
+    def test_starts_empty(self, bins, paper):
         assert bins.high_water_mark() == 0
-        assert bins.sum_of_squares() == 0
+        assert bins.load == [0] * len(bins.names)
+        assert SpecBins(paper).sum_of_squares() == 0
 
     def test_single_reservation(self, bins, paper):
         bins.reserve_least_used(info(paper, OpKind.ADD), key=1)
@@ -50,31 +51,56 @@ class TestBins:
         bins.reserve_least_used(info(paper, OpKind.DIV), key=1)
         assert bins.high_water_mark() == 32
 
+    def test_reserving_an_existing_key_raises(self, bins, paper):
+        bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
+        before = (list(bins.load), {k: list(v) for k, v in bins.reservations.items()})
+        with pytest.raises(KeyError):
+            bins.reserve_least_used(info(paper, OpKind.MUL), key="a")
+        assert (bins.load, bins.reservations) == before
+
     def test_release_restores_exactly(self, bins, paper):
+        # The flat bins release only inside a probe, on a copy.
         bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
-        snapshot = dict(bins.weights)
-        bins.reserve_least_used(info(paper, OpKind.MUL), key="b")
-        bins.release("b")
-        assert bins.weights == snapshot
+        before = bins.high_water_mark()
+        bins.reserve_least_used(info(paper, OpKind.DIV), key="b")
+        assert bins.probe(["b"], []) == before
+        spec = SpecBins(paper)
+        spec.reserve_least_used(info(paper, OpKind.ADD), key="a")
+        snapshot = dict(spec.weights)
+        spec.reserve_least_used(info(paper, OpKind.MUL), key="b")
+        spec.release("b")
+        assert spec.weights == snapshot
 
-    def test_release_unknown_key_is_noop(self, bins):
-        bins.release("ghost")
-        assert bins.high_water_mark() == 0
-
-    def test_double_release_detected(self, bins, paper):
+    def test_release_unknown_key_is_noop(self, bins, paper):
         bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
-        ledger = list(bins.reservations["a"])
-        bins.release("a")
-        bins.reservations["a"] = ledger
+        assert bins.probe(["ghost"], []) == bins.high_water_mark() == 1
+        spec = SpecBins(paper)
+        spec.release("ghost")
+        assert spec.high_water_mark() == 0
+
+    def test_double_release_detected(self, paper):
+        spec = SpecBins(paper)
+        spec.reserve_least_used(info(paper, OpKind.ADD), key="a")
+        ledger = list(spec.reservations["a"])
+        spec.release("a")
+        spec.reservations["a"] = ledger
         with pytest.raises(RuntimeError):
-            bins.release("a")
+            spec.release("a")
 
     def test_copy_is_independent(self, bins, paper):
+        # A probe works on a copy of the loads, like the spec's copy().
         bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
-        clone = bins.copy()
-        clone.reserve_least_used(info(paper, OpKind.ADD), key="b")
+        state = (list(bins.load), {k: list(v) for k, v in bins.reservations.items()})
+        plan = paper.reservation_spec(info(paper, OpKind.DIV))
+        assert bins.probe(["a"], [plan]) == 32
+        assert (bins.load, bins.reservations) == state
         assert bins.high_water_mark() == 1
-        assert "b" not in bins.reservations
+        spec = SpecBins(paper)
+        spec.reserve_least_used(info(paper, OpKind.ADD), key="a")
+        clone = spec.copy()
+        clone.reserve_least_used(info(paper, OpKind.ADD), key="b")
+        assert spec.high_water_mark() == 1
+        assert "b" not in spec.reservations
 
     def test_squared_tiebreak_spreads_load(self, bins, paper):
         """When the high-water mark is unaffected, reservations spread
@@ -101,12 +127,15 @@ class TestBins:
     def test_release_all_returns_to_empty(self, kinds):
         paper = paper_machine()
         bins = Bins(paper)
+        spec = SpecBins(paper)
         for i, k in enumerate(kinds):
             kind = {"add": OpKind.ADD, "mul": OpKind.MUL, "load": OpKind.LOAD}[k]
             bins.reserve_least_used(info(paper, kind), key=i)
+            spec.reserve_least_used(info(paper, kind), key=i)
+        assert bins.probe(range(len(kinds)), []) == 0
         for i in range(len(kinds)):
-            bins.release(i)
-        assert all(w == 0 for w in bins.weights.values())
+            spec.release(i)
+        assert all(w == 0 for w in spec.weights.values())
 
 
 class TestPlacementFreedom:
@@ -145,9 +174,13 @@ def _opcode_pool(machine):
 
 _ACTIONS = st.lists(
     st.tuples(
-        st.sampled_from(["reserve", "reserve_all", "release", "checkpoint", "rollback"]),
-        st.integers(0, 5),
+        st.sampled_from(["reserve", "checkpoint", "rollback"]),
+        # Opcodes reserved under one new key.
         st.lists(st.integers(0, 63), min_size=1, max_size=3),
+        # The probe after the action: distinct keys to release (live
+        # ones or an absent one), then one plan per opcode list.
+        st.lists(st.integers(0, 63), max_size=3),
+        st.lists(st.lists(st.integers(0, 63), max_size=3), max_size=3),
     ),
     max_size=40,
 )
@@ -161,7 +194,16 @@ def _assert_matches_spec(flat, spec):
         for key, entries in flat.reservations.items()
     } == spec.reservations
     assert flat.high_water_mark() == spec.high_water_mark()
-    assert flat.sum_of_squares() == spec.sum_of_squares()
+
+
+def _spec_probe(spec, keys, opcode_lists):
+    """TEST-REPARTITION by the spec: copy, release, reserve, read."""
+    probe = spec.copy()
+    for key in keys:
+        probe.release(key)
+    for j, opcodes in enumerate(opcode_lists):
+        probe.reserve_all(opcodes, ("probe", j))
+    return probe.high_water_mark()
 
 
 @pytest.mark.parametrize("balance_ties", [True, False])
@@ -169,33 +211,42 @@ def _assert_matches_spec(flat, spec):
 @settings(max_examples=40, deadline=None)
 @given(actions=_ACTIONS)
 def test_flat_bins_match_spec(machine_name, balance_ties, actions):
+    """Reserve (each key once), checkpoint and rollback drive both bins
+    alike, and after every action a probe on the flat bins equals the
+    spec's copy -> release -> reserve -> high-water mark."""
     machine = MACHINE_FACTORIES[machine_name]()
     pool = _opcode_pool(machine)
     flat = Bins(machine, balance_ties=balance_ties)
     spec = SpecBins(machine, balance_ties=balance_ties)
     marks = []
-    for action, key, picks in actions:
-        opcodes = [pool[p % len(pool)] for p in picks]
+    for n, (action, picks, release_picks, plan_picks) in enumerate(actions):
         if action == "reserve":
-            flat.reserve_least_used(opcodes[0], key)
-            spec.reserve_least_used(opcodes[0], key)
-        elif action == "reserve_all":
-            flat.reserve_all(opcodes, key)
-            spec.reserve_all(opcodes, key)
-        elif action == "release":
-            flat.release(key)
-            spec.release(key)
+            opcodes = [pool[p % len(pool)] for p in picks]
+            plan = tuple(use for o in opcodes for use in machine.reservation_spec(o))
+            flat.reserve(plan, n)
+            spec.reserve_all(opcodes, n)
         elif action == "checkpoint":
             marks.append((flat.checkpoint(), spec.checkpoint()))
         elif marks:
             flat_mark, spec_mark = marks.pop()
             flat.rollback(flat_mark)
             spec.rollback(spec_mark)
-            if flat_mark == 0:
-                # Rolling back to 0 ends the journal, and every enclosing
-                # mark is 0 too.
+            if spec_mark == 0:
+                # Rolling the spec back to 0 ends its journal, and every
+                # enclosing mark is 0 too.
                 marks.clear()
         _assert_matches_spec(flat, spec)
+        live = [*flat.reservations, "absent"]
+        # ``probe`` requires distinct keys.
+        keys = list(dict.fromkeys(live[p % len(live)] for p in release_picks))
+        opcode_lists = [[pool[p % len(pool)] for p in ps] for ps in plan_picks]
+        plans = [
+            tuple(use for o in opcodes for use in machine.reservation_spec(o))
+            for opcodes in opcode_lists
+        ]
+        state = (list(flat.load), {k: list(v) for k, v in flat.reservations.items()})
+        assert flat.probe(keys, plans) == _spec_probe(spec, keys, opcode_lists)
+        assert (flat.load, flat.reservations) == state
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,10 +3,11 @@ behavior-preserving.
 
 Covered here:
 
-* ``Bins.checkpoint``/``rollback`` restores weights, ledger, high-water
-  mark, and the sum-of-squares tie-break state exactly;
-* the apply/undo ``TEST-REPARTITION`` probe equals the reference
-  deep-copy probe and leaves the live bins untouched;
+* ``Bins`` snapshot marks: ``rollback`` restores weights, ledger and
+  high-water mark exactly and drops exactly the keys reserved since;
+* the ``TEST-REPARTITION`` probe on a copy of the loads equals the
+  reference probe on the dict-keyed spec bins and never writes the live
+  bins;
 * :class:`IncrementalPacker`'s resumed pack equals a from-scratch
   ``BIN-PACK`` after every accepted move (via ``REPRO_KL_VERIFY``), and
   the self-check moves no effort counter;
@@ -28,6 +29,7 @@ from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop
 from repro.machine.configs import paper_machine
 from repro.pipeline.mii import edge_delay, edge_delays
+from repro.vectorize.bins import Bins
 from repro.vectorize.communication import Side
 from repro.vectorize.partition import (
     IncrementalPacker,
@@ -36,6 +38,7 @@ from repro.vectorize.partition import (
     partition_operations,
 )
 from repro.workloads.generator import generate
+from tests.bins_spec import Bins as SpecBins
 from tests.communication_spec import transfer_for_key
 
 MACHINE = paper_machine()
@@ -58,12 +61,11 @@ def _bins_state(bins):
         dict(bins.weights),
         {k: list(v) for k, v in bins.reservations.items()},
         bins.high_water_mark(),
-        bins.sum_of_squares(),
     )
 
 
 # ----------------------------------------------------------------------
-# Bins journal
+# Bins snapshot marks
 
 
 def test_checkpoint_rollback_restores_exact_state():
@@ -75,43 +77,64 @@ def test_checkpoint_rollback_restores_exact_state():
     before = _bins_state(bins)
     mark = bins.checkpoint()
     ops = list(dep.loop.body)
-    for _ in range(30):
+    for n in range(30):
         op = rng.choice(ops)
-        if rng.random() < 0.5 and bins.has_key(("op", op.uid)):
-            bins.release(("op", op.uid))
-        else:
-            side = rng.choice((Side.SCALAR, Side.VECTOR))
-            for info in model.op_opcodes(op, side):
-                bins.reserve_least_used(info, ("op", op.uid))
+        side = rng.choice((Side.SCALAR, Side.VECTOR))
+        bins.reserve(model.op_step(op, side)[1], ("extra", n))
+    assert _bins_state(bins) != before
     bins.rollback(mark)
     assert _bins_state(bins) == before
 
 
 def test_nested_checkpoints_rollback_to_marks():
+    """Under the marks ``replay`` takes before each step, ``rollback``
+    drops exactly the keys reserved after the mark and restores the
+    high-water mark, innermost mark first or straight to the outermost."""
     dep = _dep("fp_chain", 3)
     model = PartitionCostModel(dep, MACHINE, PartitionConfig())
-    assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
-    bins = model.bin_pack(assignment)
-    op = dep.loop.body[0]
-    outer = bins.checkpoint()
-    for info in model.op_opcodes(op, Side.VECTOR):
-        bins.reserve_least_used(info, ("extra", 1))
-    mid = _bins_state(bins)
-    inner = bins.checkpoint()
-    bins.release(("extra", 1))
-    bins.rollback(inner)
-    assert _bins_state(bins) == mid
-    bins.rollback(outer)
-    assert not bins.has_key(("extra", 1))
+    assignment = {op.uid: Side.VECTOR for op in dep.loop.body}
+    steps = model.pack_sequence(assignment)
+    bins = Bins(MACHINE)
+    marks = []
+    bins.replay(steps, marks)
+    assert len(marks) == len(steps)
+    for j in reversed(range(0, len(steps), 3)):
+        bins.rollback(marks[j])
+        assert list(bins.reservations) == [key for key, _ in steps[:j]]
+        fresh = Bins(MACHINE)
+        fresh.replay(steps[:j])
+        assert _bins_state(bins) == _bins_state(fresh)
+    assert bins.high_water_mark() == 0 and not bins.reservations
+    bins.replay(steps)
+    bins.rollback(marks[0])
+    assert _bins_state(bins) == _bins_state(Bins(MACHINE))
 
 
 # ----------------------------------------------------------------------
 # Probe protocol
 
 
-def _reference_probe(model, bins, assignment, op):
-    """The pre-fast-path TEST-REPARTITION: deep-copy and re-reserve."""
-    probe = bins.copy()
+def _spec_pack(model, assignment):
+    """BIN-PACK on the dict-keyed spec bins, each step's opcodes under
+    its key, in the model's pack order."""
+    spec = SpecBins(MACHINE)
+    body = {op.uid: op for op in model.dep.loop.body}
+    for kind, ident in (key for key, _ in model.pack_sequence(assignment)):
+        if kind == "op":
+            opcodes = model.op_opcodes(body[ident], assignment[ident])
+        elif kind == "comm":
+            transfer = transfer_for_key(model.dataflow, assignment, ident)
+            opcodes = model.transfer_opcodes(transfer)
+        else:
+            opcodes = (model.overhead_opcodes()[ident],)
+        spec.reserve_all(opcodes, (kind, ident))
+    return spec
+
+
+def _reference_probe(model, spec, assignment, op):
+    """The pre-fast-path TEST-REPARTITION on the spec bins: deep-copy,
+    release, and re-reserve several opcodes under one key."""
+    probe = spec.copy()
     probe.release(("op", op.uid))
     touched = model.touch_keys[op.uid]
     for key in touched:
@@ -135,18 +158,54 @@ def _reference_probe(model, bins, assignment, op):
 
 @pytest.mark.parametrize("archetype,seed", ARCHETYPE_SEEDS)
 def test_probe_matches_reference_and_restores_bins(archetype, seed):
+    rng = random.Random(seed)
     dep = _dep(archetype, seed)
     model = PartitionCostModel(dep, MACHINE, PartitionConfig())
+    candidates = [op for op in dep.loop.body if dep.is_vectorizable(op)]
+    all_scalar = {op.uid: Side.SCALAR for op in dep.loop.body}
+    mixed = dict(all_scalar)
+    for op in candidates:
+        mixed[op.uid] = rng.choice((Side.SCALAR, Side.VECTOR))
+    for assignment in (all_scalar, mixed):
+        bins = model.bin_pack(assignment)
+        spec = _spec_pack(model, assignment)
+        assert bins.weights == spec.weights
+        for op in candidates:
+            before = _bins_state(bins)
+            expected = _reference_probe(model, spec, assignment, op)
+            got = model.probe_cost(bins, assignment, op)
+            assert got == expected
+            assert _bins_state(bins) == before
+
+
+def test_kl_probe_never_writes_the_live_bins(monkeypatch):
+    """TEST-REPARTITION fires on a copy: a probe makes no reserve,
+    checkpoint or rollback call on the live bins, and leaves their loads
+    and ledger equal."""
+    dep = _dep("mixed", 7)
+    model = PartitionCostModel(dep, MACHINE, PartitionConfig())
     assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
-    bins = model.bin_pack(assignment)
+    packer = IncrementalPacker(model, assignment)
+    bins = packer.bins
+    calls = []
+    for name in ("reserve", "checkpoint", "rollback"):
+        method = getattr(Bins, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            if self is bins:
+                calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Bins, name, spy)
+    probed = 0
     for op in dep.loop.body:
-        if not dep.is_vectorizable(op):
-            continue
-        before = _bins_state(bins)
-        expected = _reference_probe(model, bins, assignment, op)
-        got = model.probe_cost(bins, assignment, op)
-        assert got == expected
-        assert _bins_state(bins) == before
+        if dep.is_vectorizable(op):
+            before = _bins_state(bins)
+            model.probe_cost(bins, assignment, op)
+            assert _bins_state(bins) == before
+            probed += 1
+    assert probed and model.n_probes == probed
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

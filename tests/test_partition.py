@@ -1,10 +1,12 @@
 """Tests for selective vectorization partitioning (Figure 2)."""
 
+import pytest
 
 from repro.dependence.analysis import analyze_loop
 from repro.ir.builder import LoopBuilder
 from repro.ir.values import const_f64
 from repro.machine.configs import scalar_only_machine
+from repro.observability.recorder import recording
 from repro.vectorize.communication import Side, dataflow_of, transfers_for
 from repro.vectorize.partition import PartitionConfig, partition_operations
 
@@ -153,3 +155,62 @@ class TestCommunicationAwareness:
         transfers = transfers_for(dataflow, assignment)
         keys = [t.key for t in transfers]
         assert keys.count(p_op.uid) == 1
+
+
+# Per loop: the partition cost and, per body position, the placement
+# remark's reason and flip cost (None where no flip is probed).
+CC, VP, NB, NV, RP = (
+    "communication-cost",
+    "vector-profitable",
+    "no-benefit",
+    "not-vectorizable",
+    "resource-pressure",
+)
+PLACEMENT_REMARKS = {
+    "093.nasa7.L0": (2, [(CC, 3), (CC, 3)]),
+    "093.nasa7.L8": (
+        8,
+        [(VP, 9), (VP, 10), (VP, 10), (VP, 9), (VP, 9), (CC, 10), (CC, 11),
+         (CC, 11), (CC, 10), (CC, 11), (CC, 13), (CC, 11), (CC, 10), (CC, 9)],
+    ),
+    "093.nasa7.L9": (
+        8,
+        [(VP, 9), (VP, 9), (VP, 9), (VP, 9), (NB, 8), (CC, 11), (CC, 11),
+         (CC, 13), (CC, 13), (CC, 10), (CC, 11), (CC, 13), (CC, 9)],
+    ),
+    "093.nasa7.L11": (
+        13,
+        [(NV, None), (VP, 15), (VP, 16), (VP, 14), (NV, None), (NV, None),
+         (CC, 16), (CC, 16), (CC, 18), (CC, 16), (CC, 18), (NV, None),
+         (NV, None), (CC, 16), (CC, 16), (CC, 18), (NV, None), (NV, None),
+         (CC, 16), (CC, 16), (CC, 18), (CC, 16), (CC, 18), (NV, None),
+         (NV, None), (NV, None)],
+    ),
+    "101.tomcatv.L1": (
+        4,
+        [(VP, 6), (VP, 6), (VP, 8), (VP, 8), (VP, 8), (VP, 5), (RP, 5),
+         (RP, 7), (RP, 8), (CC, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLACEMENT_REMARKS))
+def test_placement_remarks_are_pinned(name, paper):
+    """Each operation's placement remark: the reason, attributed by
+    re-probing the flip with communication or alignment blinded, and the
+    flip's probed cost."""
+    from repro.workloads.spec import build_benchmark
+
+    benchmark, _ = name.rsplit(".", 1)
+    (loop,) = [w.loop for w in build_benchmark(benchmark).loops if w.loop.name == name]
+    dep = analyze_loop(loop, paper.vector_length)
+    with recording() as rec:
+        result = partition_operations(dep, paper)
+    position = {op.uid: i for i, op in enumerate(loop.body)}
+    remarks = sorted(
+        (position[r.data["op"]], r.reason, r.data.get("flip_cost"))
+        for r in rec.events.remarks_for(pass_name="partition")
+    )
+    cost, expected = PLACEMENT_REMARKS[name]
+    assert result.cost == cost
+    assert remarks == [(i, *row) for i, row in enumerate(expected)]
