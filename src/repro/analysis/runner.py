@@ -89,10 +89,11 @@ def default_config() -> AnalysisConfig:
             # ``Bins`` receiver the call graph does not resolve.
             "repro.vectorize.bins:Bins.probe",
             "repro.vectorize.bins:Bins.replay",
-            # Runs on the first read of a LoopDependence's components or
-            # classification; the call graph does not follow property
+            # Run on the first read of a LoopDependence's classification
+            # or component order; the call graph does not follow property
             # reads.
             "repro.dependence.analysis:classify_operations",
+            "repro.dependence.analysis:ordered_components",
             # Content-addressed cache keys.
             "repro.compiler.service:CompileRequest.cache_key",
             "repro.evaluation.compile_cache:cache_key",

@@ -19,7 +19,9 @@ unit-stride — the modeled machines have no scatter/gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
 from repro.dependence.scc import scc_membership, tarjan_sccs
@@ -56,38 +58,39 @@ class LoopDependence:
     """The result of dependence analysis on one loop.
 
     ``sccs``, ``scc_of`` and ``vectorizable`` are computed together on
-    the first read of any of them and kept for the object's lifetime.
+    the first read of any of them, and ``components`` on its first read;
+    both are kept for the object's lifetime.
     """
 
     loop: Loop
     graph: DependenceGraph
     vector_length: int
-    _classification: Classification | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def _classified(self) -> Classification:
-        if self._classification is None:
-            self._classification = classify_operations(
-                self.loop, self.graph, self.vector_length
-            )
-        return self._classification
+    @cached_property
+    def _classification(self) -> Classification:
+        return classify_operations(self.loop, self.graph, self.vector_length)
 
     @property
     def sccs(self) -> list[list[int]]:
         """Strongly connected components, in Tarjan's (reverse
         topological) order."""
-        return self._classified()[0]
+        return self._classification[0]
 
     @property
     def scc_of(self) -> dict[int, int]:
         """Operation uid -> index of its component in ``sccs``."""
-        return self._classified()[1]
+        return self._classification[1]
 
     @property
     def vectorizable(self) -> set[int]:
         """Uids of the operations that may be vectorized."""
-        return self._classified()[2]
+        return self._classification[2]
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """The components in emission order (:func:`ordered_components`),
+        shared by every emitter of the loop."""
+        return ordered_components(self)
 
     def is_vectorizable(self, op: Operation) -> bool:
         return op.uid in self.vectorizable
@@ -97,6 +100,38 @@ class LoopDependence:
         if len(scc) > 1:
             return True
         return any(e.dst == uid for e in self.graph.successors(uid))
+
+
+def ordered_components(dep: LoopDependence) -> list[list[int]]:
+    """SCCs in topological (sources-first) order, each component's members
+    in original program order; ties broken by body position."""
+    body_index = {op.uid: i for i, op in enumerate(dep.loop.body)}
+    sccs, scc_of = dep.sccs, dep.scc_of
+    n = len(sccs)
+    succs: list[set[int]] = [set() for _ in range(n)]
+    preds_count = [0] * n
+    for edge in dep.graph.edges:
+        a, b = scc_of[edge.src], scc_of[edge.dst]
+        if a != b and b not in succs[a]:
+            succs[a].add(b)
+            preds_count[b] += 1
+
+    def scc_key(i: int) -> int:
+        return min(body_index[uid] for uid in sccs[i])
+
+    ready = [(scc_key(i), i) for i in range(n) if preds_count[i] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(i)
+        for j in succs[i]:
+            preds_count[j] -= 1
+            if preds_count[j] == 0:
+                heapq.heappush(ready, (scc_key(j), j))
+    if len(order) != n:
+        raise RuntimeError("dependence condensation is not acyclic")
+    return [sorted(sccs[i], key=body_index.__getitem__) for i in order]
 
 
 def build_dependence_graph(loop: Loop, trip_count: int | None = None) -> DependenceGraph:
@@ -140,7 +175,9 @@ def _add_register_edges(loop: Loop, graph: DependenceGraph) -> None:
             carried_exit_def[c.entry] = def_of[c.exit]
 
     for op in loop.body:
-        for src in op.registers_read():
+        for src in op.srcs:
+            if not isinstance(src, VirtualRegister):
+                continue
             producer = def_of.get(src)
             if producer is not None and producer.uid != op.uid:
                 graph.add_edge(
@@ -179,35 +216,35 @@ def memory_lane_subscripts(op: Operation) -> list:
     return [op.subscript.plus_innermost(l) for l in range(length)]
 
 
-def _pairwise_distances(
-    a: Operation, b: Operation, trip_count: int | None
-) -> tuple[set[int], bool]:
-    """(exact distances, any-unknown) across all lane pairs of a and b."""
-    distances: set[int] = set()
-    unknown = False
-    for sa in memory_lane_subscripts(a):
-        for sb in memory_lane_subscripts(b):
-            result = test_subscripts(sa, sb, trip_count)
-            if isinstance(result, Independent):
-                continue
-            if isinstance(result, Distance):
-                distances.add(result.d)
-            else:
-                unknown = True
-    return distances, unknown
-
-
 def _add_memory_edges(
     loop: Loop, graph: DependenceGraph, trip_count: int | None
 ) -> None:
-    mem_ops = [op for op in loop.body if op.kind.is_memory]
-    for i, a in enumerate(mem_ops):
-        for b in mem_ops[i:]:
-            if a.array != b.array:
-                continue
+    """Test every pair of memory operations on one array that is not two
+    loads, each operation against itself and every later one, in body
+    order.  The operations are grouped by array, with each one's lane
+    subscripts computed once."""
+    by_array: dict[str, list[tuple[Operation, list]]] = {}
+    # (array group, index in the group) of each memory op, in body order.
+    positions: list[tuple[list[tuple[Operation, list]], int]] = []
+    for op in loop.body:
+        if op.kind.is_memory:
+            group = by_array.setdefault(op.array, [])
+            positions.append((group, len(group)))
+            group.append((op, memory_lane_subscripts(op)))
+    for group, i in positions:
+        a, lanes_a = group[i]
+        for b, lanes_b in group[i:]:
             if a.is_load and b.is_load:
                 continue
-            distances, unknown = _pairwise_distances(a, b, trip_count)
+            distances: set[int] = set()
+            unknown = False
+            for sa in lanes_a:
+                for sb in lanes_b:
+                    result = test_subscripts(sa, sb, trip_count)
+                    if isinstance(result, Distance):
+                        distances.add(result.d)
+                    elif not isinstance(result, Independent):
+                        unknown = True
             if unknown:
                 # Conservative cycle that serializes the pair.
                 if a.uid == b.uid:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.ir.subscripts import Subscript
 from repro.ir.types import ScalarType
@@ -52,27 +53,30 @@ class OpKind(enum.Enum):
 
     __hash__ = object.__hash__  # identity hash, as ScalarType's
 
-    @property
+    # Read on every operation built and most compile decisions, so each
+    # member computes each predicate once.
+
+    @cached_property
     def is_memory(self) -> bool:
         return self in (OpKind.LOAD, OpKind.STORE)
 
-    @property
+    @cached_property
     def is_arith(self) -> bool:
         return self in _ARITH_KINDS
 
-    @property
+    @cached_property
     def is_overhead(self) -> bool:
         return self in (OpKind.BUMP, OpKind.IVINC, OpKind.CBR)
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return _ARITY[self]
 
-    @property
+    @cached_property
     def has_dest(self) -> bool:
         return self not in (OpKind.STORE, OpKind.CBR)
 
-    @property
+    @cached_property
     def is_commutative(self) -> bool:
         return self in (OpKind.ADD, OpKind.MUL, OpKind.MIN, OpKind.MAX)
 

@@ -1,20 +1,25 @@
 """Minimum initiation interval bounds, with provenance.
 
 ``ResMII`` — the resource-constrained bound — is computed by the same
-greedy bin-packing the partitioner uses (each operation binned once with
-its actual opcode).  ``RecMII`` — the recurrence-constrained bound — is
-the smallest II admitting no positive-weight dependence cycle under edge
-weights ``delay(e) - II * distance(e)``, found by binary search with
-Bellman-Ford positive-cycle detection.
+greedy bin-packing the partitioner uses: every operation's reservation,
+resolved once from its actual opcode, packed in one
+:meth:`~repro.vectorize.bins.Bins.replay`.  ``RecMII`` — the
+recurrence-constrained bound — is the smallest II admitting no
+positive-weight dependence cycle under edge weights
+``delay(e) - II * distance(e)``, found by cycle-ratio iteration: a
+positive cycle at II needs an II of at least its
+``ceil(delay / distance)``, so from II = 1 each cycle Bellman-Ford finds
+raises II to that bound, until none is left.  Each run either ends the
+search or strictly raises II, so a unit pays one run per improving
+cycle, one that finds none and, when RecMII > 1, one to extract the
+critical cycle, found one II below the bound.
 
-The Bellman-Ford probes run on :class:`GraphArrays` — the dependence
-graph flattened once per loop into dense-index edge arrays with a
-preallocated distance scratch — so each of the O(log II) probes of the
-binary search is pure list indexing with no dict hashing and no
-per-probe allocation beyond the weight table.  The hot detector
-(:func:`_relax_fast`) skips predecessor tracking entirely; the
-predecessor-tracking variant (:func:`_relax_pred`) runs only for
-critical-cycle extraction, off the hot path.
+The Bellman-Ford runs (:func:`_relax_pred`, which tracks predecessor
+edges so a positive cycle can be walked) work on :class:`GraphArrays` —
+the dependence graph flattened once per loop into dense-index edge
+arrays with preallocated distance and predecessor scratch — so each run
+is pure list indexing with no dict hashing and no per-run allocation
+beyond the weight table.
 
 Both bounds come back as :class:`int` subclasses that additionally carry
 *why* the bound is what it is: :class:`ResMII` holds the per-resource
@@ -26,6 +31,8 @@ emitters and the ``--explain`` renderers.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind
 from repro.ir.loop import Loop
@@ -199,55 +206,16 @@ class GraphArrays:
         self._pred = [-1] * len(self.uids)
 
 
-def _relax_fast(arrays: GraphArrays, ii: int) -> int:
-    """Bellman-Ford longest-path relaxation under weights
-    ``delay - ii*distance``, detection only (no predecessor tracking).
-    Returns a dense node index that still relaxed on the |V|-th round —
-    the positive-cycle witness — or ``-1`` when no positive cycle exists.
-
-    Distances live in the arrays' preallocated scratch; the only per-call
-    allocation is the II-weighted edge table.
-    """
-    dist = arrays._dist
-    n = len(dist)
-    for i in range(n):
-        dist[i] = 0
-    edist = arrays.edist
-    weights = [
-        (s, d, dl - ii * di)
-        for s, d, dl, di in zip(arrays.esrc, arrays.edst, arrays.delay, edist)
-    ]
-    m = len(weights)
-    witness = -1
-    relaxations = 0
-    rounds = 0
-    try:
-        for _ in range(n):
-            rounds += 1
-            changed = False
-            for s, d, w in weights:
-                nd = dist[s] + w
-                if nd > dist[d]:
-                    dist[d] = nd
-                    changed = True
-                    witness = d
-                    relaxations += 1
-            if not changed:
-                return -1
-        return witness
-    finally:
-        rec = active_recorder()
-        if rec is not None:
-            rec.count("mii.bf_runs")
-            rec.count("mii.bf_relaxations", relaxations)
-            rec.count("mii.bf_edges_scanned", rounds * m)
-
-
 def _relax_pred(arrays: GraphArrays, ii: int) -> tuple[list[int], int]:
-    """Like :func:`_relax_fast` but tracking, per dense node index, the
-    index of the edge that last relaxed it (``-1`` = never relaxed).
-    Returns ``(pred, witness)``.  Off the hot path: only the one or two
-    critical-cycle extractions per loop pay for the tracking."""
+    """Bellman-Ford longest-path relaxation under weights
+    ``delay - ii*distance``, tracking, per dense node index, the index of
+    the edge that last relaxed it (``-1`` = never relaxed).  Returns
+    ``(pred, witness)``: ``witness`` is a dense node index that still
+    relaxed on the |V|-th round — the positive-cycle witness — or ``-1``
+    when no positive cycle exists.
+
+    Distances and predecessors live in the arrays' preallocated scratch;
+    the only per-call allocation is the II-weighted edge table."""
     dist = arrays._dist
     pred = arrays._pred
     n = len(dist)
@@ -287,11 +255,11 @@ def _relax_pred(arrays: GraphArrays, ii: int) -> tuple[list[int], int]:
             rec.count("mii.bf_edges_scanned", rounds * m)
 
 
-def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[DepEdge]:
-    """The edges of one positive-weight cycle at ``ii`` (empty when no
-    such cycle exists).  The witness of the final relaxation round is
-    walked back |V| predecessor steps to land inside the cycle, then the
-    cycle is collected."""
+def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[int]:
+    """The edges of one positive-weight cycle at ``ii``, as indices into
+    ``arrays.edges`` (empty when no such cycle exists).  The witness of
+    the final relaxation round is walked back |V| predecessor steps to
+    land inside the cycle, then the cycle is collected."""
     pred, witness = _relax_pred(arrays, ii)
     if witness < 0:
         return []
@@ -299,11 +267,11 @@ def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[DepEdge]:
     node = witness
     for _ in range(len(arrays.uids)):
         node = esrc[pred[node]]
-    cycle: list[DepEdge] = []
+    cycle: list[int] = []
     cur = node
     for _ in range(len(arrays.uids) + 1):
         j = pred[cur]
-        cycle.append(arrays.edges[j])
+        cycle.append(j)
         cur = esrc[j]
         if cur == node:
             break
@@ -312,14 +280,17 @@ def _extract_cycle_edges(arrays: GraphArrays, ii: int) -> list[DepEdge]:
 
 
 def res_mii(loop: Loop, machine: MachineDescription) -> ResMII:
-    """Resource-constrained minimum II of a (transformed) loop body."""
+    """Resource-constrained minimum II of a (transformed) loop body: one
+    BIN-PACK of every operation's reservation, fewest placement
+    alternatives first (a stable sort, so ties keep body order)."""
+    steps = []
+    for op in loop.body:
+        info = machine.opcode_info(op)
+        plan = machine.reservation_spec(info)
+        steps.append((placement_freedom(machine, info), ("op", op.uid), plan))
+    steps.sort(key=itemgetter(0))
     bins = Bins(machine)
-    ordered = sorted(
-        loop.body,
-        key=lambda op: placement_freedom(machine, machine.opcode_info(op)),
-    )
-    for op in ordered:
-        bins.reserve_least_used(machine.opcode_info(op), ("op", op.uid))
+    bins.replay([(key, plan) for _, key, plan in steps])
     high = bins.high_water_mark()
     pressure = bins.weights
     bottleneck = None
@@ -334,32 +305,41 @@ def rec_mii(
     delays: dict[DepEdge, int] | None = None,
     arrays: GraphArrays | None = None,
 ) -> RecMII:
-    """Recurrence-constrained minimum II, carrying the critical cycle."""
+    """Recurrence-constrained minimum II, carrying the critical cycle.
+
+    Cycle-ratio iteration: a positive cycle at ``ii`` needs an II of at
+    least its ``ceil(delay / distance)``, which exceeds ``ii``, so from
+    ``ii = 1`` each cycle found raises ``ii`` to that lower bound until
+    no positive cycle is left.  The critical cycle is the one found one
+    II below the bound."""
     if not graph.edges:
         return RecMII(1)
     if arrays is None:
         arrays = GraphArrays(graph, machine, delays)
-    hi = max(1, arrays.max_delay * len(graph.ops))
-    if _relax_fast(arrays, hi) >= 0:
-        # A cycle positive at an II exceeding any delay/distance ratio can
-        # only carry zero total distance: the loop body cycles on itself.
-        raise DependenceCycleError(graph, _extract_cycle_edges(arrays, hi))
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _relax_fast(arrays, mid) >= 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo <= 1:
+    edges, delay, edist = arrays.edges, arrays.delay, arrays.edist
+    ii = 1
+    while cycle := _extract_cycle_edges(arrays, ii):
+        distance = sum(edist[j] for j in cycle)
+        if distance == 0:
+            # The loop body cycles on itself.  At ``hi`` every cycle that
+            # carries a distance is non-positive, so the cycle reported is
+            # a zero-distance one.
+            hi = max(1, arrays.max_delay * len(graph.ops))
+            raise DependenceCycleError(
+                graph, [edges[j] for j in _extract_cycle_edges(arrays, hi)]
+            )
+        ii = -(-sum(delay[j] for j in cycle) // distance)
+    if ii <= 1:
         return RecMII(1)
     # A cycle still positive one II below the bound achieves exactly
-    # ceil(delay/distance) == lo: the critical recurrence.
-    cycle = _extract_cycle_edges(arrays, lo - 1)
-    delay_of = dict(zip(arrays.edges, arrays.delay))
-    delay = sum(delay_of[e] for e in cycle)
-    distance = sum(e.distance for e in cycle)
-    return RecMII(lo, cycle, delay, distance)
+    # ceil(delay/distance) == ii: the critical recurrence.
+    cycle = _extract_cycle_edges(arrays, ii - 1)
+    return RecMII(
+        ii,
+        [edges[j] for j in cycle],
+        sum(delay[j] for j in cycle),
+        sum(edist[j] for j in cycle),
+    )
 
 
 def minimum_ii(

@@ -28,7 +28,7 @@ from repro.ir.types import ScalarType
 from repro.ir.values import Operand, VirtualRegister
 from repro.machine.machine import MachineDescription
 from repro.vectorize.full import refine_isolated
-from repro.vectorize.transform import DEFAULT_SCRATCH_ELEMS, ordered_components
+from repro.vectorize.transform import DEFAULT_SCRATCH_ELEMS
 
 EXPANSION_PREFIX = "exp."
 
@@ -56,7 +56,7 @@ def distribute_loop(
     """
     loop = dep.loop
     vec_ops = refine_isolated(dep, set(dep.vectorizable))
-    components = ordered_components(dep)
+    components = dep.components
     comp_of: dict[int, int] = {}
     for i, comp in enumerate(components):
         for uid in comp:

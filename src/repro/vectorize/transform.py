@@ -89,39 +89,6 @@ class TransformResult:
         return self.n_vector_ops > 0
 
 
-def ordered_components(dep: LoopDependence) -> list[list[int]]:
-    """SCCs in topological (sources-first) order, each component's members
-    in original program order; ties broken by body position."""
-    body_index = {op.uid: i for i, op in enumerate(dep.loop.body)}
-    n = len(dep.sccs)
-    succs: list[set[int]] = [set() for _ in range(n)]
-    preds_count = [0] * n
-    for edge in dep.graph.edges:
-        a, b = dep.scc_of[edge.src], dep.scc_of[edge.dst]
-        if a != b and b not in succs[a]:
-            succs[a].add(b)
-            preds_count[b] += 1
-
-    import heapq
-
-    def scc_key(i: int) -> int:
-        return min(body_index[uid] for uid in dep.sccs[i])
-
-    ready = [(scc_key(i), i) for i in range(n) if preds_count[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, i = heapq.heappop(ready)
-        order.append(i)
-        for j in succs[i]:
-            preds_count[j] -= 1
-            if preds_count[j] == 0:
-                heapq.heappush(ready, (scc_key(j), j))
-    if len(order) != n:
-        raise RuntimeError("dependence condensation is not acyclic")
-    return [sorted(dep.sccs[i], key=body_index.__getitem__) for i in order]
-
-
 def _topo_by_intra_edges(
     dep: LoopDependence, members: list[int], body_index: dict[int, int]
 ) -> list[int]:
@@ -610,7 +577,7 @@ class _Emitter:
         return mapping
 
     def build(self) -> tuple[Loop, dict[str, LiveOut]]:
-        for component in ordered_components(self.dep):
+        for component in self.dep.components:
             self.emit_component(component)
         self.finalize_carried()
         mapping = self.liveout_map()

@@ -286,15 +286,21 @@ def test_effort_producers_are_deterministic_core(tree_result):
 
 def test_back_end_kernels_are_deterministic_core(tree_result):
     # The per-unit back end decides every II, schedule and cleanup
-    # length.  The dependence classification runs on a property read,
-    # which the call graph does not follow, so it is a configured seed;
-    # Tarjan and the SCC safety test are deterministic-core through it.
+    # length.  The dependence classification and the component order run
+    # on property reads, which the call graph does not follow, so they
+    # are configured seeds; Tarjan and the SCC safety test are
+    # deterministic-core through the classification.
     functions = zone_map_payload(tree_result)["functions"]
     for key in (
+        "repro.dependence.analysis:build_dependence_graph",
         "repro.dependence.analysis:classify_operations",
+        "repro.dependence.analysis:ordered_components",
         "repro.dependence.scc:tarjan_sccs",
         "repro.dependence.scc:scc_membership",
         "repro.dependence.analysis:_scc_safe_for_vectorization",
+        "repro.pipeline.mii:rec_mii",
+        "repro.pipeline.mii:res_mii",
+        "repro.pipeline.mii:_extract_cycle_edges",
         "repro.pipeline.list_schedule:list_schedule_length",
         "repro.pipeline.scheduler:_check_schedule",
         "repro.regalloc.allocator:_allocate_kernel",

@@ -16,6 +16,11 @@ Covered here:
 * ``edge_delays`` equals per-edge ``edge_delay``;
 * unit and cleanup analyses are graph-only: Tarjan runs only where the
   components or the classification are read;
+* each per-unit fact is computed once: RecMII runs Bellman-Ford once per
+  improving cycle plus one critical-cycle extraction, ResMII packs every
+  operation in one replay, a transform orders the components once for
+  its main and cleanup emitters, and the dependence builder builds each
+  memory operation's lane subscripts once;
 * the parallel evaluator and the compile cache reproduce serial,
   cold-compile results bit-for-bit, with identical deterministic effort
   counters.
@@ -27,8 +32,12 @@ import pytest
 
 from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop
+from repro.dependence.graph import Via
+from repro.ir.builder import LoopBuilder
+from repro.ir.values import const_f64
 from repro.machine.configs import paper_machine
-from repro.pipeline.mii import edge_delay, edge_delays
+from repro.observability.recorder import recording
+from repro.pipeline.mii import edge_delay, edge_delays, rec_mii, res_mii
 from repro.vectorize.bins import Bins
 from repro.vectorize.communication import Side
 from repro.vectorize.partition import (
@@ -37,7 +46,9 @@ from repro.vectorize.partition import (
     PartitionConfig,
     partition_operations,
 )
+from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import generate
+from tests import dependence_spec, mii_spec
 from tests.bins_spec import Bins as SpecBins
 from tests.communication_spec import transfer_for_key
 
@@ -357,6 +368,110 @@ def test_tarjan_runs_only_where_components_are_read(strategy, monkeypatch):
     else:
         assert any(u.transform.cleanup is not None for u in compiled.units)
         assert len(runs) == 1
+
+
+# ----------------------------------------------------------------------
+# Per-unit facts computed once
+
+
+def _memory_recurrence_unit(factor=1):
+    """The loop of ``tests/test_scheduler.py::TestRecMII::
+    test_memory_recurrence`` (load y[i], multiply, store y[i+1]),
+    unrolled by ``factor``."""
+    b = LoopBuilder("rec")
+    b.array("y", dim_sizes=(2048,))
+    t = b.load("y", b.idx(offset=0), name="t")
+    u = b.mul(t, const_f64(0.5), name="u")
+    b.store("y", b.idx(offset=1), u)
+    loop = b.build()
+    dep = analyze_loop(loop, MACHINE.vector_length)
+    scalar = {op.uid: Side.SCALAR for op in loop.body}
+    return transform_loop(dep, MACHINE, scalar, factor).loop
+
+
+def test_rec_mii_runs_bellman_ford_once_per_improving_cycle():
+    """Cycle-ratio iteration fires: the recurrence found at II 1 lifts II
+    straight to its ratio 8, where no positive cycle is left, and one more
+    run extracts the critical cycle at II 7 (a binary search takes 7)."""
+    unit = _memory_recurrence_unit()
+    graph = analyze_loop(unit, MACHINE.vector_length).graph
+    with recording(trace=False) as rec:
+        bound = rec_mii(graph, MACHINE)
+    assert rec.counter("mii.bf_runs") == 3
+    assert bound == 8
+    pos = {op.uid: i for i, op in enumerate(unit.body)}
+    assert [
+        (pos[e.src], pos[e.dst], e.via, e.distance) for e in bound.cycle_edges
+    ] == [(0, 1, Via.REGISTER, 0), (1, 2, Via.REGISTER, 0), (2, 0, Via.MEMORY, 1)]
+    assert (bound.cycle_delay, bound.cycle_distance) == (8, 1)
+
+
+def test_res_mii_packs_every_operation_in_one_replay(monkeypatch):
+    """The one-replay bound fires: one ``Bins.replay`` call for the whole
+    body, not one per operation."""
+    calls = []
+    replay = Bins.replay
+
+    def counted(bins, steps, marks=None):
+        steps = list(steps)
+        calls.append(len(steps))
+        return replay(bins, steps, marks)
+
+    monkeypatch.setattr(Bins, "replay", counted)
+    unit = _memory_recurrence_unit(factor=2)
+    assert res_mii(unit, MACHINE) == 2  # 4 memory ops over 2 ls units
+    assert calls == [len(unit.body)]
+    # The per-operation spec replays once per operation.
+    assert mii_spec.res_mii(unit, MACHINE) == 2
+    assert calls == [len(unit.body)] + [1] * len(unit.body)
+
+
+def test_transform_orders_the_components_once(monkeypatch):
+    """A factor-2 transform emits a main and a cleanup loop from one
+    component order, read once from the dependence analysis."""
+    import repro.dependence.analysis as analysis
+
+    calls = []
+    ordered_components = analysis.ordered_components
+
+    def counted(dep):
+        calls.append(dep)
+        return ordered_components(dep)
+
+    monkeypatch.setattr(analysis, "ordered_components", counted)
+    dep = _dep("mixed", 7)
+    tr = transform_loop(dep, MACHINE, {op.uid: Side.SCALAR for op in dep.loop.body}, 2)
+    assert tr.cleanup is not None
+    assert calls == [dep]
+
+
+def test_dependence_builder_builds_lane_subscripts_once_per_memory_op(monkeypatch):
+    """The grouped builder fires: each memory operation's lane subscripts
+    are built once, although the unrolled recurrence tests more pairs
+    than it has memory operations."""
+    import repro.dependence.analysis as analysis
+
+    built = []
+    lanes = analysis.memory_lane_subscripts
+
+    def counted(op):
+        built.append(op.uid)
+        return lanes(op)
+
+    unit = _memory_recurrence_unit(factor=2)
+    mem_ops = [op for op in unit.body if op.kind.is_memory]
+    monkeypatch.setattr(analysis, "memory_lane_subscripts", counted)
+    graph = analysis.build_dependence_graph(unit)
+    assert sorted(built) == sorted(op.uid for op in mem_ops)
+    pairs = sum(
+        1
+        for i, a in enumerate(mem_ops)
+        for b in mem_ops[i:]
+        if a.array == b.array and not (a.is_load and b.is_load)
+    )
+    assert pairs > len(mem_ops)
+    monkeypatch.undo()
+    assert graph.edges == dependence_spec.build_dependence_graph(unit).edges
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Equivalence of the flat-array hot kernels and their dict references.
 
-The bitmask modulo reservation table and the arrayified Bellman-Ford are
-pure performance rewrites: this suite drives them and their original
-dict implementations through randomized inputs and requires identical
-observable behavior —
+The bitmask modulo reservation table, the arrayified Bellman-Ford and
+the other per-unit kernels below are pure performance rewrites: this
+suite drives them and their original implementations through randomized
+inputs and requires identical observable behavior —
 
 * :class:`ModuloReservationTable` (bitmask rows) vs
   :class:`DictModuloReservationTable` (the original per-cell dict, kept
@@ -12,11 +12,25 @@ observable behavior —
   machines (including few-unit machines that force conflicts and
   non-pipelined multi-cycle divides) and random place / force-place /
   remove sequences;
-* :func:`_relax_pred` / :func:`rec_mii` / :func:`_heights` vs reference
-  reimplementations of the original dict-based relaxations: same
-  distances, same predecessor edges, same witness, same RecMII value and
-  critical cycle, same heights, on random dependence graphs (zero-
-  distance edges kept acyclic, loop-carried edges unrestricted);
+* :func:`_relax_pred` / :func:`_heights` vs reference reimplementations
+  of the original dict-based relaxations: same distances, same
+  predecessor edges, same witness, same heights, on random dependence
+  graphs (zero-distance edges kept acyclic, loop-carried edges
+  unrestricted);
+* the cycle-ratio :func:`rec_mii` vs the reference binary search: same
+  RecMII value, critical cycle, delay and distance on those random graphs
+  and on the unit graphs of generated loops compiled under all four
+  strategies on every ``MACHINE_FACTORIES`` machine, and, on random
+  graphs whose zero-distance edges may form cycles, the same cycle in
+  the diagnostic when the body cycles on itself;
+* :func:`build_dependence_graph` (memory pairs grouped by array, lane
+  subscripts built once per operation) vs the pair-by-pair builder
+  (``tests/dependence_spec.py``): the same edges in the same order, and
+  :func:`res_mii` (one replay) vs the per-operation bound
+  (``tests/mii_spec.py``): the same value, pressure table and bottleneck,
+  on generated loops and on every unit and cleanup loop compiled from
+  them under all four strategies on every ``MACHINE_FACTORIES`` machine,
+  and on generated loops with divides, scalar or vectorized;
 * :func:`list_schedule_length` (bitmask busy cycles) vs the original
   dict-and-name list scheduler (``tests/list_schedule_spec.py``): same
   makespan for every unit and cleanup loop of generated loops compiled
@@ -30,22 +44,30 @@ observable behavior —
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.driver import compile_loop
 from repro.compiler.strategies import Strategy
-from repro.dependence.analysis import analyze_loop
+from repro.dependence.analysis import analyze_loop, build_dependence_graph
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
 from repro.ir.loop import Loop
 from repro.ir.operations import Operation, OpKind
 from repro.ir.types import ScalarType, VectorType
 from repro.ir.values import VirtualRegister, const_f64, const_i64
-from repro.machine.configs import figure1_machine, paper_machine
+from repro.machine.configs import MACHINE_FACTORIES, figure1_machine, paper_machine
 from repro.machine.machine import LatencyTable, MachineDescription
 from repro.machine.resources import ResourceClass
 from repro.pipeline.list_schedule import list_schedule_length
-from repro.pipeline.mii import GraphArrays, _relax_pred, edge_delays, rec_mii
+from repro.pipeline.mii import (
+    DependenceCycleError,
+    GraphArrays,
+    _relax_pred,
+    edge_delays,
+    rec_mii,
+    res_mii,
+)
 from repro.pipeline.reservation import ModuloReservationTable
 from repro.pipeline.scheduler import _heights
 from repro.regalloc.allocator import _max_live, kernel_lifetimes
@@ -53,7 +75,7 @@ from repro.vectorize.communication import Side
 from repro.vectorize.full import full_assignment
 from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import GENERATORS, generate
-from tests import list_schedule_spec, regalloc_spec
+from tests import dependence_spec, list_schedule_spec, mii_spec, regalloc_spec
 from tests.reservation_spec import DictModuloReservationTable
 
 F64 = ScalarType.F64
@@ -83,6 +105,9 @@ MACHINES = [
     _tight_machine(3, 2, 1, 1),
     _tight_machine(1, 1, 1, 1),
 ]
+
+#: Every machine addressable by name (``toy`` is ``figure1``).
+NAMED_MACHINES = [factory() for factory in MACHINE_FACTORIES.values()]
 
 #: (kind, dtype) choices; DIV/SQRT are the non-pipelined multi-cycle
 #: reservations (fp_div/int_div busy cycles on the tight machines).
@@ -198,6 +223,12 @@ def _relax_view(graph, machine, ii, delays):
     return dist, pred, (None if witness < 0 else uids[witness])
 
 
+class ZeroDistanceCycle(Exception):
+    def __init__(self, cycle):
+        super().__init__(cycle)
+        self.cycle = tuple(cycle)
+
+
 def _rec_mii_ref(graph, machine):
     if not graph.edges:
         return 1, (), 0, 0
@@ -225,7 +256,9 @@ def _rec_mii_ref(graph, machine):
         cycle.reverse()
         return cycle
 
-    assert not positive(hi), "zero-distance cycle in generated graph"
+    if positive(hi):
+        # Only a zero-distance cycle is still positive at hi.
+        raise ZeroDistanceCycle(extract(hi))
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -260,9 +293,10 @@ def _heights_ref(loop, graph, machine, ii, delays):
 
 
 @st.composite
-def graph_strategy(draw):
+def graph_strategy(draw, zero_distance_cycles=False):
     """A random dependence graph whose zero-distance edges are acyclic
-    (forward-only), with arbitrary loop-carried edges on top."""
+    (forward-only), with arbitrary loop-carried edges on top; with
+    ``zero_distance_cycles``, zero-distance edges may also point back."""
     n = draw(st.integers(2, 9))
     ops = [_make_op(draw(st.integers(0, len(OP_SHAPES) - 1))) for _ in range(n)]
     graph = DependenceGraph()
@@ -272,7 +306,7 @@ def graph_strategy(draw):
     n_edges = draw(st.integers(0, 3 * n))
     for _ in range(n_edges):
         distance = draw(st.integers(0, 3))
-        if distance == 0:
+        if distance == 0 and not zero_distance_cycles:
             src = draw(st.integers(0, n - 2))
             dst = draw(st.integers(src + 1, n - 1))
         else:
@@ -306,23 +340,56 @@ def test_flat_relax_matches_reference(graph, machine_idx, ii):
     assert pred == ref_pred
 
 
-@settings(max_examples=80, deadline=None)
-@given(graph=graph_strategy(), machine_idx=st.integers(0, len(MACHINES) - 1))
-def test_flat_rec_mii_matches_reference(graph, machine_idx):
-    machine = MACHINES[machine_idx]
-    ref_value, ref_cycle, ref_delay, ref_distance = _rec_mii_ref(graph, machine)
-    bound = rec_mii(graph, machine)
-    assert int(bound) == ref_value
-    assert bound.cycle_edges == ref_cycle
-    assert bound.cycle_delay == ref_delay
-    assert bound.cycle_distance == ref_distance
-
-
 loop_strategy = st.builds(
     generate,
     archetype=st.sampled_from(sorted(GENERATORS)),
     seed=st.integers(0, 50_000),
 )
+
+
+@st.composite
+def unit_graphs_strategy(draw):
+    """The dependence graph of every unit of a generated loop compiled
+    under all four strategies for one named machine, each with that
+    machine."""
+    machine = draw(st.sampled_from(NAMED_MACHINES))
+    loop = draw(loop_strategy)
+    return [
+        (analyze_loop(unit.transform.loop, machine.vector_length).graph, machine)
+        for strategy in Strategy
+        for unit in compile_loop(loop, machine, strategy).units
+    ]
+
+
+def random_graphs_strategy(zero_distance_cycles):
+    return st.tuples(
+        graph_strategy(zero_distance_cycles=zero_distance_cycles),
+        st.sampled_from(MACHINES),
+    ).map(lambda case: [case])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cases=st.one_of(
+        random_graphs_strategy(False),
+        random_graphs_strategy(True),
+        unit_graphs_strategy(),
+    )
+)
+def test_flat_rec_mii_matches_reference(cases):
+    for graph, machine in cases:
+        try:
+            ref_value, ref_cycle, ref_delay, ref_distance = _rec_mii_ref(graph, machine)
+        except ZeroDistanceCycle as ref:
+            with pytest.raises(DependenceCycleError) as exc:
+                rec_mii(graph, machine)
+            assert exc.value.cycle_edges == ref.cycle
+            continue
+        bound = rec_mii(graph, machine)
+        assert int(bound) == ref_value
+        assert bound.cycle_edges == ref_cycle
+        assert bound.cycle_delay == ref_delay
+        assert bound.cycle_distance == ref_distance
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,6 +470,50 @@ def test_flat_list_schedule_matches_spec_with_divides(loop, vectorize):
 def test_flat_list_schedule_matches_spec_on_random_graphs(graph, machine_idx):
     loop = Loop("random", tuple(graph.ops.values()))
     _assert_list_schedule_matches_spec(loop, graph, MACHINES[machine_idx])
+
+
+# ----------------------------------------------------------------------
+# Dependence graphs and ResMII: the grouped builder and the one-replay
+# bound vs their specs.
+
+
+def _assert_unit_facts_match_specs(loop, machine, trip_count=None):
+    graph = build_dependence_graph(loop, trip_count)
+    spec = dependence_spec.build_dependence_graph(loop, trip_count)
+    assert graph.edges == spec.edges
+    res, ref = res_mii(loop, machine), mii_spec.res_mii(loop, machine)
+    assert int(res) == int(ref)
+    assert list(res.pressure.items()) == list(ref.pressure.items())
+    assert res.bottleneck == ref.bottleneck
+
+
+@settings(max_examples=25, deadline=None)
+@given(loop=loop_strategy, trip_count=st.one_of(st.none(), st.integers(1, 300)))
+def test_grouped_builder_and_one_replay_res_mii_match_specs(loop, trip_count):
+    for machine in NAMED_MACHINES:
+        _assert_unit_facts_match_specs(loop, machine, trip_count)
+        for strategy in Strategy:
+            for unit in compile_loop(loop, machine, strategy).units:
+                for body in (unit.transform.loop, unit.transform.cleanup):
+                    if body is not None:
+                        _assert_unit_facts_match_specs(body, machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop=divided_loop_strategy(), vectorize=st.booleans())
+def test_one_replay_res_mii_matches_spec_with_divides(loop, vectorize):
+    # A divide's multi-cycle reservation is where the packing order
+    # shows in the pressure table.  Transformed, not compiled, as in the
+    # list-schedule test above.
+    machine = paper_machine()
+    dep = analyze_loop(loop, machine.vector_length)
+    if vectorize:
+        assignment = full_assignment(dep)
+    else:
+        assignment = {op.uid: Side.SCALAR for op in loop.body}
+    tr = transform_loop(dep, machine, assignment, machine.vector_length)
+    for body in (loop, tr.loop, tr.cleanup):
+        _assert_unit_facts_match_specs(body, machine)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dependence.analysis import analyze_loop
+from repro.dependence.analysis import analyze_loop, ordered_components
 from repro.ir.builder import LoopBuilder
 from repro.ir.operations import OpKind
 from repro.ir.types import VectorType
@@ -11,11 +11,7 @@ from repro.ir.verifier import verify_loop
 from repro.machine.configs import aligned_machine
 from repro.vectorize.communication import Side
 from repro.vectorize.full import full_assignment
-from repro.vectorize.transform import (
-    SCRATCH_PREFIX,
-    ordered_components,
-    transform_loop,
-)
+from repro.vectorize.transform import SCRATCH_PREFIX, transform_loop
 
 
 def all_scalar(loop):
