@@ -362,15 +362,11 @@ def classify_operations(
     return sccs, scc_of, vectorizable
 
 
-def analyze_loop(
-    loop: Loop,
-    vector_length: int,
-    trip_count: int | None = None,
-) -> LoopDependence:
+def analyze_loop(loop: Loop, vector_length: int) -> LoopDependence:
     """Dependence analysis of ``loop`` for a given vector length: the
     graph now, the components and classification on first read."""
     return LoopDependence(
         loop=loop,
-        graph=build_dependence_graph(loop, trip_count),
+        graph=build_dependence_graph(loop),
         vector_length=vector_length,
     )

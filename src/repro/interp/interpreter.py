@@ -10,6 +10,11 @@ must leave memory and loop-carried scalars in exactly the state the
 untransformed loop produces.  Scheduling never changes program meaning,
 so interpretation happens at the IR level, before scheduling.
 
+:meth:`Interpreter.execute` is the one definition of what an operation
+computes.  It reads operands through ``_operand`` and writes results
+through ``_define``, the two hooks the cycle-level pipeline simulator
+(:mod:`repro.simulate.pipeline_sim`) overrides.
+
 Semantics notes:
 
 * Vector values are tuples of ``VL`` scalars; scalar operands of vector
@@ -122,13 +127,19 @@ class Interpreter:
 
     # ------------------------------------------------------------------
 
-    def _operand(self, operand: Operand):
+    def _operand(self, operand: Operand, j: int):
+        """The value ``operand`` holds when read at index ``j``."""
         if isinstance(operand, Constant):
             return operand.value
         try:
             return self.env[operand]
         except KeyError as exc:
             raise InterpreterError(f"register {operand} undefined") from exc
+
+    def _define(self, op: Operation, j: int, value) -> None:
+        """Record ``value`` as ``op``'s result at index ``j``."""
+        assert op.dest is not None
+        self.env[op.dest] = value
 
     def _flat_index(self, op: Operation, j: int) -> int:
         assert op.subscript is not None and op.array is not None
@@ -154,27 +165,26 @@ class Interpreter:
         kind = op.kind
         if kind.is_overhead:
             if op.dest is not None:
-                self.env[op.dest] = 0
+                self._define(op, j, 0)
             return
 
         if kind is OpKind.LOAD:
             base = self._flat_index(op, j)
-            assert op.dest is not None
             if op.is_vector:
                 width = self._vector_width(op)
-                self.env[op.dest] = tuple(
+                value = tuple(
                     self.memory.load(op.array, base + l) for l in range(width)
                 )
             else:
-                self.env[op.dest] = self.memory.load(op.array, base)
+                value = self.memory.load(op.array, base)
+            self._define(op, j, value)
             return
 
         if kind is OpKind.STORE:
             base = self._flat_index(op, j)
-            value = self._operand(op.stored_value)
+            value = self._operand(op.stored_value, j)
             if op.is_vector:
-                width = len(value) if isinstance(value, tuple) else self.loop.increment
-                lanes = self._as_lanes(value, width)
+                lanes = self._as_lanes(value, self._vector_width(op))
                 for l, v in enumerate(lanes):
                     self.memory.store(op.array, base + l, v)
             else:
@@ -184,26 +194,23 @@ class Interpreter:
             return
 
         if kind is OpKind.MERGE:
-            assert op.dest is not None
-            self.env[op.dest] = self._operand(op.srcs[0])
+            self._define(op, j, self._operand(op.srcs[0], j))
             return
 
         if kind is OpKind.PACK:
-            assert op.dest is not None
-            self.env[op.dest] = tuple(self._operand(s) for s in op.srcs)
+            self._define(op, j, tuple(self._operand(s, j) for s in op.srcs))
             return
 
         if kind is OpKind.EXTRACT:
-            assert op.dest is not None and op.lane is not None
-            value = self._operand(op.srcs[0])
+            assert op.lane is not None
+            value = self._operand(op.srcs[0], j)
             if not isinstance(value, tuple):
                 raise InterpreterError(f"extract from non-vector value: {op}")
-            self.env[op.dest] = value[op.lane]
+            self._define(op, j, value[op.lane])
             return
 
         # Arithmetic.
-        assert op.dest is not None
-        values = [self._operand(s) for s in op.srcs]
+        values = [self._operand(s, j) for s in op.srcs]
         if op.is_vector:
             width = self._vector_width(op)
             lanes = [self._as_lanes(v, width) for v in values]
@@ -224,7 +231,7 @@ class Interpreter:
                 result = _binary(kind, op.dtype, values[0], values[1])
             else:
                 result = _unary(kind, op.dtype, values[0])
-        self.env[op.dest] = result
+        self._define(op, j, result)
 
     # ------------------------------------------------------------------
 
@@ -235,7 +242,7 @@ class Interpreter:
             for op in self.loop.body:
                 self.execute(op, j)
             updates = {
-                c.entry: self._operand(c.exit) for c in self.loop.carried
+                c.entry: self._operand(c.exit, j) for c in self.loop.carried
             }
             self.env.update(updates)
         carried = {c.entry.name: self.env[c.entry] for c in self.loop.carried}

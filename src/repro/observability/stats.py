@@ -8,7 +8,20 @@ stats table without retaining the samples.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample: the value at
+    rank ``round(fraction * (n - 1))``, or 0.0 for an empty sample."""
+    if not sorted_values:
+        return 0.0
+    rank = min(
+        len(sorted_values) - 1,
+        max(0, int(round(fraction * (len(sorted_values) - 1)))),
+    )
+    return sorted_values[rank]
 
 
 @dataclass

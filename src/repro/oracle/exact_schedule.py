@@ -214,7 +214,7 @@ def _feasible_at(
     """Exact feasibility of II: ``(True, times)``, ``(False, None)``, or
     ``(None, None)`` when the budget ran out mid-proof."""
     arcs = [(e.src, e.dst, delays[e] - ii * e.distance) for e in graph.edges]
-    heights = _heights(loop, graph, machine, ii, delays)
+    heights = _heights(loop, graph, machine, ii)
     total_cycles = {
         op.uid: sum(u.cycles for u in machine.opcode_info(op).uses)
         for op in loop.body
@@ -293,7 +293,7 @@ def certify_schedule(
 
     meter = BudgetMeter(budget or OracleBudget())
     delays = edge_delays(graph, machine)
-    mii, res, rec_bound = minimum_ii(loop, graph, machine, delays)
+    mii, res, rec_bound = minimum_ii(loop, graph, machine)
 
     infeasible: list[int] = []
     certified_ii: int | None = None

@@ -182,12 +182,7 @@ class GraphArrays:
         "_pred",
     )
 
-    def __init__(
-        self,
-        graph: DependenceGraph,
-        machine: MachineDescription,
-        delays: dict[DepEdge, int] | None = None,
-    ):
+    def __init__(self, graph: DependenceGraph, machine: MachineDescription):
         self.graph = graph
         self.uids = list(graph.node_ids())
         index = {uid: i for i, uid in enumerate(self.uids)}
@@ -196,10 +191,7 @@ class GraphArrays:
         self.edges = edges
         self.esrc = [index[e.src] for e in edges]
         self.edst = [index[e.dst] for e in edges]
-        if delays is None:
-            self.delay = [edge_delay(e, graph, machine) for e in edges]
-        else:
-            self.delay = [delays[e] for e in edges]
+        self.delay = [edge_delay(e, graph, machine) for e in edges]
         self.edist = [e.distance for e in edges]
         self.max_delay = max(self.delay, default=0)
         self._dist = [0] * len(self.uids)
@@ -302,7 +294,6 @@ def res_mii(loop: Loop, machine: MachineDescription) -> ResMII:
 def rec_mii(
     graph: DependenceGraph,
     machine: MachineDescription,
-    delays: dict[DepEdge, int] | None = None,
     arrays: GraphArrays | None = None,
 ) -> RecMII:
     """Recurrence-constrained minimum II, carrying the critical cycle.
@@ -315,7 +306,7 @@ def rec_mii(
     if not graph.edges:
         return RecMII(1)
     if arrays is None:
-        arrays = GraphArrays(graph, machine, delays)
+        arrays = GraphArrays(graph, machine)
     edges, delay, edist = arrays.edges, arrays.delay, arrays.edist
     ii = 1
     while cycle := _extract_cycle_edges(arrays, ii):
@@ -346,10 +337,9 @@ def minimum_ii(
     loop: Loop,
     graph: DependenceGraph,
     machine: MachineDescription,
-    delays: dict[DepEdge, int] | None = None,
     arrays: GraphArrays | None = None,
 ) -> tuple[int, ResMII, RecMII]:
     """(MII, ResMII, RecMII)."""
     res = res_mii(loop, machine)
-    rec = rec_mii(graph, machine, delays, arrays)
+    rec = rec_mii(graph, machine, arrays)
     return max(res, rec), res, rec

@@ -34,9 +34,15 @@ from repro.ir.loop import Loop
 from repro.ir.operations import Operation
 from repro.machine.machine import MachineDescription
 from repro.observability.recorder import Recorder, active_recorder, maybe_span
-from repro.dependence.graph import DepEdge
 from repro.pipeline.mii import GraphArrays, RecMII, ResMII, edge_delay, minimum_ii
 from repro.pipeline.reservation import ModuloReservationTable
+
+
+# The scheduling budget per II attempt is BUDGET_RATIO placements per
+# operation (at least 40); IIs are tried up to MAX_II_FACTOR times the
+# start II (at least 32 past it).
+BUDGET_RATIO = 10
+MAX_II_FACTOR = 4
 
 
 class SchedulingError(Exception):
@@ -111,12 +117,11 @@ class _SchedulerState:
         loop: Loop,
         graph: DependenceGraph,
         machine: MachineDescription,
-        delays: dict[DepEdge, int] | None = None,
     ):
         self.loop = loop
         self.graph = graph
         self.machine = machine
-        arrays = GraphArrays(graph, machine, delays)
+        arrays = GraphArrays(graph, machine)
         self.arrays = arrays
         uids = list(arrays.uids)
         index = dict(arrays.index)
@@ -180,13 +185,10 @@ def _heights(
     graph: DependenceGraph,
     machine: MachineDescription,
     ii: int,
-    delays: dict[DepEdge, int] | None = None,
-    state: _SchedulerState | None = None,
 ) -> dict[int, int]:
     """Dict-shaped view of :func:`_heights_flat` (the original public
     contract, kept for the oracle and standalone callers)."""
-    if state is None:
-        state = _SchedulerState(loop, graph, machine, delays)
+    state = _SchedulerState(loop, graph, machine)
     height = _heights_flat(state, ii)
     index = state.index
     return {op.uid: height[index[op.uid]] for op in loop.body}
@@ -385,8 +387,6 @@ def modulo_schedule(
     loop: Loop,
     graph: DependenceGraph,
     machine: MachineDescription,
-    budget_ratio: int = 10,
-    max_ii_factor: int = 4,
     min_ii: int | None = None,
 ) -> ModuloSchedule:
     """Schedule a loop body, trying successive IIs from MII upward.
@@ -404,8 +404,8 @@ def modulo_schedule(
         state = _SchedulerState(loop, graph, machine)
         mii, res, rec = minimum_ii(loop, graph, machine, arrays=state.arrays)
         start = max(mii, min_ii or 1)
-        budget = max(budget_ratio * len(loop.body), 40)
-        max_ii = max(start * max_ii_factor, start + 32)
+        budget = max(BUDGET_RATIO * len(loop.body), 40)
+        max_ii = max(start * MAX_II_FACTOR, start + 32)
 
         if recorder is not None:
             _remark_mii_bound(recorder, loop, graph, res, rec, start, min_ii)

@@ -50,17 +50,9 @@ from repro.ledger.record import (
 from repro.ledger.store import Ledger
 from repro.machine.configs import MACHINE_FACTORIES
 from repro.observability.effort import EFFORT
+from repro.observability.stats import percentile
 from repro.serve.protocol import parse_compile_request
 from repro.workloads.generator import CorpusSpec, corpus_plan
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = min(
-        len(sorted_values) - 1,
-        max(0, int(round(fraction * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[rank]
 
 
 class HttpClient:
@@ -470,9 +462,9 @@ def _finish_run(
                     )
                 },
                 "latency": {
-                    "p50": {"wall_ms": _percentile(latencies, 0.50)},
-                    "p90": {"wall_ms": _percentile(latencies, 0.90)},
-                    "p99": {"wall_ms": _percentile(latencies, 0.99)},
+                    "p50": {"wall_ms": percentile(latencies, 0.50)},
+                    "p90": {"wall_ms": percentile(latencies, 0.90)},
+                    "p99": {"wall_ms": percentile(latencies, 0.99)},
                     "max": {
                         "wall_ms": latencies[-1] if latencies else 0.0
                     },
@@ -486,8 +478,8 @@ def _finish_run(
     print(
         f"serve: {n_ok}/{total_requests} ok in {wall_s:.2f}s "
         f"({n_ok / wall_s if wall_s > 0 else 0.0:.1f} req/s), "
-        f"p50 {_percentile(latencies, 0.5):.1f}ms "
-        f"p99 {_percentile(latencies, 0.99):.1f}ms; "
+        f"p50 {percentile(latencies, 0.5):.1f}ms "
+        f"p99 {percentile(latencies, 0.99):.1f}ms; "
         f"served compiled={served.get('compiled', 0)} "
         f"cache={cache} dedup={dedup} "
         f"(warm rate {warm_rate:.1%}), "
@@ -554,8 +546,8 @@ def run_direct(
     latencies.sort()
     print(
         f"direct: {len(summaries)} unique compile(s) in {wall_s:.2f}s, "
-        f"p50 {_percentile(latencies, 0.5):.1f}ms "
-        f"p99 {_percentile(latencies, 0.99):.1f}ms"
+        f"p50 {percentile(latencies, 0.5):.1f}ms "
+        f"p99 {percentile(latencies, 0.99):.1f}ms"
     )
     return 0
 

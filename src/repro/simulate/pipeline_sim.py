@@ -15,8 +15,13 @@ Running the simulator serves three purposes:
   constraint-satisfying — every operand must be ready when read;
 * it cross-checks the closed-form timing model: the measured makespan of
   ``m`` iterations must be within one II of ``(m + stages - 1) * II``;
-* it produces the same memory/reduction results as the sequential
-  interpreter, closing the loop between scheduling and semantics.
+* it checks that the schedule's instance order preserves what the loop
+  computes.  What each operation computes is the interpreter's own
+  definition — :class:`PipelineSimulator` *is* an
+  :class:`~repro.interp.interpreter.Interpreter` whose operand reads and
+  result writes go to per-instance values — so a memory or reduction
+  result that differs from sequential interpretation is an ordering
+  fault in the schedule, not a second copy of the semantics.
 
 The prologue and epilogue are not special-cased: they emerge naturally
 from instances near ``j = 0`` and ``j = m-1`` issuing with partial
@@ -27,12 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.interp.interpreter import InterpreterError, _binary, _unary
+from repro.interp.interpreter import Interpreter, InterpreterError
 from repro.interp.memory import MemoryImage
-from repro.ir.loop import CarriedScalar, Loop
-from repro.ir.operations import Operation, OpKind
-from repro.ir.types import VectorType
-from repro.ir.values import Constant, Operand, VirtualRegister
+from repro.ir.operations import Operation
+from repro.ir.values import Operand, VirtualRegister
 from repro.pipeline.scheduler import ModuloSchedule
 
 
@@ -54,8 +57,18 @@ class PipelineRun:
         return self.issue_slots_used / self.issue_slot_capacity
 
 
-class PipelineSimulator:
-    """Executes a modulo schedule against a memory image."""
+class PipelineSimulator(Interpreter):
+    """Executes a modulo schedule against a memory image.
+
+    Instance ``j`` of a body operation writes its result under
+    ``(uid, j)`` and reads its operands from the instances they come
+    from; the preheader runs once, before any instance, through the
+    interpreter's environment.
+
+    Only the per-op machinery is shared with :class:`Interpreter`
+    (``execute`` and its ``_operand``/``_define`` hooks).  ``run`` is not
+    substitutable: it takes an iteration count, not ``(start_j,
+    iterations)``, and returns a :class:`PipelineRun`."""
 
     def __init__(
         self,
@@ -64,172 +77,50 @@ class PipelineSimulator:
         symbols: dict[str, int] | None = None,
         carried_init: dict[str, object] | None = None,
     ):
+        super().__init__(schedule.loop, memory, symbols, carried_init)
         self.schedule = schedule
-        self.loop: Loop = schedule.loop
         self.machine = schedule.machine
-        self.memory = memory
-        self.symbols = {**self.loop.symbols, **(symbols or {})}
-        memory.declare_all(self.loop)
-
         self.def_of: dict[VirtualRegister, Operation] = {
             op.dest: op for op in self.loop.body if op.dest is not None
         }
-        self.carried_by_entry: dict[VirtualRegister, CarriedScalar] = {
-            c.entry: c for c in self.loop.carried
-        }
-        self.invariants: dict[VirtualRegister, object] = {}
+        self.carried_by_entry = {c.entry: c for c in self.loop.carried}
         # (producer uid, iteration) -> value
         self.values: dict[tuple[int, int], object] = {}
-        self._run_preheader(carried_init or {})
-
-    # ------------------------------------------------------------------
-
-    def _carried_initial(self, c: CarriedScalar, overrides: dict[str, object]):
-        if c.entry.name in overrides:
-            return overrides[c.entry.name]
-        if isinstance(c.entry.type, VectorType):
-            return tuple([c.init] * c.entry.type.length)
-        return c.init
-
-    def _run_preheader(self, overrides: dict[str, object]) -> None:
-        self.carried_initials = {
-            c.entry: self._carried_initial(c, overrides)
-            for c in self.loop.carried
-        }
         for op in self.loop.preheader:
-            value = self._evaluate_preheader_op(op)
-            if op.dest is not None:
-                self.invariants[op.dest] = value
-
-    def _evaluate_preheader_op(self, op: Operation):
-        def operand(src: Operand):
-            if isinstance(src, Constant):
-                return src.value
-            if src in self.invariants:
-                return self.invariants[src]
-            if src in self.carried_initials:
-                return self.carried_initials[src]
-            raise InterpreterError(f"preheader reads unknown value {src}")
-
-        if op.kind is OpKind.COPY and op.is_vector:
-            width = op.dest.type.length if isinstance(op.dest.type, VectorType) else 1
-            return tuple([operand(op.srcs[0])] * width)
-        if op.kind is OpKind.LOAD:
-            base = op.subscript.evaluate(0, self.memory.shapes[op.array], self.symbols)
-            return self.memory.load(op.array, base)
-        values = [operand(s) for s in op.srcs]
-        if len(values) == 2:
-            return _binary(op.kind, op.dtype, values[0], values[1])
-        return _unary(op.kind, op.dtype, values[0])
+            self.execute(op, 0)
 
     # ------------------------------------------------------------------
     # Value resolution across iteration instances.
 
     def _operand(self, src: Operand, j: int):
-        if isinstance(src, Constant):
-            return src.value
         producer = self.def_of.get(src)
         if producer is not None:
-            key = (producer.uid, j)
-            if key not in self.values:
+            try:
+                return self.values[(producer.uid, j)]
+            except KeyError:
                 raise InterpreterError(
                     f"instance ({producer.dest}, {j}) read before it was "
                     "produced — the schedule is not executable"
-                )
-            return self.values[key]
+                ) from None
         carried = self.carried_by_entry.get(src)
-        if carried is not None:
-            return self._carried_value(carried, j)
-        if src in self.invariants:
-            return self.invariants[src]
-        raise InterpreterError(f"unknown operand {src}")
+        if carried is not None and j > 0 and carried.exit != carried.entry:
+            # The entry of iteration j is the exit of iteration j - 1.
+            return self._operand(carried.exit, j - 1)
+        # Constants, preheader invariants and initial carried values.
+        return super()._operand(src, j)
 
-    def _carried_value(self, c: CarriedScalar, j: int):
-        if j == 0:
-            return self.carried_initials[c.entry]
-        if c.exit == c.entry or isinstance(c.exit, Constant):
-            if isinstance(c.exit, Constant):
-                return c.exit.value
-            return self.carried_initials[c.entry]
-        return self._operand(c.exit, j - 1)
-
-    # ------------------------------------------------------------------
-
-    def _vector_width(self, op: Operation) -> int:
-        if op.dest is not None and isinstance(op.dest.type, VectorType):
-            return op.dest.type.length
-        for src in op.srcs:
-            if isinstance(src.type, VectorType):
-                return src.type.length
-        return self.machine.vector_length
-
-    def _as_lanes(self, value, width: int):
-        if isinstance(value, tuple):
-            return value
-        return tuple([value] * width)
-
-    def _execute_instance(self, op: Operation, j: int) -> None:
-        kind = op.kind
-        if kind.is_overhead:
-            if op.dest is not None:
-                self.values[(op.uid, j)] = 0
-            return
-        if kind is OpKind.LOAD:
-            base = op.subscript.evaluate(j, self.memory.shapes[op.array], self.symbols)
-            if op.is_vector:
-                width = self._vector_width(op)
-                value = tuple(
-                    self.memory.load(op.array, base + l) for l in range(width)
-                )
-            else:
-                value = self.memory.load(op.array, base)
+    def _define(self, op: Operation, j: int, value) -> None:
+        if self.def_of.get(op.dest) is op:
             self.values[(op.uid, j)] = value
-            return
-        if kind is OpKind.STORE:
-            base = op.subscript.evaluate(j, self.memory.shapes[op.array], self.symbols)
-            value = self._operand(op.stored_value, j)
-            if op.is_vector:
-                lanes = self._as_lanes(value, self._vector_width(op))
-                for l, v in enumerate(lanes):
-                    self.memory.store(op.array, base + l, v)
-            else:
-                self.memory.store(op.array, base, value)
-            return
-        if kind is OpKind.MERGE:
-            self.values[(op.uid, j)] = self._operand(op.srcs[0], j)
-            return
-        if kind is OpKind.PACK:
-            self.values[(op.uid, j)] = tuple(
-                self._operand(s, j) for s in op.srcs
-            )
-            return
-        if kind is OpKind.EXTRACT:
-            value = self._operand(op.srcs[0], j)
-            self.values[(op.uid, j)] = value[op.lane]
-            return
-        values = [self._operand(s, j) for s in op.srcs]
-        if op.is_vector:
-            width = self._vector_width(op)
-            lanes = [self._as_lanes(v, width) for v in values]
-            if len(values) == 2:
-                result = tuple(
-                    _binary(kind, op.dtype, lanes[0][l], lanes[1][l])
-                    for l in range(width)
-                )
-            else:
-                result = tuple(
-                    _unary(kind, op.dtype, lanes[0][l]) for l in range(width)
-                )
-        elif len(values) == 2:
-            result = _binary(kind, op.dtype, values[0], values[1])
         else:
-            result = _unary(kind, op.dtype, values[0])
-        self.values[(op.uid, j)] = result
+            super()._define(op, j, value)  # a preheader invariant
 
     # ------------------------------------------------------------------
 
     def run(self, iterations: int) -> PipelineRun:
-        """Execute ``iterations`` overlapped iterations of the kernel."""
+        """Execute ``iterations`` overlapped iterations of the kernel in
+        issue order: the pipelined counterpart of the interpreter's
+        sequential ``run(start_j, iterations)``."""
         ii = self.schedule.ii
         times = self.schedule.times
         # All instances in absolute issue order; reads happen before
@@ -243,12 +134,12 @@ class PipelineSimulator:
 
         makespan = 0
         for cycle, _, _, j, op in instances:
-            self._execute_instance(op, j)
+            self.execute(op, j)
             latency = self.machine.opcode_info(op).latency
             makespan = max(makespan, cycle + max(1, latency))
 
         carried = {
-            c.entry.name: self._carried_value(c, iterations)
+            c.entry.name: self._operand(c.entry, iterations)
             for c in self.loop.carried
         }
         final_values = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.observability.stats import percentile
 from repro.sweep.manifest import SweepManifest
 from repro.sweep.runner import SweepConfig, SweepError, run_sweep
 from repro.workloads.generator import GENERATORS, CorpusSpec
@@ -194,9 +195,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 write_profile(profile, args.profile)
                 print(f"wrote profile to {args.profile}")
 
-    wall = result.loop_wall_ms
-    p50 = wall[len(wall) // 2] if wall else 0.0
-    p99 = wall[min(len(wall) - 1, int(round(0.99 * (len(wall) - 1))))] if wall else 0.0
+    p50 = percentile(result.loop_wall_ms, 0.50)
+    p99 = percentile(result.loop_wall_ms, 0.99)
     print(
         f"sweep: {result.loops} loops ({result.compiles} compiles) in "
         f"{result.shard_wall_s:.1f}s across {config.shards} shard(s) "

@@ -37,6 +37,7 @@ from repro.ledger.record import (
 )
 from repro.ledger.store import Ledger, merge_records
 from repro.machine.configs import MACHINE_FACTORIES
+from repro.observability.stats import percentile
 from repro.sweep.manifest import SweepManifest
 from repro.workloads.generator import CorpusSpec, corpus_plan
 
@@ -146,17 +147,6 @@ def shard_bounds(size: int, shards: int) -> list[tuple[int, int]]:
 
 def shard_path(out_dir: str, shard: int) -> str:
     return os.path.join(out_dir, SHARD_DIR, f"shard-{shard:05d}.json")
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = min(
-        len(sorted_values) - 1,
-        max(0, int(round(fraction * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[rank]
 
 
 def _run_shard(task: dict) -> dict:
@@ -446,9 +436,9 @@ def run_sweep(
                 )
             },
             "per_loop": {
-                "p50": {"wall_ms": _percentile(loop_wall_ms, 0.50)},
-                "p90": {"wall_ms": _percentile(loop_wall_ms, 0.90)},
-                "p99": {"wall_ms": _percentile(loop_wall_ms, 0.99)},
+                "p50": {"wall_ms": percentile(loop_wall_ms, 0.50)},
+                "p90": {"wall_ms": percentile(loop_wall_ms, 0.90)},
+                "p99": {"wall_ms": percentile(loop_wall_ms, 0.99)},
                 "max": {"wall_ms": loop_wall_ms[-1] if loop_wall_ms else 0.0},
             },
         },

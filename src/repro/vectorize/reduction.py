@@ -21,6 +21,9 @@ This module implements that extension:
   value) after the loop drains;
 * the cleanup loop stays scalar and seeds from the combined value.
 
+The emitter overrides ``emit_op``, ``liveout`` and ``finalize_carried``;
+:func:`~repro.vectorize.transform.assemble` builds the loop.
+
 Because lanes accumulate independently, results can differ from the
 sequential loop by floating-point reassociation — exactly the legality
 caveat the paper raises.  The tests therefore compare against a
@@ -39,11 +42,10 @@ from repro.ir.values import Constant, Operand, VirtualRegister
 from repro.machine.machine import MachineDescription
 from repro.vectorize.communication import Side
 from repro.vectorize.transform import (
-    DEFAULT_SCRATCH_ELEMS,
     LiveOut,
     TransformResult,
     _Emitter,
-    _topo_by_intra_edges,
+    assemble,
 )
 
 _IDENTITY = {
@@ -125,21 +127,15 @@ class _ReductionEmitter(_Emitter):
     def __init__(self, *args, reductions, **kwargs):
         super().__init__(*args, **kwargs)
         self.reductions: dict[VirtualRegister, RecognizedReduction] = reductions
-        self._acc_regs: dict[int, VirtualRegister] = {}  # op uid -> vector acc
 
-    def emit_component(self, members: list[int]) -> None:
-        for uid in _topo_by_intra_edges(self.dep, members, self.body_index):
-            op = self.op_of[uid]
-            reduction = next(
-                (r for r in self.reductions.values() if r.op.uid == uid), None
-            )
-            if reduction is not None:
-                self._emit_reduction(reduction)
-            elif self.assignment[uid] is Side.VECTOR:
-                self.emit_vector(op)
-            else:
-                for lane in range(self.factor):
-                    self.emit_scalar(op, lane)
+    def emit_op(self, op: Operation) -> None:
+        reduction = next(
+            (r for r in self.reductions.values() if r.op.uid == op.uid), None
+        )
+        if reduction is not None:
+            self._emit_reduction(reduction)
+        else:
+            super().emit_op(op)
 
     def _emit_reduction(self, reduction: RecognizedReduction) -> None:
         op = reduction.op
@@ -162,7 +158,6 @@ class _ReductionEmitter(_Emitter):
         )
         self.carried.append(CarriedScalar(prev, dest, reduction.identity()))
         self.vector_defs[op.uid] = dest
-        self._acc_regs[op.uid] = dest
         self.n_vector_ops += 1
 
     def finalize_carried(self) -> None:
@@ -175,41 +170,20 @@ class _ReductionEmitter(_Emitter):
                 exit_value = self.scalar_operand(c.exit, self.factor - 1)
             self.carried.append(CarriedScalar(c.entry, exit_value, c.init))
 
-    def liveout_map(self) -> dict[str, LiveOut]:
-        mapping: dict[str, LiveOut] = {}
-        for reg in self.loop.live_out:
-            handled = False
-            for reduction in self.reductions.values():
-                if reg == reduction.op.dest or reg == reduction.carried.entry:
-                    mapping[reg.name] = LiveOut(
-                        self._acc_regs[reduction.op.uid],
-                        lane=None,
-                        combine=reduction.kind,
-                        combine_entry=reduction.carried.entry.name,
-                    )
-                    handled = True
-                    break
-            if handled:
-                continue
-            producer = self.def_op.get(reg)
-            if producer is not None:
-                if producer.uid in self.vector_defs:
-                    mapping[reg.name] = LiveOut(
-                        self.vector_defs[producer.uid], lane=self.factor - 1
-                    )
-                else:
-                    mapping[reg.name] = LiveOut(
-                        self.lane_defs[(producer.uid, self.factor - 1)]
-                    )
-            else:
-                mapping[reg.name] = LiveOut(reg)
-        return mapping
+    def liveout(self, reg: VirtualRegister) -> LiveOut:
+        for reduction in self.reductions.values():
+            if reg == reduction.op.dest or reg == reduction.carried.entry:
+                return LiveOut(
+                    self.vector_defs[reduction.op.uid],
+                    combine=reduction.kind,
+                    combine_entry=reduction.carried.entry.name,
+                )
+        return super().liveout(reg)
 
 
 def vectorize_reduction_loop(
     dep: LoopDependence,
     machine: MachineDescription,
-    scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
 ) -> TransformResult | None:
     """Vectorize a loop whose only serialization is reassociable
     reductions.  Returns ``None`` when the loop does not qualify (no
@@ -229,47 +203,21 @@ def vectorize_reduction_loop(
         if c.entry not in reductions and c.exit != c.entry:
             return None
 
-    vl = machine.vector_length
-    assignment = {
-        op.uid: (Side.SCALAR if op.uid in reduction_uids else Side.VECTOR)
-        for op in loop.body
-    }
+    # The reductions join the vector side too, so every component takes
+    # the topological path, where emit_op turns them into accumulations.
     emitter = _ReductionEmitter(
         dep,
         machine,
-        assignment,
-        vl,
+        {op.uid: Side.VECTOR for op in loop.body},
+        machine.vector_length,
         suffix=".red",
-        scratch_elems=scratch_elems,
         reductions=reductions,
     )
-    main_loop, liveout = emitter.build()
-    from repro.ir.verifier import verify_loop
-
-    verify_loop(main_loop)
-
-    scalar_assignment = {op.uid: Side.SCALAR for op in loop.body}
-    cleanup_emitter = _Emitter(
-        dep, machine, scalar_assignment, 1, ".cl", scratch_elems
-    )
-    cleanup, cleanup_liveout = cleanup_emitter.build()
-    verify_loop(cleanup)
-
     combines = {
         entry.name: (r.kind, f"{entry.name}.acc")
         for entry, r in reductions.items()
     }
-    return TransformResult(
-        loop=main_loop,
-        cleanup=cleanup,
-        factor=vl,
-        liveout_map=liveout,
-        cleanup_liveout_map=cleanup_liveout,
-        n_vector_ops=emitter.n_vector_ops,
-        n_transfers=emitter.n_transfers,
-        n_merges=emitter.n_merges,
-        reduction_combines=combines,
-    )
+    return assemble(emitter, reduction_combines=combines)
 
 
 def combine_lanes(kind: OpKind, lanes, init):

@@ -28,7 +28,7 @@ from repro.ir.types import ScalarType
 from repro.ir.values import Operand, VirtualRegister
 from repro.machine.machine import MachineDescription
 from repro.vectorize.full import refine_isolated
-from repro.vectorize.transform import DEFAULT_SCRATCH_ELEMS
+from repro.vectorize.transform import SCRATCH_ELEMS
 
 EXPANSION_PREFIX = "exp."
 
@@ -44,7 +44,6 @@ class DistributedUnit:
 def distribute_loop(
     dep: LoopDependence,
     machine: MachineDescription,
-    scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
     fuse: bool = True,
 ) -> list[DistributedUnit]:
     """Distribute a loop into vector and scalar sub-loops with scalar
@@ -101,9 +100,7 @@ def distribute_loop(
         # Nothing to distribute: a single loop, vector or scalar.
         return [DistributedUnit(loop, part_vector[0])]
 
-    return _emit_partitions(
-        dep, part_members, part_vector, part_of, scratch_elems
-    )
+    return _emit_partitions(dep, part_members, part_vector, part_of)
 
 
 def _emit_partitions(
@@ -111,7 +108,6 @@ def _emit_partitions(
     part_members: list[list[int]],
     part_vector: list[bool],
     part_of: dict[int, int],
-    scratch_elems: int,
 ) -> list[DistributedUnit]:
     loop = dep.loop
     def_of: dict[VirtualRegister, Operation] = {
@@ -164,7 +160,6 @@ def _emit_partitions(
                 exported,
                 carried_owner,
                 carried_remote_readers,
-                scratch_elems,
             )
         )
     return units
@@ -183,7 +178,6 @@ def _build_partition_loop(
     exported: dict[VirtualRegister, set[int]],
     carried_owner: dict[VirtualRegister, int],
     carried_remote_readers: dict[VirtualRegister, set[int]],
-    scratch_elems: int,
 ) -> DistributedUnit:
     loop = dep.loop
     member_set = set(members)
@@ -202,7 +196,7 @@ def _build_partition_loop(
         array = _expansion_array(reg.name)
         dtype = reg.type
         assert isinstance(dtype, ScalarType)
-        arrays[array] = ArrayInfo(array, dtype, (scratch_elems,))
+        arrays[array] = ArrayInfo(array, dtype, (SCRATCH_ELEMS,))
         return array
 
     # Imports: values produced elsewhere, and remote carried entries.

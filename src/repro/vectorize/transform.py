@@ -17,6 +17,11 @@ Given a partition assignment, construct the transformed loop:
 * the loop increment is adjusted to the vector length and a cleanup loop
   handles residual iterations.
 
+:func:`assemble` is the one place a transformed loop is put together.
+:func:`transform_loop` hands it the plain emitter; the Section 6
+extensions hand it emitters that override the per-operation hooks
+``emit_op`` and ``liveout``.
+
 The emitted loop is *normalized*: its induction variable ``j`` advances by
 one per body execution and each execution covers ``factor`` original
 iterations, with subscripts rewritten accordingly (``c*i + o`` at original
@@ -42,12 +47,14 @@ from repro.ir.values import (
     lane_register,
     vector_register,
 )
+from repro.ir.verifier import verify_loop
 from repro.machine.machine import CommunicationModel, MachineDescription
 from repro.vectorize.alignment import reference_is_misaligned
 from repro.vectorize.communication import Side
 
 SCRATCH_PREFIX = "xfer."
-DEFAULT_SCRATCH_ELEMS = 1 << 14
+# Elements in each transfer (and scalar-expansion) scratch array.
+SCRATCH_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,6 @@ class _Emitter:
         assignment: dict[int, Side],
         factor: int,
         suffix: str,
-        scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
         vector_width: int | None = None,
         force_misaligned: bool = False,
     ):
@@ -141,7 +147,6 @@ class _Emitter:
         self.assignment = assignment
         self.factor = factor
         self.suffix = suffix
-        self.scratch_elems = scratch_elems
         # Vector operations normally cover all `factor` lanes; the
         # whole-iteration-assignment extension (paper Section 6) emits
         # narrower vector ops plus scalar iterations on the side.
@@ -246,7 +251,7 @@ class _Emitter:
         array = f"{SCRATCH_PREFIX}{name}"
         if array not in self.arrays:
             self.arrays[array] = ArrayInfo(
-                array, dtype, (self.scratch_elems,), alignment_offset=0
+                array, dtype, (SCRATCH_ELEMS,), alignment_offset=0
             )
         return array
 
@@ -502,15 +507,21 @@ class _Emitter:
 
     # ------------------------------------------------------------------
 
+    def emit_op(self, op: Operation) -> None:
+        """Emit one operation of a component with vector members: a
+        vector operation, or a scalar one as a group of lanes."""
+        if self.assignment[op.uid] is Side.VECTOR:
+            self.emit_vector(op)
+        else:
+            for lane in range(self.factor):
+                self.emit_scalar(op, lane)
+
     def emit_component(self, members: list[int]) -> None:
-        ops = [self.op_of[uid] for uid in members]
-        has_vector = any(
-            self.assignment[uid] is Side.VECTOR for uid in members
-        )
-        if not has_vector:
+        if not any(self.assignment[uid] is Side.VECTOR for uid in members):
             # Pure scalar component: interleave lanes across operations so
             # per-lane execution matches the original sequential order —
             # required for recurrences threading through carried scalars.
+            ops = [self.op_of[uid] for uid in members]
             for lane in range(self.factor):
                 for op in ops:
                     self.emit_scalar(op, lane)
@@ -518,14 +529,9 @@ class _Emitter:
         # Component with vector members: all carried edges inside span at
         # least VL original iterations, so lanes of a scalar member are
         # mutually independent within one transformed iteration.  Emit in
-        # zero-distance topological order; scalar members as lane groups.
+        # zero-distance topological order.
         for uid in _topo_by_intra_edges(self.dep, members, self.body_index):
-            op = self.op_of[uid]
-            if self.assignment[uid] is Side.VECTOR:
-                self.emit_vector(op)
-            else:
-                for lane in range(self.factor):
-                    self.emit_scalar(op, lane)
+            self.emit_op(self.op_of[uid])
 
     def emit_overhead(self) -> None:
         if not self.machine.model_loop_overhead:
@@ -559,28 +565,25 @@ class _Emitter:
                 exit_value = self.scalar_operand(c.exit, self.factor - 1)
             self.carried.append(CarriedScalar(c.entry, exit_value, c.init))
 
-    def liveout_map(self) -> dict[str, LiveOut]:
-        mapping: dict[str, LiveOut] = {}
-        for reg in self.loop.live_out:
-            producer = self.def_op.get(reg)
-            if producer is not None:
-                if producer.uid in self.vector_defs:
-                    mapping[reg.name] = LiveOut(
-                        self.vector_defs[producer.uid], lane=self.factor - 1
-                    )
-                else:
-                    mapping[reg.name] = LiveOut(
-                        self.lane_defs[(producer.uid, self.factor - 1)]
-                    )
-            else:
-                mapping[reg.name] = LiveOut(reg)
-        return mapping
+    def liveout(self, reg: VirtualRegister) -> LiveOut:
+        """Where the original live-out ``reg`` holds the value of the last
+        original iteration an execution covers."""
+        producer = self.def_op.get(reg)
+        if producer is None:
+            return LiveOut(reg)
+        last = (producer.uid, self.factor - 1)
+        # A scalar copy of the last lane wins over a vector lane:
+        # whole-iteration assignment runs the last iteration of each
+        # group in scalar form beside the vector operation.
+        if last in self.lane_defs:
+            return LiveOut(self.lane_defs[last])
+        return LiveOut(self.vector_defs[producer.uid], lane=self.factor - 1)
 
     def build(self) -> tuple[Loop, dict[str, LiveOut]]:
         for component in self.dep.components:
             self.emit_component(component)
         self.finalize_carried()
-        mapping = self.liveout_map()
+        mapping = {reg.name: self.liveout(reg) for reg in self.loop.live_out}
         self.emit_overhead()
         live_out = tuple(
             dict.fromkeys(
@@ -600,13 +603,43 @@ class _Emitter:
         return loop, mapping
 
 
+def assemble(emitter: _Emitter, **result_fields) -> TransformResult:
+    """Build ``emitter``'s loop and, when it covers more than one original
+    iteration per execution, the scalar cleanup loop for the residual
+    iterations; verify both.  ``result_fields`` fill in the rest of the
+    :class:`TransformResult` (``source``, ``reduction_combines``)."""
+    main_loop, liveout = emitter.build()
+    verify_loop(main_loop)
+
+    cleanup: Loop | None = None
+    cleanup_liveout: dict[str, LiveOut] | None = None
+    if emitter.factor > 1:
+        dep = emitter.dep
+        scalar_assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
+        cleanup, cleanup_liveout = _Emitter(
+            dep, emitter.machine, scalar_assignment, 1, ".cl"
+        ).build()
+        verify_loop(cleanup)
+
+    return TransformResult(
+        loop=main_loop,
+        cleanup=cleanup,
+        factor=emitter.factor,
+        liveout_map=liveout,
+        cleanup_liveout_map=cleanup_liveout,
+        n_vector_ops=emitter.n_vector_ops,
+        n_transfers=emitter.n_transfers,
+        n_merges=emitter.n_merges,
+        **result_fields,
+    )
+
+
 def transform_loop(
     dep: LoopDependence,
     machine: MachineDescription,
     assignment: dict[int, Side],
     factor: int,
     suffix: str = ".xf",
-    scratch_elems: int = DEFAULT_SCRATCH_ELEMS,
 ) -> TransformResult:
     """Apply a partition assignment, producing the main transformed loop
     (normalized to ``factor`` original iterations per execution) and, when
@@ -622,31 +655,5 @@ def transform_loop(
         if assignment[op.uid] is Side.VECTOR and not dep.is_vectorizable(op):
             raise ValueError(f"operation {op} is not vectorizable")
 
-    emitter = _Emitter(dep, machine, assignment, factor, suffix, scratch_elems)
-    main_loop, liveout = emitter.build()
-
-    from repro.ir.verifier import verify_loop
-
-    verify_loop(main_loop)
-
-    cleanup: Loop | None = None
-    cleanup_liveout: dict[str, LiveOut] | None = None
-    if factor > 1:
-        scalar_assignment = {op.uid: Side.SCALAR for op in loop.body}
-        cleanup_emitter = _Emitter(
-            dep, machine, scalar_assignment, 1, ".cl", scratch_elems
-        )
-        cleanup, cleanup_liveout = cleanup_emitter.build()
-        verify_loop(cleanup)
-
-    return TransformResult(
-        loop=main_loop,
-        cleanup=cleanup,
-        factor=factor,
-        liveout_map=liveout,
-        cleanup_liveout_map=cleanup_liveout,
-        n_vector_ops=emitter.n_vector_ops,
-        n_transfers=emitter.n_transfers,
-        n_merges=emitter.n_merges,
-        source=dep.loop,
-    )
+    emitter = _Emitter(dep, machine, assignment, factor, suffix)
+    return assemble(emitter, source=loop)

@@ -212,10 +212,10 @@ def _relax_ref(graph, machine, ii, delays):
     return dist, pred, witness
 
 
-def _relax_view(graph, machine, ii, delays):
+def _relax_view(graph, machine, ii):
     """The flat predecessor-tracking relaxation read back by uid, in the
     ``(dist, pred, witness)`` shape of :func:`_relax_ref`."""
-    arrays = GraphArrays(graph, machine, delays)
+    arrays = GraphArrays(graph, machine)
     pred_idx, witness = _relax_pred(arrays, ii)
     uids = arrays.uids
     dist = dict(zip(uids, arrays._dist))
@@ -334,7 +334,7 @@ def test_flat_relax_matches_reference(graph, machine_idx, ii):
     machine = MACHINES[machine_idx]
     delays = edge_delays(graph, machine)
     ref_dist, ref_pred, ref_witness = _relax_ref(graph, machine, ii, delays)
-    dist, pred, witness = _relax_view(graph, machine, ii, delays)
+    dist, pred, witness = _relax_view(graph, machine, ii)
     assert dist == ref_dist
     assert witness == ref_witness
     assert pred == ref_pred
@@ -399,7 +399,7 @@ def test_flat_heights_match_reference(loop, ii):
     dep = analyze_loop(loop, machine.vector_length)
     delays = edge_delays(dep.graph, machine)
     ref = _heights_ref(loop, dep.graph, machine, ii, delays)
-    assert _heights(loop, dep.graph, machine, ii, delays) == ref
+    assert _heights(loop, dep.graph, machine, ii) == ref
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_schedule_oracle_proves_sub_mii_infeasible():
     machine = figure1_machine()
     _, unit, udep = _selective_unit(dot_product(), machine)
     delays = edge_delays(udep.graph, machine)
-    mii, _, _ = minimum_ii(unit.transform.loop, udep.graph, machine, delays)
+    mii, _, _ = minimum_ii(unit.transform.loop, udep.graph, machine)
     assert mii > 1
     meter = BudgetMeter(OracleBudget(max_nodes=None, max_seconds=None))
     feasible, times = _feasible_at(

@@ -6,14 +6,14 @@ from repro.compiler.driver import compile_loop
 from repro.compiler.strategies import Strategy
 from repro.interp.interpreter import InterpreterError, run_loop
 from repro.interp.memory import memory_for_loop
-from repro.machine.configs import figure1_machine, paper_machine
+from repro.machine.configs import figure1_machine, machine_by_name, paper_machine
 from repro.pipeline.kernel import (
     kernel_listing,
     pipeline_listing,
     prologue_epilogue_cycles,
 )
 from repro.simulate.pipeline_sim import simulate_pipeline
-from repro.workloads.generator import generate
+from repro.workloads.generator import GENERATORS, generate
 from repro.workloads.kernels import ALL_KERNELS
 
 
@@ -58,6 +58,40 @@ class TestExecution:
             mem = memory_for_loop(loop, seed=1)
             simulate_pipeline(unit.schedule, mem, trip // unit.transform.factor)
             assert ref.snapshot_user_arrays() == mem.snapshot_user_arrays()
+
+    @pytest.mark.parametrize("archetype", sorted(GENERATORS))
+    @pytest.mark.parametrize("machine_name", ["paper", "vl4", "freecomm"])
+    def test_every_unit_of_every_strategy(self, machine_name, archetype):
+        """Every scheduled unit of every strategy (traditional yields
+        several; reassociation swaps in the reduction transform) leaves
+        memory and carried values exactly where the interpreter leaves
+        them when both run the unit loop from the same seeded memory."""
+        machine = machine_by_name(machine_name)
+        variants = [
+            (Strategy.BASELINE, False),
+            (Strategy.TRADITIONAL, False),
+            (Strategy.FULL, False),
+            (Strategy.SELECTIVE, False),
+            (Strategy.SELECTIVE, True),
+        ]
+        iterations = 5
+        for seed in (1, 2):
+            loop = generate(archetype, seed)
+            for strategy, reassociate in variants:
+                compiled = compile_loop(
+                    loop, machine, strategy, allow_reassociation=reassociate
+                )
+                for unit in compiled.units:
+                    unit_loop = unit.schedule.loop
+                    mem = memory_for_loop(unit_loop, seed=seed)
+                    ref = mem.copy()
+                    run = simulate_pipeline(unit.schedule, mem, iterations)
+                    seq = run_loop(unit_loop, ref, 0, iterations)
+                    where = f"{loop.name} {strategy.value} {unit_loop.name}"
+                    assert (
+                        mem.snapshot_user_arrays() == ref.snapshot_user_arrays()
+                    ), where
+                    assert run.carried == seq.carried, where
 
     def test_free_communication_machine(self):
         machine = figure1_machine()

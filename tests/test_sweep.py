@@ -286,3 +286,28 @@ class TestCLI:
     def test_status_without_manifest(self, tmp_path, capsys):
         assert main(["status", "--out", str(tmp_path / "none")]) == 1
         assert "no manifest" in capsys.readouterr().out
+
+    def test_summary_line_uses_the_artifact_percentile(self, tmp_path, capsys, monkeypatch):
+        """The printed per-loop p50/p99 follow the same nearest-rank rule
+        as ``BENCH_sweep.json``: for an even sample the median is the
+        lower middle sample, not ``wall[n // 2]``."""
+        import repro.sweep.__main__ as cli
+        from repro.sweep.runner import SweepResult
+
+        def fake_run_sweep(config, out, **kwargs):
+            return SweepResult(
+                merged=None,
+                bench_path=os.path.join(out, "BENCH_sweep.json"),
+                out_dir=out,
+                loops=10,
+                compiles=10,
+                wall_s=1.0,
+                shard_wall_s=1.0,
+                ran_shards=1,
+                loop_wall_ms=[float(ms) for ms in range(1, 11)],
+            )
+
+        monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+        assert main(["run", "--size", "10", "--out", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert "per-loop p50 5.0ms p99 10.0ms" in text
