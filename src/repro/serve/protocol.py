@@ -45,6 +45,12 @@ from repro.frontend import parse_loop
 from repro.machine.configs import MACHINE_FACTORIES, machine_by_name
 from repro.workloads.generator import GENERATORS, generate
 
+#: Largest ``baseline_unroll`` a request may ask for.  Compile time grows
+#: steeply with the factor (one ``copy_like`` draw under ``baseline``:
+#: 0.02 s at 64, 0.71 s at 256, 13.3 s at 1024), and one request holds a
+#: worker, and every request queued behind it, for as long as it runs.
+MAX_BASELINE_UNROLL = 64
+
 
 class ProtocolError(Exception):
     """A request the protocol rejects, with a machine-readable code and
@@ -149,10 +155,12 @@ def parse_compile_request(body: object) -> CompileRequest:
     if baseline_unroll is not None and (
         not isinstance(baseline_unroll, int)
         or isinstance(baseline_unroll, bool)
-        or baseline_unroll < 1
+        or not 1 <= baseline_unroll <= MAX_BASELINE_UNROLL
     ):
         raise ProtocolError(
-            "bad_request", "baseline_unroll must be a positive int or null"
+            "bad_request",
+            f"baseline_unroll must be an int from 1 to {MAX_BASELINE_UNROLL} "
+            "or null",
         )
 
     return CompileRequest(

@@ -21,7 +21,9 @@ One process, three moving parts:
   ships each batch to the worker pool as *one* task (one IPC
   round-trip per batch, not per request).  Workers compile, persist
   artifacts into the shared store, and return response summaries; the
-  dispatcher resolves every waiter.
+  dispatcher resolves every waiter.  A worker that dies breaks the
+  whole pool: the dispatcher replaces it, answers the lost batch with a
+  retryable ``503 worker_lost``, and keeps serving.
 
 Responses carry ``"served": "compiled" | "cache" | "dedup"`` so
 clients (and the load generator) can attribute how each answer was
@@ -32,12 +34,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.compiler.service import CompileRequest, compile_one
 from repro.evaluation.compile_cache import CompileCache
 from repro.serve.protocol import ProtocolError, parse_compile_request
 from repro.serve.store import ArtifactStore
+
+if TYPE_CHECKING:  # the pool's modules load only when a pool is made
+    from concurrent.futures import ProcessPoolExecutor
 
 _SHUTDOWN = object()
 
@@ -59,6 +66,11 @@ _STATUS_TEXT = {
 class CompileFailure(Exception):
     """A compile job raised inside the worker; message is the rendered
     worker-side exception."""
+
+
+class WorkerLost(Exception):
+    """A pool worker died while the batch was in flight; the request
+    may be retried against the replacement pool."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,7 @@ class ServerStats:
     cache_hits: int = 0
     rejected: int = 0
     bad_requests: int = 0
+    pool_restarts: int = 0
     batches: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -122,6 +135,7 @@ class ServerStats:
             "cache_hits": self.cache_hits,
             "rejected": self.rejected,
             "bad_requests": self.bad_requests,
+            "pool_restarts": self.pool_restarts,
             "batches": {str(k): v for k, v in sorted(self.batches.items())},
         }
 
@@ -140,7 +154,7 @@ class CompileServer:
         self._queue: asyncio.Queue | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._dispatcher: asyncio.Task | None = None
-        self._pool = None
+        self._pool: ProcessPoolExecutor | None = None
         self._gate: asyncio.Event | None = None
         self._draining = False
         self._stopped: asyncio.Event | None = None
@@ -154,15 +168,7 @@ class CompileServer:
         self._gate.set()
         self._stopped = asyncio.Event()
         if self.config.jobs >= 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Fork workers inherit the fully imported compiler, so the
-            # pool is warm from its first batch.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs,
-                mp_context=multiprocessing.get_context("fork"),
-            )
+            self._pool = self._new_pool()
         self._dispatcher = loop.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -188,6 +194,17 @@ class CompileServer:
 
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Fork workers inherit the fully imported compiler, so the pool
+        # is warm from its first batch.
+        return ProcessPoolExecutor(
+            max_workers=self.config.jobs,
+            mp_context=multiprocessing.get_context("fork"),
+        )
 
     # -- test hooks ----------------------------------------------------
 
@@ -255,11 +272,19 @@ class CompileServer:
                     self.store.cache.max_bytes,
                     batch,
                 )
-        except BaseException as exc:  # pool death: fail every waiter
+        except BaseException as exc:  # the batch is lost: fail every waiter
+            failure: Exception = CompileFailure(str(exc))
+            if isinstance(exc, BrokenExecutor) and self._pool is not None:
+                # A dead worker breaks the whole pool; replace it so
+                # the next batch runs, and let these waiters retry.
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = self._new_pool()
+                self.stats.pool_restarts += 1
+                failure = WorkerLost(str(exc))
             for key, _ in batch:
                 fut = self._inflight.pop(key, None)
                 if fut is not None and not fut.done():
-                    fut.set_exception(CompileFailure(str(exc)))
+                    fut.set_exception(failure)
             if isinstance(exc, asyncio.CancelledError):
                 raise
             return
@@ -314,12 +339,8 @@ class CompileServer:
             self.stats.dedup_hits += 1
             try:
                 summary = await asyncio.shield(fut)
-            except CompileFailure as exc:
-                return (
-                    500,
-                    {"error": {"code": "compile_error", "message": str(exc)}},
-                    {},
-                )
+            except (CompileFailure, WorkerLost) as exc:
+                return self._failure_response(exc)
             return 200, {"key": key, "served": "dedup", "result": summary}, {}
 
         fut = asyncio.get_running_loop().create_future()
@@ -341,13 +362,23 @@ class CompileServer:
             )
         try:
             summary = await asyncio.shield(fut)
-        except CompileFailure as exc:
-            return (
-                500,
-                {"error": {"code": "compile_error", "message": str(exc)}},
-                {},
-            )
+        except (CompileFailure, WorkerLost) as exc:
+            return self._failure_response(exc)
         return 200, {"key": key, "served": "compiled", "result": summary}, {}
+
+    def _failure_response(
+        self, exc: CompileFailure | WorkerLost
+    ) -> tuple[int, dict, dict[str, str]]:
+        if isinstance(exc, WorkerLost):
+            return (
+                503,
+                _error(
+                    "worker_lost",
+                    f"a compile worker died mid-batch; retry shortly ({exc})",
+                ),
+                {"Retry-After": str(self.config.retry_after_s)},
+            )
+        return 500, _error("compile_error", str(exc)), {}
 
     def _stats_body(self) -> dict:
         body = self.stats.to_dict()

@@ -41,11 +41,19 @@ each step, so a pack can resume mid-sequence.  ``TEST-REPARTITION``
 (:meth:`Bins.probe`) releases and re-reserves on a copy of the loads and
 never touches the live bins.  Both place through one routine,
 :func:`_pack`.
+
+A probe may carry an incumbent *bound*: the caller only needs the exact
+cost when it is below the bound.  Reserving never lowers a bin, so the
+high-water mark only rises as a pack goes on; once it reaches the bound
+the final cost cannot be below it, and :func:`_pack` returns at once.
+It checks the bound only when the high-water mark rises, so an
+unbounded pack pays one comparison per rise and nothing per use.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import inf
 
 from repro.machine.machine import MachineDescription
 from repro.machine.resources import OpcodeInfo
@@ -126,19 +134,28 @@ class Bins:
             self._hwm = max(self.load)
             raise
 
-    def probe(self, keys: Iterable[object], plans: Iterable[Plan]) -> int:
+    def probe(
+        self, keys: Iterable[object], plans: Iterable[Plan], bound: float = inf
+    ) -> int:
         """The high-water mark after releasing ``keys`` (absent ones are
         skipped) and reserving ``plans`` in order, computed on a copy of
         the loads: the bins are left untouched (TEST-REPARTITION).
 
         ``keys`` must be distinct: each occurrence releases the key's
-        ledger once more."""
+        ledger once more.  With a ``bound``, the probe stops as soon as
+        the copy's high-water mark reaches it and returns that mark, a
+        value ``>= bound``; ``plans`` is drawn lazily, so a probe whose
+        released loads already reach the bound draws no plan at all.  A
+        result below ``bound`` is exact."""
         load = self.load.copy()
         reservations = self.reservations
         for key in keys:
             for i, cycles in reservations.get(key, ()):
                 load[i] -= cycles
-        return _pack(load, enumerate(plans), max(load), self.balance_ties, {})
+        hwm = max(load)
+        if hwm >= bound:
+            return hwm
+        return _pack(load, enumerate(plans), hwm, self.balance_ties, {}, None, bound)
 
 
 def _pack(
@@ -148,13 +165,18 @@ def _pack(
     balance: bool,
     ledgers: dict[object, list[tuple[int, int]]],
     marks: list[Mark] | None = None,
+    bound: float = inf,
 ) -> int:
     """Place every use of each ``(key, plan)`` step on ``load``
     (RESERVE-LEAST-USED, or first fit without ``balance``), recording the
     ``(instance, cycles)`` choices under the step's new key in
     ``ledgers`` and appending to ``marks``, when given, the mark taken
     before each step.  ``hwm`` is the high-water mark of ``load``; the
-    new one is returned."""
+    new one is returned.
+
+    The pack stops, mid-plan and without drawing another step, as soon
+    as the high-water mark reaches ``bound``, leaving ``load`` and
+    ``ledgers`` part-way: only a probe's throwaway copy passes one."""
     for key, plan in steps:
         if marks is not None:
             marks.append((load.copy(), hwm, len(ledgers)))
@@ -175,6 +197,8 @@ def _pack(
             load[i] = new
             if new > hwm:
                 hwm = new
+                if new >= bound:
+                    return new
             ledger.append((i, cycles))
     return hwm
 

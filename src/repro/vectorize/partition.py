@@ -16,8 +16,10 @@ operation whose move yields the cheapest configuration — moves may
 and restarts from it.  It terminates when an iteration fails to improve
 on its starting configuration.  A cost probe releases only the moved
 operation's resources and the transfers it touches and reserves its
-other side, exactly as ``TEST-REPARTITION`` prescribes; a full bin-pack
-is performed only once per Kernighan-Lin iteration.
+other side, exactly as ``TEST-REPARTITION`` prescribes.  ``BIN-PACK``
+runs from scratch once per loop, on the all-scalar start; every later
+configuration (each iteration's restart from the best one, and the state
+after every move) resumes that pack instead.
 
 Fast-path engineering (behavior-preserving — every optimization below
 reproduces the original trajectory bit-for-bit):
@@ -30,20 +32,33 @@ reproduces the original trajectory bit-for-bit):
 * a probe is one :meth:`Bins.probe`, which releases and re-reserves on a
   copy of the loads, so the live bins are never written or undone per
   ``TEST-REPARTITION``;
-* an accepted move re-packs only the *suffix* of the deterministic
+* ``FIND-OP-TO-SWITCH`` needs a probe's exact cost only when it beats
+  the best probe so far, so it passes that incumbent as the probe's
+  bound: the copy's high-water mark never falls as uses are reserved,
+  and the probe stops once it reaches the bound (before placing anything
+  when the released loads already do).  The probe's plans are resolved
+  only as the pack draws them, so a stopped probe never builds the rest.
+  A stopped probe returns a value ``>= bound`` and an unstopped one its
+  exact cost, so the comparison ``probe < best`` decides as before;
+* every move re-packs only the *suffix* of the deterministic
   ``BIN-PACK`` reservation sequence that the flip invalidates
   (:class:`IncrementalPacker`): the bins roll back to the snapshot mark
   taken before the first changed step and replay from there, which
   yields a state identical to a from-scratch ``BIN-PACK`` of the flipped
-  assignment.  Set ``REPRO_KL_VERIFY=1`` to assert full state equality
-  (weights and ledger) and the returned cost against an uncounted
-  reference pack after every move.
+  assignment.
+
+Set ``REPRO_KL_VERIFY=1`` to check both at runtime without moving an
+effort counter: each bounded probe against an uncounted exact probe,
+and the resumed pack's full state (weights and ledger) and cost against
+an uncounted reference pack after every move.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from math import inf
 from operator import itemgetter
 
 from repro.dependence.analysis import LoopDependence
@@ -335,25 +350,49 @@ class PartitionCostModel:
         bins: Bins,
         assignment: dict[int, Side],
         op: Operation,
+        bound: float = inf,
     ) -> int:
         """Cost of the configuration with ``op`` switched, without a full
         re-pack (Figure 2, TEST-REPARTITION): one :meth:`Bins.probe`
         releases the op and the transfers it touches and reserves its
-        other side on a copy of the loads.  ``assignment`` is left
-        unchanged."""
+        other side on a copy of the loads.  A cost below ``bound`` is
+        exact; otherwise the probe may stop early and return any value
+        ``>= bound``.  ``assignment`` is left unchanged."""
         self.n_probes += 1
+        return self.uncounted_probe(bins, assignment, op, bound)
+
+    def uncounted_probe(
+        self,
+        bins: Bins,
+        assignment: dict[int, Side],
+        op: Operation,
+        bound: float = inf,
+    ) -> int:
+        """:meth:`probe_cost` without counting it: the self-check's exact
+        reference probe must leave the effort counters alone."""
         i = self._index[op.uid]
-        old_side = assignment[op.uid]
-        plans = [self._op_entry(i, old_side is Side.SCALAR)[0][1]]
-        assignment[op.uid] = old_side.flipped()
-        try:
-            for site in self._touch_sites[i]:
+        plans = self._probe_plans(i, op.uid, assignment)
+        return bins.probe(self._probe_keys[i], plans, bound)
+
+    def _probe_plans(
+        self, i: int, uid: int, assignment: dict[int, Side]
+    ) -> Iterator[Plan]:
+        """The plans a flip of body op ``i`` reserves: its other side,
+        then each touched transfer the flip makes cross, each resolved
+        only when the probe's pack draws it.  The flip is written into
+        ``assignment`` only while one transfer is resolved, never across
+        a ``yield``."""
+        old_side = assignment[uid]
+        yield self._op_entry(i, old_side is Side.SCALAR)[0][1]
+        new_side = old_side.flipped()
+        for site in self._touch_sites[i]:
+            assignment[uid] = new_side
+            try:
                 step = self._transfer_step(site, assignment)
-                if step:
-                    plans.append(step[1])
-        finally:
-            assignment[op.uid] = old_side
-        return bins.probe(self._probe_keys[i], plans)
+            finally:
+                assignment[uid] = old_side
+            if step:
+                yield step[1]
 
 
 class IncrementalPacker:
@@ -464,13 +503,19 @@ def partition_operations(
             bins = packer.bins
 
             for _ in range(len(candidates)):
-                # FIND-OP-TO-SWITCH: cheapest probe among unlocked candidates.
+                # FIND-OP-TO-SWITCH: cheapest probe among unlocked
+                # candidates.  Only a probe below the best so far can
+                # change the choice, so each probe is bounded by it.
                 best_op: Operation | None = None
-                best_probe: float = float("inf")
+                best_probe: float = inf
                 for op in candidates:
                     if op.uid in locked:
                         continue
-                    probe = model.probe_cost(bins, assignment, op)
+                    probe = model.probe_cost(bins, assignment, op, best_probe)
+                    if verify:
+                        _verify_bounded_probe(
+                            model, bins, assignment, op, best_probe, probe
+                        )
                     if probe < best_probe:
                         best_probe = probe
                         best_op = op
@@ -535,6 +580,18 @@ def partition_operations(
             )
             _emit_placement_remarks(rec, dep, machine, config, model, result)
         return result
+
+
+def _verify_bounded_probe(model, bins, assignment, op, bound, probe) -> None:
+    """Under ``REPRO_KL_VERIFY``, check a bounded probe against an
+    uncounted exact one: equal below ``bound``, at least ``bound`` above."""
+    exact = model.uncounted_probe(bins, assignment, op)
+    if (probe != exact) if exact < bound else (probe < bound):
+        raise AssertionError(
+            f"bounded probe of op {op.uid} in loop {model.dep.loop.name!r} "
+            f"returned {probe} under bound {bound}, but its exact cost is "
+            f"{exact}"
+        )
 
 
 #: ``REPRO_KL_VERIFY`` second witness: loops with at most this many

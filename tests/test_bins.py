@@ -1,5 +1,7 @@
 """Tests for the bin-packing machinery (Figure 2, lines 33-70)."""
 
+from math import inf
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,42 @@ class TestBins:
         int_weights = [bins.weights[f"int{i}"] for i in range(4)]
         assert int_weights == [1, 1, 1, 1]
 
+    def test_bounded_probe_at_the_bound_draws_no_plan(self, bins, paper):
+        """Released loads already at the bound: the probe returns them
+        without drawing a single plan."""
+        bins.reserve_least_used(info(paper, OpKind.DIV), key="d")
+        bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
+
+        def untouchable():
+            raise AssertionError("the probe drew a plan")
+            yield  # a generator that raises when advanced
+
+        assert bins.probe(["a"], untouchable(), bound=32) == 32
+        assert bins.probe(["a"], untouchable(), bound=5) == 32
+        # Releasing the divide leaves the loads below the bound, so the
+        # probe has to draw.
+        with pytest.raises(AssertionError, match="drew a plan"):
+            bins.probe(["d"], untouchable(), bound=32)
+
+    def test_bounded_probe_stops_drawing_part_way(self, bins, paper):
+        """A plan that lifts the high-water mark to the bound ends the
+        probe: the plans after it are never drawn."""
+        bins.reserve_least_used(info(paper, OpKind.ADD), key="a")
+        add = paper.reservation_spec(info(paper, OpKind.ADD))
+        div = paper.reservation_spec(info(paper, OpKind.DIV))
+        drawn = []
+
+        def plans():
+            for plan in (add, div, add):
+                drawn.append(plan)
+                yield plan
+
+        assert bins.probe([], plans(), bound=2) >= 2
+        assert drawn == [add, div]
+        drawn.clear()
+        assert bins.probe([], plans()) == 33
+        assert drawn == [add, div, add]
+
     @given(st.lists(st.sampled_from(["add", "mul", "load", "store"]), max_size=24))
     def test_hwm_equals_max_weight_invariant(self, kinds):
         paper = paper_machine()
@@ -186,6 +224,10 @@ _ACTIONS = st.lists(
 )
 
 
+def _plan(machine, opcodes):
+    return tuple(use for o in opcodes for use in machine.reservation_spec(o))
+
+
 def _assert_matches_spec(flat, spec):
     names = flat.names
     assert flat.weights == spec.weights
@@ -222,8 +264,7 @@ def test_flat_bins_match_spec(machine_name, balance_ties, actions):
     for n, (action, picks, release_picks, plan_picks) in enumerate(actions):
         if action == "reserve":
             opcodes = [pool[p % len(pool)] for p in picks]
-            plan = tuple(use for o in opcodes for use in machine.reservation_spec(o))
-            flat.reserve(plan, n)
+            flat.reserve(_plan(machine, opcodes), n)
             spec.reserve_all(opcodes, n)
         elif action == "checkpoint":
             marks.append((flat.checkpoint(), spec.checkpoint()))
@@ -240,13 +281,45 @@ def test_flat_bins_match_spec(machine_name, balance_ties, actions):
         # ``probe`` requires distinct keys.
         keys = list(dict.fromkeys(live[p % len(live)] for p in release_picks))
         opcode_lists = [[pool[p % len(pool)] for p in ps] for ps in plan_picks]
-        plans = [
-            tuple(use for o in opcodes for use in machine.reservation_spec(o))
-            for opcodes in opcode_lists
-        ]
+        plans = [_plan(machine, opcodes) for opcodes in opcode_lists]
         state = (list(flat.load), {k: list(v) for k, v in flat.reservations.items()})
         assert flat.probe(keys, plans) == _spec_probe(spec, keys, opcode_lists)
         assert (flat.load, flat.reservations) == state
+
+
+@pytest.mark.parametrize("balance_ties", [True, False])
+@pytest.mark.parametrize("machine_name", ["paper", "vl4", "freecomm"])
+@settings(max_examples=60, deadline=None)
+@given(
+    reserved=st.lists(st.lists(st.integers(0, 63), min_size=1, max_size=3), max_size=12),
+    release_picks=st.lists(st.integers(0, 63), max_size=3),
+    plan_picks=st.lists(st.lists(st.integers(0, 63), max_size=3), max_size=4),
+    offset=st.integers(-6, 6),
+)
+def test_bounded_probe_is_exact_below_the_bound(
+    machine_name, balance_ties, reserved, release_picks, plan_picks, offset
+):
+    """Under a bound, a probe returns the exact cost when that is below
+    the bound and a value at least the bound otherwise, and leaves the
+    live bins untouched either way."""
+    machine = MACHINE_FACTORIES[machine_name]()
+    pool = _opcode_pool(machine)
+    bins = Bins(machine, balance_ties=balance_ties)
+    for key, picks in enumerate(reserved):
+        bins.reserve(_plan(machine, [pool[p % len(pool)] for p in picks]), key)
+    live = [*bins.reservations, "absent"]
+    keys = list(dict.fromkeys(live[p % len(live)] for p in release_picks))
+    plans = [_plan(machine, [pool[p % len(pool)] for p in ps]) for ps in plan_picks]
+    state = (list(bins.load), {k: list(v) for k, v in bins.reservations.items()})
+    exact = bins.probe(keys, plans)
+    bound = max(exact + offset, 0)
+    bounded = bins.probe(keys, iter(plans), bound)
+    if exact < bound:
+        assert bounded == exact
+    else:
+        assert bounded >= bound
+    assert bins.probe(keys, iter(plans), inf) == exact
+    assert (bins.load, bins.reservations) == state
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,9 +8,11 @@ Covered here:
 * the ``TEST-REPARTITION`` probe on a copy of the loads equals the
   reference probe on the dict-keyed spec bins and never writes the live
   bins;
+* ``FIND-OP-TO-SWITCH``'s incumbent bound cuts probes short and changes
+  no partition;
 * :class:`IncrementalPacker`'s resumed pack equals a from-scratch
-  ``BIN-PACK`` after every accepted move (via ``REPRO_KL_VERIFY``), and
-  the self-check moves no effort counter;
+  ``BIN-PACK`` after every move, and each bounded probe the exact one
+  (via ``REPRO_KL_VERIFY``), and the self-check moves no effort counter;
 * the remaining fast paths fire: resumed packs replay fewer steps than
   fresh packs, and each (op, side) plan is resolved once per model;
 * ``edge_delays`` equals per-edge ``edge_delay``;
@@ -27,6 +29,7 @@ Covered here:
 """
 
 import random
+from math import inf
 
 import pytest
 
@@ -219,6 +222,60 @@ def test_kl_probe_never_writes_the_live_bins(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("archetype,seed", ARCHETYPE_SEEDS)
+def test_incumbent_bound_cuts_probes_and_changes_no_partition(
+    archetype, seed, monkeypatch
+):
+    """FIND-OP-TO-SWITCH bounds each probe by the best so far: probes
+    stop before drawing a plan, fewer plans are drawn than with the
+    bound off, and the result is the same to the last counter."""
+    dep = _dep(archetype, seed)
+    probe = Bins.probe
+    drawn = []
+
+    def spy(bins, keys, plans, bound=inf):
+        drawn.append(0)
+
+        def counted():
+            for plan in plans:
+                drawn[-1] += 1
+                yield plan
+
+        return probe(bins, keys, counted(), bound)
+
+    monkeypatch.setattr(Bins, "probe", spy)
+    bounded = partition_operations(dep, MACHINE)
+    bounded_draws = list(drawn)
+    drawn.clear()
+    monkeypatch.setattr(
+        Bins, "probe", lambda bins, keys, plans, bound=inf: spy(bins, keys, plans)
+    )
+    unbounded = partition_operations(dep, MACHINE)
+    assert bounded == unbounded
+    assert len(bounded_draws) == len(drawn) == bounded.n_probes
+    assert 0 not in drawn
+    assert bounded_draws.count(0) > 0
+    assert sum(bounded_draws) < sum(drawn)
+
+
+def test_verify_mode_catches_a_wrong_bounded_probe(monkeypatch):
+    """REPRO_KL_VERIFY checks every bounded probe against an exact one: a
+    probe that answers its bound in place of a lower exact cost fails,
+    naming the loop and the op."""
+    probe = Bins.probe
+
+    def wrong(bins, keys, plans, bound=inf):
+        return probe(bins, keys, plans) if bound == inf else bound
+
+    monkeypatch.setattr(Bins, "probe", wrong)
+    monkeypatch.setenv("REPRO_KL_VERIFY", "1")
+    dep = _dep("mixed", 7)
+    with pytest.raises(
+        AssertionError, match=rf"bounded probe of op \d+ in loop '{dep.loop.name}'"
+    ):
+        partition_operations(dep, MACHINE)
+
+
 # ----------------------------------------------------------------------
 # Resumed packing (the commit path)
 
@@ -246,7 +303,8 @@ def test_packer_repack_equals_fresh_bin_pack(archetype, seed):
 @pytest.mark.parametrize("archetype,seed", ARCHETYPE_SEEDS)
 def test_partition_verify_mode_passes(archetype, seed, monkeypatch):
     """REPRO_KL_VERIFY=1 asserts the resumed pack against a reference
-    bin-pack after every accepted move of the real KL search."""
+    bin-pack after every move of the real KL search, and each bounded
+    probe against an exact one."""
     monkeypatch.setenv("REPRO_KL_VERIFY", "1")
     dep = _dep(archetype, seed)
     partition_operations(dep, MACHINE)

@@ -6,15 +6,21 @@ client — the same code path production traffic takes, minus the
 subprocess.  ``jobs=0`` compiles batches on a thread, keeping the
 tests fork-free and deterministic; a long ``batch_linger_ms`` plus the
 ``hold_dispatch`` hook make dedup and backpressure timing-independent.
+The dead-worker test is the one that forks a real pool (``jobs=1``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 
+import repro.serve.server as server_module
+from repro.compiler.service import compile_one
 from repro.ledger import Ledger
 from repro.serve.loadgen import HttpClient
+from repro.serve.protocol import MAX_BASELINE_UNROLL, parse_compile_request
 from repro.serve.server import CompileServer, ServerConfig
 
 DSL = "array x(64), z(64)\ndo i\n z(i) = x(i) + x(i) * 2.0\nend"
@@ -96,6 +102,13 @@ class TestRoutes:
                 ),
                 (
                     {
+                        "loop": {"dsl": DSL},
+                        "baseline_unroll": MAX_BASELINE_UNROLL + 1,
+                    },
+                    "bad_request",
+                ),
+                (
+                    {
                         "loop": {
                             "generator": {"archetype": "quines", "seed": 1}
                         }
@@ -128,6 +141,11 @@ class TestRoutes:
                 await server.drain_and_stop()
 
         asyncio.run(scenario())
+        # The unroll limit itself is admitted.
+        request = parse_compile_request(
+            {"loop": {"dsl": DSL}, "baseline_unroll": MAX_BASELINE_UNROLL}
+        )
+        assert request.baseline_unroll == MAX_BASELINE_UNROLL
 
 
 class TestDedupAndBatching:
@@ -245,6 +263,52 @@ class TestBackpressure:
             finally:
                 for c in clients:
                     await c.close()
+                await server.drain_and_stop()
+
+        asyncio.run(scenario())
+
+
+def _compile_or_die(request):
+    """``compile_one``, except that the loop named ``serve_poison``
+    SIGKILLs the pool worker compiling it."""
+    if request.loop.name == "serve_poison":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return compile_one(request)
+
+
+class TestDeadWorker:
+    def test_pool_is_replaced_after_a_worker_dies_mid_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """The only worker of a ``jobs=1`` pool is killed while it
+        compiles a batch: that batch gets a retryable 503, the server
+        replaces the pool, and a new key compiles."""
+        # Pool workers fork on first use, so they inherit the patch.
+        monkeypatch.setattr(server_module, "compile_one", _compile_or_die)
+        poison = _body(seed=40)
+        poison["loop"]["generator"]["name"] = "serve_poison"
+
+        async def scenario():
+            server = await _boot(str(tmp_path), jobs=1, batch_linger_ms=0.0)
+            client = await _client(server)
+            try:
+                status, headers, body = await client.request(
+                    "POST", "/compile", poison
+                )
+                assert status == 503, body
+                assert body["error"]["code"] == "worker_lost"
+                assert int(headers["retry-after"]) >= 1
+
+                status, _, body = await client.request(
+                    "POST", "/compile", _body(seed=41)
+                )
+                assert status == 200, body
+                assert body["served"] == "compiled"
+                _, _, stats = await client.request("GET", "/stats")
+                assert stats["pool_restarts"] == 1
+                assert stats["compiles"] == 1
+            finally:
+                await client.close()
                 await server.drain_and_stop()
 
         asyncio.run(scenario())
