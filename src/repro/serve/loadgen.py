@@ -483,6 +483,7 @@ def _finish_run(
         f"served compiled={served.get('compiled', 0)} "
         f"cache={cache} dedup={dedup} "
         f"(warm rate {warm_rate:.1%}), "
+        f"store reads={observed['server_stats']['store']['hits']}, "
         f"{observed['retried_429']} request(s) retried after 429"
     )
     rc = 0

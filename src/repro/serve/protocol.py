@@ -96,6 +96,10 @@ def _parse_loop_form(form: object) -> "object":
             "loop.generator must be {archetype, seed[, name]}",
         )
     archetype = _require(draw, "archetype", "bad_loop")
+    if not isinstance(archetype, str):
+        raise ProtocolError(
+            "bad_loop", "loop.generator.archetype must be a name"
+        )
     if archetype not in GENERATORS:
         raise ProtocolError(
             "unknown_archetype",

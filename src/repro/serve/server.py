@@ -3,18 +3,21 @@
 One process, three moving parts:
 
 * **Front door** — an ``asyncio.start_server`` loop speaking a small
-  HTTP/1.1 subset (keep-alive, ``Content-Length`` framed bodies).
-  ``POST /compile`` takes the JSON request shape of
-  :mod:`repro.serve.protocol`; ``GET /healthz`` and ``GET /stats``
-  observe the server; ``POST /shutdown`` starts a graceful drain.
+  HTTP/1.1 subset (keep-alive, ``Content-Length`` framed bodies, each
+  request read within ``READ_TIMEOUT_S``).  ``POST /compile`` takes
+  the JSON request shape of :mod:`repro.serve.protocol`;
+  ``GET /healthz`` and ``GET /stats`` observe the server;
+  ``POST /shutdown`` starts a graceful drain.
 
-* **Dedup + store** — each request resolves to its content-addressed
-  cache key.  A key already being compiled joins the in-flight future
-  (N identical concurrent requests cost one compile); a key already in
-  the artifact store answers immediately without queueing; only novel
-  keys enter the bounded dispatch queue.  A full queue answers
-  ``429`` with ``Retry-After`` — backpressure instead of unbounded
-  memory.
+* **One resolution per key** — each request maps to its
+  content-addressed cache key; a body seen before maps to it without
+  being parsed again.  A key whose summary is memoized answers at
+  once.  Otherwise the first request for the key claims it and
+  resolves it: one store read on a thread, and on a miss one compile.
+  Every copy that arrives meanwhile joins that claim and gets the same
+  answer.  Only novel keys enter the bounded dispatch queue; a full
+  queue answers ``429`` with ``Retry-After`` — backpressure instead of
+  unbounded memory.
 
 * **Batch dispatcher** — a single task drains the queue, coalescing up
   to ``batch_max`` requests within a ``batch_linger_ms`` window, and
@@ -39,9 +42,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.compiler.service import CompileRequest, compile_one
-from repro.evaluation.compile_cache import CompileCache
+from repro.evaluation.compile_cache import CompileCache, code_version
 from repro.serve.protocol import ProtocolError, parse_compile_request
-from repro.serve.store import ArtifactStore
+from repro.serve.store import SUMMARY_SLOTS, ArtifactStore
 
 if TYPE_CHECKING:  # the pool's modules load only when a pool is made
     from concurrent.futures import ProcessPoolExecutor
@@ -51,11 +54,20 @@ _SHUTDOWN = object()
 #: Largest request body the front door accepts.
 MAX_BODY_BYTES = 8 << 20
 
+#: Longest a request may take to arrive, from the first byte of its
+#: request line to the last byte of its body.  A keep-alive connection
+#: idle between requests is not timed.
+READ_TIMEOUT_S = 10.0
+
+#: An answer: status, JSON body and extra headers.
+Reply = tuple[int, dict, dict[str, str]]
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -63,14 +75,42 @@ _STATUS_TEXT = {
 }
 
 
-class CompileFailure(Exception):
+class ResolutionFailure(Exception):
+    """A key's resolution ended without a summary.  Every request
+    waiting on the key is answered with ``status`` and ``code``, plus
+    ``Retry-After`` when ``retryable``."""
+
+    status = 500
+    code = "compile_error"
+    retryable = False
+
+
+class CompileFailure(ResolutionFailure):
     """A compile job raised inside the worker; message is the rendered
     worker-side exception."""
 
 
-class WorkerLost(Exception):
+class WorkerLost(ResolutionFailure):
     """A pool worker died while the batch was in flight; the request
     may be retried against the replacement pool."""
+
+    status = 503
+    code = "worker_lost"
+    retryable = True
+
+
+class Saturated(ResolutionFailure):
+    """The dispatch queue was full when the key was to be compiled."""
+
+    status = 429
+    code = "saturated"
+    retryable = True
+
+
+class StoreFailure(ResolutionFailure):
+    """Reading the key's stored artifact raised."""
+
+    code = "store_error"
 
 
 @dataclass(frozen=True)
@@ -152,6 +192,11 @@ class CompileServer:
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._queue: asyncio.Queue | None = None
+        #: Key of each body seen, by the body's SHA-256 digest (LRU).
+        self._bodies: dict[bytes, str] = {}
+        #: One resolution per key being resolved: a future of
+        #: ``(source, summary)``, ``source`` being ``cache`` or
+        #: ``compiled``, or of a :class:`ResolutionFailure`.
         self._inflight: dict[str, asyncio.Future] = {}
         self._dispatcher: asyncio.Task | None = None
         self._pool: ProcessPoolExecutor | None = None
@@ -163,6 +208,9 @@ class CompileServer:
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
+        # Every cache key hashes the compiler's source files: read them
+        # once, off the loop, so that no request reads a file on it.
+        await asyncio.to_thread(code_version)
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._gate = asyncio.Event()
         self._gate.set()
@@ -273,112 +321,133 @@ class CompileServer:
                     batch,
                 )
         except BaseException as exc:  # the batch is lost: fail every waiter
-            failure: Exception = CompileFailure(str(exc))
+            failure: ResolutionFailure = CompileFailure(str(exc))
             if isinstance(exc, BrokenExecutor) and self._pool is not None:
                 # A dead worker breaks the whole pool; replace it so
                 # the next batch runs, and let these waiters retry.
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = self._new_pool()
                 self.stats.pool_restarts += 1
-                failure = WorkerLost(str(exc))
+                failure = WorkerLost(
+                    f"a compile worker died mid-batch; retry shortly ({exc})"
+                )
             for key, _ in batch:
-                fut = self._inflight.pop(key, None)
-                if fut is not None and not fut.done():
-                    fut.set_exception(failure)
+                self._settle(key, failure)
             if isinstance(exc, asyncio.CancelledError):
                 raise
             return
         for (key, _), (ok, value) in zip(batch, results):
-            fut = self._inflight.pop(key, None)
             if ok:
                 self.stats.compiles += 1
                 summary = self.store.memoize_summary(key, value)
-                if fut is not None and not fut.done():
-                    fut.set_result(summary)
+                self._settle(key, ("compiled", summary))
             else:
                 self.stats.compile_errors += 1
-                if fut is not None and not fut.done():
-                    fut.set_exception(CompileFailure(str(value)))
+                self._settle(key, CompileFailure(str(value)))
+
+    def _settle(
+        self, key: str, outcome: tuple[str, dict] | ResolutionFailure
+    ) -> None:
+        """End ``key``'s resolution: release its claim and answer every
+        request waiting on it with ``outcome``."""
+        resolution = self._inflight.pop(key, None)
+        if resolution is None or resolution.done():
+            return
+        if isinstance(outcome, ResolutionFailure):
+            resolution.set_exception(outcome)
+        else:
+            resolution.set_result(outcome)
 
     # -- request handling ----------------------------------------------
 
-    async def _handle_compile(
-        self, body: dict
-    ) -> tuple[int, dict, dict[str, str]]:
-        if self._draining:
-            return (
-                503,
-                {
-                    "error": {
-                        "code": "draining",
-                        "message": "server is shutting down",
-                    }
-                },
-                {},
-            )
-        try:
-            request = parse_compile_request(body)
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return exc.status, exc.body(), {}
-        key = await asyncio.to_thread(request.cache_key)
+    async def _handle_compile(self, body_bytes: bytes) -> Reply:
+        """Answer one compile request, resolving each key once.
 
-        fut = self._inflight.get(key)
-        if fut is None:
+        A body seen before maps to its key without being parsed, and a
+        memoized summary answers at once.  A key already being resolved
+        is joined.  Otherwise this request claims the key before its
+        first ``await`` and resolves it: one store read on a thread,
+        and on a miss one compile.  Raises :class:`ProtocolError` for a
+        malformed body.
+        """
+        if self._draining:
+            return 503, _error("draining", "server is shutting down"), {}
+        import hashlib
+
+        digest = hashlib.sha256(body_bytes).digest()
+        request: CompileRequest | None = None
+        key = self._bodies.pop(digest, None)
+        if key is None:
+            request = _parse(body_bytes)
+            key = request.cache_key()
+            if len(self._bodies) >= SUMMARY_SLOTS:
+                del self._bodies[next(iter(self._bodies))]
+        self._bodies[digest] = key  # popped and put back: oldest use first
+
+        summary = self.store.memoized(key)
+        if summary is not None:
+            return self._served(key, "cache", summary)
+        resolution = self._inflight.get(key)
+        if resolution is not None:
+            return await self._await_resolution(key, resolution, "dedup")
+
+        if request is None:
+            # The key's summary left the memo, or its last resolution
+            # failed: the body parses as it did the first time.
+            request = _parse(body_bytes)
+        resolution = asyncio.get_running_loop().create_future()
+        self._inflight[key] = resolution
+        try:
             summary = await asyncio.to_thread(
                 self.store.get_summary, key, request
             )
+        except BaseException as exc:
+            # However the read ends, every joiner gets an answer.
+            self._settle(key, StoreFailure(f"{type(exc).__name__}: {exc}"))
+            if not isinstance(exc, Exception):
+                raise
+        else:
             if summary is not None:
-                self.stats.cache_hits += 1
-                return 200, {"key": key, "served": "cache", "result": summary}, {}
-            # The store read ran on a thread; an identical request may
-            # have claimed the key meanwhile.
-            fut = self._inflight.get(key)
+                self._settle(key, ("cache", summary))
+            else:
+                try:
+                    self._queue.put_nowait((key, request))
+                except asyncio.QueueFull:
+                    self._settle(
+                        key, Saturated("compile queue is full; retry shortly")
+                    )
+        return await self._await_resolution(key, resolution, "compiled")
 
-        if fut is not None:
-            self.stats.dedup_hits += 1
-            try:
-                summary = await asyncio.shield(fut)
-            except (CompileFailure, WorkerLost) as exc:
-                return self._failure_response(exc)
-            return 200, {"key": key, "served": "dedup", "result": summary}, {}
-
-        fut = asyncio.get_running_loop().create_future()
-        self._inflight[key] = fut
+    async def _await_resolution(
+        self, key: str, resolution: asyncio.Future, compiled_as: str
+    ) -> Reply:
+        """The answer of ``key``'s resolution.  A store read answers
+        ``cache``; a compile answers ``compiled_as``: ``compiled`` for
+        the request that claimed the key, ``dedup`` for a joiner."""
         try:
-            self._queue.put_nowait((key, request))
-        except asyncio.QueueFull:
-            del self._inflight[key]
-            self.stats.rejected += 1
-            return (
-                429,
-                {
-                    "error": {
-                        "code": "saturated",
-                        "message": "compile queue is full; retry shortly",
-                    }
-                },
-                {"Retry-After": str(self.config.retry_after_s)},
-            )
-        try:
-            summary = await asyncio.shield(fut)
-        except (CompileFailure, WorkerLost) as exc:
+            source, summary = await asyncio.shield(resolution)
+        except ResolutionFailure as exc:
             return self._failure_response(exc)
-        return 200, {"key": key, "served": "compiled", "result": summary}, {}
+        return self._served(
+            key, compiled_as if source == "compiled" else source, summary
+        )
 
-    def _failure_response(
-        self, exc: CompileFailure | WorkerLost
-    ) -> tuple[int, dict, dict[str, str]]:
-        if isinstance(exc, WorkerLost):
-            return (
-                503,
-                _error(
-                    "worker_lost",
-                    f"a compile worker died mid-batch; retry shortly ({exc})",
-                ),
-                {"Retry-After": str(self.config.retry_after_s)},
-            )
-        return 500, _error("compile_error", str(exc)), {}
+    def _served(self, key: str, served: str, summary: dict) -> Reply:
+        if served == "cache":
+            self.stats.cache_hits += 1
+        elif served == "dedup":
+            self.stats.dedup_hits += 1
+        return 200, {"key": key, "served": served, "result": summary}, {}
+
+    def _failure_response(self, exc: ResolutionFailure) -> Reply:
+        if isinstance(exc, Saturated):
+            self.stats.rejected += 1
+        headers = (
+            {"Retry-After": str(self.config.retry_after_s)}
+            if exc.retryable
+            else {}
+        )
+        return exc.status, _error(exc.code, str(exc)), headers
 
     def _stats_body(self) -> dict:
         body = self.stats.to_dict()
@@ -389,9 +458,7 @@ class CompileServer:
         body["store"] = self.store.stats()
         return body
 
-    async def _route(
-        self, method: str, path: str, body_bytes: bytes
-    ) -> tuple[int, dict, dict[str, str]]:
+    async def _route(self, method: str, path: str, body_bytes: bytes) -> Reply:
         if path == "/healthz":
             if method != "GET":
                 return 405, _error("method_not_allowed", "use GET"), {}
@@ -409,11 +476,10 @@ class CompileServer:
             if method != "POST":
                 return 405, _error("method_not_allowed", "use POST"), {}
             try:
-                body = json.loads(body_bytes.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                return await self._handle_compile(body_bytes)
+            except ProtocolError as exc:
                 self.stats.bad_requests += 1
-                return 400, _error("bad_json", f"body is not JSON: {exc}"), {}
-            return await self._handle_compile(body)
+                return exc.status, exc.body(), {}
         return 404, _error("not_found", f"no route {path!r}"), {}
 
     # -- HTTP plumbing -------------------------------------------------
@@ -423,34 +489,25 @@ class CompileServer:
     ) -> None:
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except ProtocolError as exc:
+                    # A framing error: answer it, then close.
+                    await _respond(
+                        writer, exc.status, exc.body(), {}, keep_alive=False
+                    )
+                    break
                 if parsed is None:
                     break
-                method, path, headers, body_bytes, framing_error = parsed
-                if framing_error is not None:
-                    status, body, extra = framing_error
-                    keep_alive = False
-                else:
-                    self.stats.requests += 1
-                    status, body, extra = await self._route(
-                        method, path, body_bytes
-                    )
-                    keep_alive = (
-                        headers.get("connection", "keep-alive").lower()
-                        != "close"
-                    )
-                payload = json.dumps(body, sort_keys=True).encode("utf-8")
-                head = [
-                    f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Status')}",
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(payload)}",
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}",
-                ]
-                head.extend(f"{k}: {v}" for k, v in extra.items())
-                writer.write(
-                    ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + payload
+                method, path, headers, body_bytes = parsed
+                self.stats.requests += 1
+                status, body, extra = await self._route(
+                    method, path, body_bytes
                 )
-                await writer.drain()
+                keep_alive = (
+                    headers.get("connection", "keep-alive").lower() != "close"
+                )
+                await _respond(writer, status, body, extra, keep_alive)
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -470,56 +527,109 @@ class CompileServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes, tuple[int, dict, dict[str, str]] | None] | None:
-        """One framed request: ``(method, path, headers, body, error)``,
-        or ``None`` on a cleanly closed connection.  ``error`` is a
-        pre-built response for framing problems (bad request line,
-        oversized body) — the connection closes after sending it."""
-        line = await reader.readline()
+    ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """One framed request ``(method, path, headers, body)``, or
+        ``None`` on a closed connection.  Raises :class:`ProtocolError`
+        for a framing problem (bad request line, bad or oversized
+        length, over-long line, a request not received in time)."""
+        first = await reader.read(1)  # idle between requests: untimed
+        if not first:
+            return None
+        # On expiry the timer cancels this task, and the flag tells that
+        # cancel from the loop's own.  (``asyncio.wait_for`` would run
+        # the read as a task of its own: ~30 µs a request on Python
+        # 3.11; ``asyncio.timeout`` needs 3.11.)
+        task = asyncio.current_task()
+        assert task is not None
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(READ_TIMEOUT_S, expire)
+        try:
+            return await _read_framed(first, reader)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            raise ProtocolError(
+                "read_timeout",
+                f"request not received within {READ_TIMEOUT_S:g} s",
+                status=408,
+            ) from None
+        finally:
+            timer.cancel()
+
+
+def _parse(body_bytes: bytes) -> CompileRequest:
+    """Decode and validate one compile request body; raises
+    :class:`ProtocolError`."""
+    try:
+        body = json.loads(body_bytes.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
+        raise ProtocolError("bad_json", f"body is not JSON: {exc}") from None
+    return parse_compile_request(body)
+
+
+async def _read_framed(
+    first: bytes, reader: asyncio.StreamReader
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """The rest of a request whose first byte is ``first``."""
+    parts = (first + await _read_line(reader)).decode("latin-1").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ProtocolError("bad_request_line", "malformed request line")
+    method, path = parts[0].upper(), parts[1]
+    headers: dict[str, str] = {}
+    while True:
+        line = await _read_line(reader)
         if not line:
             return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            return (
-                "",
-                "",
-                {},
-                b"",
-                (400, _error("bad_request_line", "malformed request line"), {}),
-            )
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                return None
-            text = line.decode("latin-1").strip()
-            if not text:
-                break
-            name, sep, value = text.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            return (
-                method,
-                path,
-                headers,
-                b"",
-                (400, _error("bad_length", "bad Content-Length"), {}),
-            )
-        if length > MAX_BODY_BYTES:
-            return (
-                method,
-                path,
-                headers,
-                b"",
-                (413, _error("too_large", "request body too large"), {}),
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body, None
+        text = line.decode("latin-1").strip()
+        if not text:
+            break
+        name, sep, value = text.partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ProtocolError("bad_length", "bad Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError("too_large", "request body too large", status=413)
+    body = await reader.readexactly(length) if length else b""
+    return method, path, headers, body
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the stream's buffer limit
+        raise ProtocolError(
+            "line_too_long", "request line or header line too long"
+        ) from None
+
+
+async def _respond(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: dict,
+    extra: dict[str, str],
+    keep_alive: bool,
+) -> None:
+    payload = json.dumps(body, sort_keys=True).encode("utf-8")
+    head = [
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Status')}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(payload)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    head.extend(f"{k}: {v}" for k, v in extra.items())
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + payload)
+    await writer.drain()
 
 
 def _error(code: str, message: str) -> dict:

@@ -18,6 +18,7 @@ and the next cold process recompiles.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.compiler.driver import CompiledLoop
@@ -35,13 +36,18 @@ SUMMARY_SLOTS = 4096
 class ArtifactStore:
     """Content-addressed compile artifacts plus a summary memo.
 
-    ``get``/``put`` are blocking (disk + pickle) — the server calls
-    them through ``asyncio.to_thread`` / inside pool workers.
+    :meth:`memoized` and :meth:`memoize_summary` touch only memory, so
+    the server calls them on its event loop.  :meth:`get_summary` and
+    :meth:`put` may read or write disk and unpickle: the server runs
+    ``get_summary`` on a thread, once per key it has to look up, and
+    its pool workers write artifacts through their own cache.  A lock
+    keeps the memo consistent between the loop and reader threads.
     """
 
     def __init__(self, directory: str, max_bytes: int | None = None) -> None:
         self.cache = CompileCache(directory, max_bytes=max_bytes)
         self._summaries: OrderedDict[str, dict] = OrderedDict()
+        self._lock = threading.Lock()
         self.memo_hits = 0
 
     @property
@@ -49,10 +55,21 @@ class ArtifactStore:
         return self.cache.directory
 
     def _memoize(self, key: str, summary: dict) -> dict:
-        self._summaries[key] = summary
-        self._summaries.move_to_end(key)
-        while len(self._summaries) > SUMMARY_SLOTS:
-            self._summaries.popitem(last=False)
+        with self._lock:
+            self._summaries[key] = summary
+            self._summaries.move_to_end(key)
+            while len(self._summaries) > SUMMARY_SLOTS:
+                self._summaries.popitem(last=False)
+        return summary
+
+    def memoized(self, key: str) -> dict | None:
+        """The memoized summary for ``key``, or ``None``; never touches
+        disk."""
+        with self._lock:
+            summary = self._summaries.get(key)
+            if summary is not None:
+                self._summaries.move_to_end(key)
+                self.memo_hits += 1
         return summary
 
     def get_summary(self, key: str, request: CompileRequest) -> dict | None:
@@ -61,10 +78,8 @@ class ArtifactStore:
         The memo answers without touching disk; otherwise the on-disk
         artifact is loaded (counting a cache hit/miss) and summarized.
         """
-        memo = self._summaries.get(key)
+        memo = self.memoized(key)
         if memo is not None:
-            self._summaries.move_to_end(key)
-            self.memo_hits += 1
             return memo
         compiled = self.cache.load(key)
         if compiled is None:
