@@ -100,11 +100,10 @@ def default_config() -> AnalysisConfig:
             # Cross-run equality: ledger digests and comparable views.
             "repro.ledger.record:RunRecord.content_digest",
             "repro.ledger.record:RunRecord.comparable_dict",
-            # Canonical BENCH payload construction.
+            # BENCH payload construction.
             "repro.evaluation.bench_io:telemetry_payload",
             "repro.evaluation.bench_io:compile_perf_payload",
             "repro.evaluation.bench_io:payload_for",
-            "repro.evaluation.bench_io:canonicalize_payload",
         ),
         async_module_prefixes=("repro.serve",),
         shared_fs_modules=(

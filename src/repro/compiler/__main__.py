@@ -145,12 +145,6 @@ def _append_ledger_record(
     record shares the evaluation harness's shape, so the dashboard
     queries treat ad-hoc compiles and full-corpus runs uniformly."""
     from repro.ledger import Ledger, RunRecord
-    from repro.ledger.record import (
-        current_git_sha,
-        digest_of,
-        new_run_id,
-        utc_now_iso,
-    )
 
     bench = (
         "stdin" if args.source == "-" else os.path.basename(args.source)
@@ -163,31 +157,24 @@ def _append_ledger_record(
             "errors": len(check_report.errors()),
             "findings": len(check_report.findings),
         }
-    config = {
-        "source": args.source,
-        "machine": args.machine,
-        "strategy": strategy.value,
-        "trip": args.trip,
-        "optimize": bool(args.optimize),
-    }
-    loops = {
-        bench: {
-            loop.name: {
-                strategy.value: {
-                    "ii": round(compiled.ii_per_iteration(), 6)
+    record = RunRecord.create(
+        config={
+            "source": args.source,
+            "machine": args.machine,
+            "strategy": strategy.value,
+            "trip": args.trip,
+            "optimize": bool(args.optimize),
+        },
+        loops={
+            bench: {
+                loop.name: {
+                    strategy.value: {
+                        "ii": round(compiled.ii_per_iteration(), 6)
+                    }
                 }
             }
-        }
-    }
-    created_at = utc_now_iso()
-    record = RunRecord(
-        run_id=new_run_id(created_at),
-        created_at=created_at,
+        },
         label=args.run_label,
-        git_sha=current_git_sha(),
-        config=config,
-        config_digest=digest_of(config),
-        corpus_digest=digest_of({bench: [loop.name]}),
         experiments={
             "compile": {
                 bench: {
@@ -198,7 +185,6 @@ def _append_ledger_record(
                 }
             }
         },
-        loops=loops,
         effort=effort,
         wall_s=round(wall_s, 3),
         check=check,
@@ -363,15 +349,10 @@ def main(argv: list[str] | None = None) -> int:
             write_trace(recorder, args.trace_json)
             print(f"\nwrote trace to {args.trace_json}")
         if args.profile is not None:
-            from repro.profiling import Profile, render_tree, write_profile
+            from repro.profiling import emit_profile
 
-            profile = Profile.from_recorder(recorder)
-            if args.profile == "-":
-                print()
-                print(render_tree(profile, counters=True))
-            else:
-                write_profile(profile, args.profile)
-                print(f"\nwrote profile to {args.profile}")
+            print()
+            profile = emit_profile(recorder, args.profile)
 
     if args.ledger is not None or os.environ.get("REPRO_LEDGER"):
         _append_ledger_record(

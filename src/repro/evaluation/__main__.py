@@ -326,14 +326,9 @@ def main(argv: list[str] | None = None) -> int:
             write_trace(recorder, args.trace_json)
             print(f"wrote trace to {args.trace_json}")
         if args.profile is not None:
-            from repro.profiling import Profile, render_tree, write_profile
+            from repro.profiling import emit_profile
 
-            profile = Profile.from_recorder(recorder)
-            if args.profile == "-":
-                print(render_tree(profile, counters=True))
-            else:
-                write_profile(profile, args.profile)
-                print(f"wrote profile to {args.profile}")
+            profile = emit_profile(recorder, args.profile)
 
     failed = False
     check_outcome: dict[str, object] | None = None

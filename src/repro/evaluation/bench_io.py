@@ -157,55 +157,14 @@ def artifact_name(experiment: str) -> str:
     return f"BENCH_{experiment}.json"
 
 
-#: Number of decimals every wall-clock float is rounded to in artifacts.
-WALL_DECIMALS = 3
-
-
-def canonicalize_payload(tree: object) -> object:
-    """The canonical artifact form: wall-clock floats rounded to a fixed
-    precision everywhere (payload builders already round, but the write
-    path enforces it so hand-assembled payloads serialize identically).
-    Key order is canonicalized at dump time (``sort_keys``)."""
-    from repro.ledger.record import WALL_FIELDS
-
-    if isinstance(tree, dict):
-        return {
-            key: (
-                round(float(value), WALL_DECIMALS)
-                if key in WALL_FIELDS and isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                else canonicalize_payload(value)
-            )
-            for key, value in tree.items()
-        }
-    if isinstance(tree, list):
-        return [canonicalize_payload(item) for item in tree]
-    return tree
-
-
-def _equivalent_artifact_exists(path: str, payload: object) -> bool:
-    """True when ``path`` already holds this payload modulo volatile
-    fields (wall clock, cache traffic).  Tolerates artifacts written by
-    older bench_io versions (different rounding or key order): only the
-    deterministic content decides."""
-    from repro.ledger.record import strip_wall_fields
-
-    try:
-        with open(path, encoding="utf-8") as f:
-            existing = json.load(f)
-    except (OSError, ValueError):
-        return False
-    return strip_wall_fields(existing) == strip_wall_fields(payload)
-
-
-def _atomic_write_json(path: str, payload: object) -> None:
-    """Write ``payload`` atomically: serialize to a sibling tempfile,
-    then ``os.replace``.  Sweep shards, CI gate runs, and the
-    dashboard all read BENCH artifacts while other processes rewrite
-    them — a reader must only ever see a complete old or new file,
-    never a torn write (F-ATOMIC)."""
+def atomic_write_json(path: str, payload: object) -> None:
+    """Write ``payload`` as JSON atomically: serialize to a sibling
+    tempfile, then ``os.replace``.  Sweep shards, CI gate runs, and the
+    dashboard all read these files while other processes rewrite them —
+    a reader must only ever see a complete old or new file, never a
+    torn write (F-ATOMIC)."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bench-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
@@ -224,18 +183,12 @@ def write_bench_json(
 ) -> str:
     """Write one ``BENCH_<experiment>.json`` artifact; returns its path.
 
-    Writes are canonical — sorted keys, fixed wall-float rounding, one
-    trailing newline — atomic (tempfile + ``os.replace``), and a no-op
-    run (identical deterministic content, only wall clock / cache
-    traffic moved) leaves the existing file untouched, so committed
-    artifacts stop churning.
+    One atomic write of ``payload`` (sorted keys, one trailing newline):
+    each run overwrites the artifact it produced.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, artifact_name(experiment))
-    payload = canonicalize_payload(payload)  # type: ignore[assignment]
-    if os.path.exists(path) and _equivalent_artifact_exists(path, payload):
-        return path
-    _atomic_write_json(path, payload)
+    atomic_write_json(path, payload)
     return path
 
 

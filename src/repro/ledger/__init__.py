@@ -4,17 +4,21 @@ One evaluation (or compilation) run produces a :class:`RunRecord` — run
 id, git SHA, config and corpus digests, per-loop II/ResMII/RecMII and
 speedups, deterministic effort counters, cache traffic, check/oracle
 outcomes, wall clock — and the :class:`Ledger` appends it to an
-append-only JSONL store with an index.  The ledger is what turns
+append-only JSON-lines file.  The ledger is what turns
 "did Table 2 speedups drift since last week?" from a hand-diff of stray
 ``BENCH_*.json`` files into a query (`python -m repro.dashboard`).
 
 Design rules:
 
+* **One way to stamp.** Every producer builds its record with
+  :meth:`RunRecord.create`, which stamps the run id, time and commit
+  and derives the config and corpus digests.
 * **Append-only.** Records are immutable once written; a run is never
   edited, only superseded by later runs.
-* **Atomic.** Appends are single ``O_APPEND`` writes; the index is
-  rewritten via temp-file + rename.  A torn line (a crashed writer)
-  is detected and skipped with a warning, never propagated.
+* **Atomic.** An append is a single ``O_APPEND`` write of one line
+  (``store.JsonLinesLog``, which also keeps the sweep manifest).  A torn
+  or unreadable line (a crashed writer) is skipped with a warning,
+  never propagated.
 * **Mergeable.** Sharded/parallel runs append per-shard records that
   :func:`merge_records` folds into one record equal to the serial
   record modulo wall-clock.
@@ -29,7 +33,6 @@ from repro.ledger.record import (
 from repro.ledger.store import (
     DEFAULT_LEDGER_DIR,
     Ledger,
-    LedgerWarning,
     merge_records,
 )
 
@@ -37,7 +40,6 @@ __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_SCHEMA_VERSION",
     "Ledger",
-    "LedgerWarning",
     "RunRecord",
     "merge_records",
     "record_from_payloads",

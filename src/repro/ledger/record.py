@@ -13,7 +13,9 @@ needs, split along the same line the rest of the tooling draws:
 Records are plain JSON documents; every field is optional except the
 identity triple (``run_id``, ``created_at``, ``schema_version``), so the
 compiler CLI's single-loop record and the evaluation harness's
-full-corpus record share one shape.
+full-corpus record share one shape.  Every producer builds its record
+with :meth:`RunRecord.create`, the one place a record is stamped (run
+id, time, commit) and its config and corpus digests are derived.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import Any
 
 LEDGER_SCHEMA_VERSION = 1
 
@@ -38,8 +41,7 @@ WALL_FIELDS = frozenset(
 #: particular run obtained* its results (machine speed, cache state)
 #: rather than what the compiler deterministically produced.
 #: ``comparable_dict`` strips these; so do the dashboard's exact
-#: comparisons and the canonical-artifact equivalence check in
-#: ``bench_io``.
+#: comparisons.
 VOLATILE_FIELDS = WALL_FIELDS | frozenset({"cache_hits", "cache_misses"})
 
 #: Record keys that identify *this particular* run rather than its
@@ -135,6 +137,41 @@ class RunRecord:
 
     # ------------------------------------------------------------------
 
+    @classmethod
+    def create(
+        cls,
+        *,
+        config: dict,
+        loops: dict,
+        run_id: str | None = None,
+        created_at: str | None = None,
+        git_sha: str | None = None,
+        repo: str | None = ".",
+        **fields: Any,
+    ) -> "RunRecord":
+        """A new record, stamped and digested.
+
+        ``created_at`` is now and ``run_id`` is taken from it; ``git_sha``
+        is the commit checked out in ``repo`` (``repo=None`` stamps no
+        commit).  ``config_digest`` covers ``config`` and
+        ``corpus_digest`` the loop names of each group in ``loops``.
+        The stamps can be given instead (tests, shard merges).
+        """
+        created_at = created_at or utc_now_iso()
+        if git_sha is None and repo is not None:
+            git_sha = current_git_sha(repo)
+        corpus = {group: sorted(rows) for group, rows in loops.items()}
+        return cls(
+            run_id=run_id or new_run_id(created_at),
+            created_at=created_at,
+            git_sha=git_sha,
+            config=config,
+            config_digest=digest_of(config),
+            corpus_digest=digest_of(corpus),
+            loops=loops,
+            **fields,
+        )
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -211,7 +248,6 @@ def record_from_payloads(
     ``bench_io.collect_experiment`` shape); ``perf`` is the
     ``compile_perf`` payload carrying effort totals and cache traffic.
     """
-    created_at = created_at or utc_now_iso()
     experiments: dict = {}
     loops: dict = {}
     telemetry: dict = {}
@@ -233,19 +269,15 @@ def record_from_payloads(
     }
     config = dict(config or {})
     config.setdefault("experiments", sorted(experiments))
-    corpus = {
-        bench: sorted(loops_by_name) for bench, loops_by_name in loops.items()
-    }
-    return RunRecord(
-        run_id=run_id or new_run_id(created_at),
-        created_at=created_at,
-        label=label,
-        git_sha=git_sha if git_sha is not None else current_git_sha(repo),
+    return RunRecord.create(
         config=config,
-        config_digest=digest_of(config),
-        corpus_digest=digest_of(corpus),
-        experiments=experiments,
         loops=loops,
+        run_id=run_id,
+        created_at=created_at,
+        git_sha=git_sha,
+        repo=repo,
+        label=label,
+        experiments=experiments,
         effort=effort,
         telemetry=telemetry,
         jobs=int(perf.get("jobs") or 1),

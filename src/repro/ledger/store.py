@@ -1,20 +1,18 @@
-"""Append-only JSONL run store with an index and a shard merge.
+"""Append-only JSON-lines logs: the run ledger and its shard merge.
 
 Layout (one directory per ledger)::
 
     <root>/runs.jsonl   one canonical JSON record per line, append-only
-    <root>/index.json   run_id -> summary row (rebuilt on each append,
-                        written atomically via temp-file + rename)
 
-Durability rules:
+:class:`JsonLinesLog` is the one append-only JSON-lines log in the
+tree; it backs both :class:`Ledger` and the sweep manifest.  Its rules:
 
 * an append is one ``O_APPEND`` write of a complete line, so concurrent
-  appenders interleave whole records, never halves;
-* the reader treats a line that fails to parse — or a final line with no
-  trailing newline (a torn write from a crashed process) — as absent:
-  it is skipped with a warning and every other record survives;
-* the index is advisory (fast listing); the JSONL file is the truth and
-  the index is rebuilt from it whenever they disagree.
+  appenders interleave whole lines, never halves;
+* the reader treats a final line with no trailing newline (a torn write
+  from a crashed process), a line that is not a JSON object, and one
+  its caller cannot parse as absent: each is skipped with a warning and
+  every other line survives.
 
 ``merge_records`` folds per-shard records of one logical run (a sharded
 or parallel sweep) into a single record whose deterministic content
@@ -27,29 +25,82 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
-from repro.ledger.record import (
-    LEDGER_SCHEMA_VERSION,
-    WALL_FIELDS,
-    RunRecord,
-    digest_of,
-    new_run_id,
-)
+from repro.ledger.record import WALL_FIELDS, RunRecord
 
 DEFAULT_LEDGER_DIR = ".repro-ledger"
 
 RUNS_FILE = "runs.jsonl"
-INDEX_FILE = "index.json"
 
-
-class LedgerWarning(UserWarning):
-    """A non-fatal ledger problem (torn line, unreadable record)."""
+T = TypeVar("T")
 
 
 def _stderr_warn(message: str) -> None:
     print(f"[ledger] {message}", file=sys.stderr)
+
+
+class JsonLinesLog:
+    """One append-only file of JSON objects, one per line.
+
+    ``noun`` names a line in warnings (``record``, ``event``).
+    """
+
+    def __init__(
+        self, path: str, noun: str, warn: Callable[[str], None]
+    ) -> None:
+        self.path = path
+        self.noun = noun
+        self._warn = warn
+
+    def append(self, document: dict) -> None:
+        """Durably append ``document`` as one complete line."""
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        line = (
+            json.dumps(document, sort_keys=True, separators=(",", ":"))
+            + "\n"
+        ).encode("utf-8")
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
+
+    def read(self, parse: Callable[[dict], T]) -> list[T]:
+        """``parse`` of every readable line, in append order.
+
+        A torn tail, a line that is not a JSON object, and a line
+        ``parse`` rejects (``ValueError``/``TypeError``) are skipped
+        with a warning.
+        """
+        try:
+            with open(self.path, "rb") as f:
+                raw = f.read()
+        except FileNotFoundError:
+            return []
+        parsed: list[T] = []
+        chunks = raw.split(b"\n")
+        torn_tail = chunks[-1] != b""
+        for lineno, chunk in enumerate(chunks, start=1):
+            if chunk == b"":
+                continue
+            if torn_tail and lineno == len(chunks):
+                self._warn(
+                    f"{self.path}:{lineno}: torn {self.noun} "
+                    f"(no trailing newline; {len(chunk)} bytes) — skipped"
+                )
+                continue
+            try:
+                document = json.loads(chunk.decode("utf-8"))
+                if not isinstance(document, dict):
+                    raise ValueError("not a JSON object")
+                parsed.append(parse(document))
+            except (ValueError, TypeError) as exc:  # UnicodeDecodeError too
+                self._warn(
+                    f"{self.path}:{lineno}: unreadable {self.noun} "
+                    f"({exc}) — skipped"
+                )
+        return parsed
 
 
 class Ledger:
@@ -63,79 +114,24 @@ class Ledger:
     ) -> None:
         self.root = root
         self._warn_cb = warn if warn is not None else _stderr_warn
+        self._log = JsonLinesLog(
+            os.path.join(root, RUNS_FILE), "record", self._warn
+        )
         #: Warnings collected by the most recent scan.
         self.warnings: list[str] = []
 
-    # ------------------------------------------------------------------
-
     @property
     def runs_path(self) -> str:
-        return os.path.join(self.root, RUNS_FILE)
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, INDEX_FILE)
+        return self._log.path
 
     def _warn(self, message: str) -> None:
         self.warnings.append(message)
         self._warn_cb(message)
 
-    # ------------------------------------------------------------------
-    # Writing
-
     def append(self, record: RunRecord) -> RunRecord:
-        """Durably append one record and refresh the index."""
-        os.makedirs(self.root, exist_ok=True)
-        line = (
-            json.dumps(
-                record.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            + "\n"
-        ).encode("utf-8")
-        fd = os.open(
-            self.runs_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-        self._write_index(self.records())
+        """Durably append one record."""
+        self._log.append(record.to_dict())
         return record
-
-    def _write_index(self, records: list[RunRecord]) -> None:
-        index = {
-            "schema_version": LEDGER_SCHEMA_VERSION,
-            "runs": {
-                record.run_id: {
-                    "line": i + 1,
-                    "created_at": record.created_at,
-                    "label": record.label,
-                    "git_sha": record.git_sha,
-                    "experiments": sorted(record.experiments),
-                    "loops": record.loop_count(),
-                    "effort_total": record.effort_total(),
-                    "content_digest": record.content_digest(),
-                }
-                for i, record in enumerate(records)
-            },
-        }
-        fd, tmp = tempfile.mkstemp(
-            prefix=".index-", suffix=".json", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(index, f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # ------------------------------------------------------------------
-    # Reading
 
     def records(self) -> list[RunRecord]:
         """Every readable record, in append order.
@@ -144,34 +140,7 @@ class Ledger:
         writer never takes the ledger down with it.
         """
         self.warnings = []
-        try:
-            with open(self.runs_path, "rb") as f:
-                raw = f.read()
-        except FileNotFoundError:
-            return []
-        records: list[RunRecord] = []
-        chunks = raw.split(b"\n")
-        torn_tail = chunks[-1] != b""
-        for lineno, chunk in enumerate(chunks, start=1):
-            if chunk == b"":
-                continue
-            if torn_tail and lineno == len(chunks):
-                self._warn(
-                    f"{self.runs_path}:{lineno}: torn record "
-                    f"(no trailing newline; {len(chunk)} bytes) — skipped"
-                )
-                continue
-            try:
-                document = json.loads(chunk.decode("utf-8"))
-                record = RunRecord.from_dict(document)
-            except (ValueError, TypeError, UnicodeDecodeError) as exc:
-                self._warn(
-                    f"{self.runs_path}:{lineno}: unreadable record "
-                    f"({exc}) — skipped"
-                )
-                continue
-            records.append(record)
-        return records
+        return self._log.read(RunRecord.from_dict)
 
     def get(self, run_id: str) -> RunRecord:
         matches = [r for r in self.records() if r.run_id == run_id]
@@ -334,21 +303,15 @@ def merge_records(
         wall_s += shard.wall_s
         notes += [n for n in shard.notes if n not in notes]
 
-    config = _merge_config([s.config for s in shards])
-    corpus = {
-        bench: sorted(loops_by_name) for bench, loops_by_name in loops.items()
-    }
-    created_at = min(s.created_at for s in shards)
-    return RunRecord(
-        run_id=run_id or new_run_id(created_at),
-        created_at=created_at,
-        label=label if label is not None else shards[0].label,
-        git_sha=next(iter(git_shas), None),
-        config=config,
-        config_digest=digest_of(config),
-        corpus_digest=digest_of(corpus),
-        experiments=experiments,
+    return RunRecord.create(
+        config=_merge_config([s.config for s in shards]),
         loops=loops,
+        run_id=run_id,
+        created_at=min(s.created_at for s in shards),
+        git_sha=next(iter(git_shas), None),
+        repo=None,
+        label=label if label is not None else shards[0].label,
+        experiments=experiments,
         effort=effort,
         telemetry=telemetry,
         jobs=max(s.jobs for s in shards),

@@ -23,7 +23,8 @@ Enablement, in precedence order:
    counters-only recorder that prints the stats table to stderr at exit;
    ``REPRO_TRACE=path`` additionally records spans/events and writes a
    JSON trace to ``path`` at exit; ``REPRO_PROFILE=path`` writes a
-   hierarchical profile (see :mod:`repro.profiling`) at exit.  This
+   hierarchical profile (see :mod:`repro.profiling`) at exit, the way
+   ``--profile=path`` does (``-`` prints its call tree).  This
    reaches runs that never parse CLI flags (pytest, pytest-benchmark,
    library embedders).
 """
@@ -181,9 +182,9 @@ def _install_from_env() -> None:
         if trace_path:
             write_trace(recorder, trace_path)
         if profile_path:
-            from repro.profiling import Profile, write_profile
+            from repro.profiling import emit_profile
 
-            write_profile(Profile.from_recorder(recorder), profile_path)
+            emit_profile(recorder, profile_path, quiet=True)
         if want_stats:
             print(render_stats_table(recorder), file=sys.stderr)
 

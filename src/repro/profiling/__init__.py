@@ -24,6 +24,7 @@ path: that is the cross-run diff.  Its per-commit timeline is
 """
 
 from repro.profiling.export import (
+    emit_profile,
     render_tree,
     to_collapsed,
     to_speedscope,
@@ -44,6 +45,7 @@ __all__ = [
     "Profile",
     "ProgressMonitor",
     "check_profile",
+    "emit_profile",
     "load_profile",
     "render_tree",
     "to_collapsed",

@@ -8,11 +8,15 @@
 * :func:`to_speedscope` — a `speedscope <https://www.speedscope.app>`_
   sampled profile: one sample per phase (its full stack) weighted by the
   phase's self time, in nanoseconds.
+
+:func:`emit_profile` is what ``--profile[=PATH]`` and ``REPRO_PROFILE``
+do with a finished recorder: print the tree, or write the JSON.
 """
 
 from __future__ import annotations
 
-from repro.profiling.profile import PhaseProfile, Profile
+from repro.observability.recorder import Recorder
+from repro.profiling.profile import PhaseProfile, Profile, write_profile
 
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
@@ -55,6 +59,22 @@ def render_tree(
 
     visit(profile.root, 0)
     return "\n".join(lines)
+
+
+def emit_profile(
+    recorder: Recorder, target: str, *, quiet: bool = False
+) -> Profile:
+    """Build ``recorder``'s profile and emit it: ``-`` prints the call
+    tree with its counters; any other ``target`` is the path the
+    profile JSON is written to, announced on stdout unless ``quiet``."""
+    profile = Profile.from_recorder(recorder)
+    if target == "-":
+        print(render_tree(profile, counters=True))
+    else:
+        write_profile(profile, target)
+        if not quiet:
+            print(f"wrote profile to {target}")
+    return profile
 
 
 def to_collapsed(profile: Profile) -> str:

@@ -40,13 +40,7 @@ import time
 from repro.compiler.service import compile_one
 from repro.compiler.strategies import Strategy
 from repro.evaluation.bench_io import write_bench_json
-from repro.ledger.record import (
-    RunRecord,
-    current_git_sha,
-    digest_of,
-    new_run_id,
-    utc_now_iso,
-)
+from repro.ledger.record import RunRecord
 from repro.ledger.store import Ledger
 from repro.machine.configs import MACHINE_FACTORIES
 from repro.observability.effort import EFFORT
@@ -249,22 +243,17 @@ def build_record(
         }
         for counter in EFFORT:
             effort[counter.name] += int(summary["effort"].get(counter.name, 0))
-    config = {
-        "experiments": ["serve"],
-        "serve": {
-            "corpus": spec.to_dict(),
-            "strategies": strategies,
-            "machine": machine,
+    return RunRecord.create(
+        config={
+            "experiments": ["serve"],
+            "serve": {
+                "corpus": spec.to_dict(),
+                "strategies": strategies,
+                "machine": machine,
+            },
         },
-    }
-    return RunRecord(
-        run_id=new_run_id(),
-        created_at=utc_now_iso(),
+        loops={"serve": loops_grid},
         label=label,
-        git_sha=current_git_sha(),
-        config=config,
-        config_digest=digest_of(config),
-        corpus_digest=digest_of({"serve": sorted(loops_grid)}),
         experiments={
             "serve": {
                 "loops": spec.size,
@@ -273,7 +262,6 @@ def build_record(
                 "corpus": spec.to_dict(),
             }
         },
-        loops={"serve": loops_grid},
         effort=effort,
         jobs=jobs,
         cache=cache_info,

@@ -202,6 +202,10 @@ class CompileServer:
         self._pool: ProcessPoolExecutor | None = None
         self._gate: asyncio.Event | None = None
         self._draining = False
+        #: Connections waiting for their next request, and whether the
+        #: drain has finished the accepted work and closes them.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing_idle = False
         self._stopped: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -225,7 +229,12 @@ class CompileServer:
 
     async def drain_and_stop(self) -> None:
         """Graceful shutdown: refuse new compiles, finish every accepted
-        one, then stop the dispatcher, listener, and pool."""
+        one, then stop the dispatcher, listener, connections and pool.
+
+        A request answered during the drain closes its connection; once
+        the accepted work is done, connections idle between requests
+        are closed too (from Python 3.12.1 ``wait_closed`` waits for
+        every connection)."""
         if self._draining:
             await self._stopped.wait()
             return
@@ -235,6 +244,9 @@ class CompileServer:
         await self._queue.put(_SHUTDOWN)
         await self._dispatcher
         self._server.close()
+        self._closing_idle = True
+        for writer in list(self._idle):
+            writer.close()
         await self._server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown()
@@ -490,7 +502,7 @@ class CompileServer:
         try:
             while True:
                 try:
-                    parsed = await self._read_request(reader)
+                    parsed = await self._read_request(reader, writer)
                 except ProtocolError as exc:
                     # A framing error: answer it, then close.
                     await _respond(
@@ -504,7 +516,7 @@ class CompileServer:
                 status, body, extra = await self._route(
                     method, path, body_bytes
                 )
-                keep_alive = (
+                keep_alive = not self._draining and (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
                 await _respond(writer, status, body, extra, keep_alive)
@@ -526,13 +538,19 @@ class CompileServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[str, str, dict[str, str], bytes] | None:
         """One framed request ``(method, path, headers, body)``, or
         ``None`` on a closed connection.  Raises :class:`ProtocolError`
         for a framing problem (bad request line, bad or oversized
         length, over-long line, a request not received in time)."""
-        first = await reader.read(1)  # idle between requests: untimed
+        if self._closing_idle:
+            return None
+        self._idle.add(writer)
+        try:
+            first = await reader.read(1)  # idle between requests: untimed
+        finally:
+            self._idle.discard(writer)
         if not first:
             return None
         # On expiry the timer cancels this task, and the flag tells that

@@ -186,14 +186,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             progress.finish()
         if recorder is not None:
             recorder_cm.__exit__(None, None, None)
-            from repro.profiling import Profile, render_tree, write_profile
+            from repro.profiling import emit_profile
 
-            profile = Profile.from_recorder(recorder)
-            if args.profile == "-":
-                print(render_tree(profile, counters=True))
-            else:
-                write_profile(profile, args.profile)
-                print(f"wrote profile to {args.profile}")
+            emit_profile(recorder, args.profile)
 
     p50 = percentile(result.loop_wall_ms, 0.50)
     p99 = percentile(result.loop_wall_ms, 0.99)

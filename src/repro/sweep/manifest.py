@@ -2,18 +2,20 @@
 
 One manifest per sweep directory.  The first line is the header (the
 corpus spec and run configuration); each later line records one durably
-completed shard.  Appends follow the ledger's durability rules — one
-``O_APPEND`` write of a complete line — and the reader skips a torn tail
+completed shard.  The journal is the run ledger's log class,
+:class:`~repro.ledger.store.JsonLinesLog`: each append is one
+``O_APPEND`` write of a complete line, and the reader skips a torn tail
 or corrupt line, so a run killed mid-write still leaves every earlier
 shard completion readable and ``--resume`` can trust what it finds.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Callable
+
+from repro.ledger.store import JsonLinesLog
 
 MANIFEST_FILE = "manifest.jsonl"
 
@@ -32,55 +34,27 @@ class SweepManifest:
         warn: Callable[[str], None] | None = None,
     ) -> None:
         self.directory = directory
-        self.path = os.path.join(directory, MANIFEST_FILE)
-        self._warn = warn if warn is not None else _stderr_warn
+        self._log = JsonLinesLog(
+            os.path.join(directory, MANIFEST_FILE),
+            "event",
+            warn if warn is not None else _stderr_warn,
+        )
+
+    @property
+    def path(self) -> str:
+        return self._log.path
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
     def append(self, event: dict) -> None:
         """Durably append one event (a single complete JSONL line)."""
-        os.makedirs(self.directory, exist_ok=True)
-        line = (
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
+        self._log.append(event)
 
     def events(self) -> list[dict]:
         """Every readable event in append order; torn or corrupt lines
         are skipped with a warning."""
-        try:
-            with open(self.path, "rb") as f:
-                raw = f.read()
-        except FileNotFoundError:
-            return []
-        events: list[dict] = []
-        chunks = raw.split(b"\n")
-        torn_tail = chunks[-1] != b""
-        for lineno, chunk in enumerate(chunks, start=1):
-            if chunk == b"":
-                continue
-            if torn_tail and lineno == len(chunks):
-                self._warn(
-                    f"{self.path}:{lineno}: torn event (no trailing "
-                    f"newline; {len(chunk)} bytes) — skipped"
-                )
-                continue
-            try:
-                event = json.loads(chunk.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._warn(
-                    f"{self.path}:{lineno}: unreadable event ({exc}) "
-                    "— skipped"
-                )
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-        return events
+        return self._log.read(dict)
 
     def header(self) -> dict | None:
         """The sweep header event, or None for an empty/alien manifest."""

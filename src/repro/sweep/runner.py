@@ -26,15 +26,9 @@ from typing import TYPE_CHECKING
 from repro.compiler.driver import check_env_enabled
 from repro.compiler.service import CompileRequest, compile_one
 from repro.compiler.strategies import Strategy
-from repro.evaluation.bench_io import write_bench_json
+from repro.evaluation.bench_io import atomic_write_json, write_bench_json
 from repro.evaluation.experiments import CompileTelemetry
-from repro.ledger.record import (
-    RunRecord,
-    current_git_sha,
-    digest_of,
-    new_run_id,
-    utc_now_iso,
-)
+from repro.ledger.record import RunRecord, digest_of, new_run_id
 from repro.ledger.store import Ledger, merge_records
 from repro.machine.configs import MACHINE_FACTORIES
 from repro.observability.stats import percentile
@@ -196,14 +190,11 @@ def _run_shard(task: dict) -> dict:
         loop_wall_ms.append((time.perf_counter() - loop_start) * 1e3)
     wall_s = time.perf_counter() - start
 
-    record = RunRecord(
-        run_id=f"{task['run_id']}-s{shard:05d}",
-        created_at=utc_now_iso(),
-        label=task.get("label", ""),
-        git_sha=current_git_sha(task.get("repo", ".")),
+    record = RunRecord.create(
         config=config.record_config(),
-        config_digest=digest_of(config.record_config()),
-        corpus_digest=digest_of({"sweep": sorted(loops)}),
+        loops={"sweep": loops},
+        run_id=f"{task['run_id']}-s{shard:05d}",
+        label=task.get("label", ""),
         experiments={
             "sweep": {
                 "loops": config.spec.size,
@@ -212,7 +203,6 @@ def _run_shard(task: dict) -> dict:
                 "corpus": config.spec.to_dict(),
             }
         },
-        loops={"sweep": loops},
         effort=telemetry.effort,
         jobs=1,
         cache={
@@ -234,19 +224,17 @@ def _run_shard(task: dict) -> dict:
 
     path = shard_path(task["out_dir"], shard)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    document = {
-        "shard": shard,
-        "lo": lo,
-        "hi": hi,
-        "wall_s": round(wall_s, 3),
-        "loop_wall_ms": [round(ms, 3) for ms in loop_wall_ms],
-        "record": record.to_dict(),
-    }
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(document, f, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    atomic_write_json(
+        path,
+        {
+            "shard": shard,
+            "lo": lo,
+            "hi": hi,
+            "wall_s": round(wall_s, 3),
+            "loop_wall_ms": [round(ms, 3) for ms in loop_wall_ms],
+            "record": record.to_dict(),
+        },
+    )
     return {
         "shard": shard,
         "lo": lo,

@@ -708,6 +708,27 @@ class TestShutdown:
 
         asyncio.run(scenario())
 
+    def test_drain_closes_idle_keep_alive_connections(self, tmp_path):
+        """A client idle between requests does not hold the drain open:
+        once the accepted work is done, the server closes its
+        connection."""
+
+        async def scenario():
+            server = await _boot(str(tmp_path), batch_linger_ms=0.0)
+            idle = await _client(server)
+            control = await _client(server)
+            try:
+                status, _, _ = await idle.request("GET", "/healthz")
+                assert status == 200
+                await control.request("POST", "/shutdown")
+                await asyncio.wait_for(server.wait_stopped(), 5)
+                assert await asyncio.wait_for(idle._reader.read(), 1) == b""
+            finally:
+                await idle.close()
+                await control.close()
+
+        asyncio.run(scenario())
+
 
 class TestLoadgenEndToEnd:
     def test_spawned_server_cold_then_warm(self, tmp_path):
