@@ -10,11 +10,11 @@ Our reproduction matches all four values exactly.
 from conftest import pedantic
 
 from repro.evaluation.experiments import figure1_iis
-from repro.evaluation.tables import PAPER_FIGURE1, format_figure1
+from repro.evaluation.tables import PAPER_FIGURE1, format_experiment
 
 
 def test_bench_figure1(benchmark):
     measured = pedantic(benchmark, figure1_iis)
     print()
-    print(format_figure1(measured))
+    print(format_experiment("figure1", measured))
     assert measured == PAPER_FIGURE1

@@ -16,14 +16,14 @@ for selective, and a selective mean within a few percent of 1.11x.
 
 from conftest import pedantic
 
-from repro.evaluation.tables import format_table2
+from repro.evaluation.tables import format_experiment
 from repro.workloads.spec import BENCHMARK_NAMES
 
 
 def test_bench_table2(benchmark, evaluator):
     rows = pedantic(benchmark, evaluator.table2)
     print()
-    print(format_table2(rows))
+    print(format_experiment("table2", rows))
 
     assert set(rows) == set(BENCHMARK_NAMES)
     for name, row in rows.items():

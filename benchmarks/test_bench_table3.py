@@ -12,13 +12,13 @@ Our corpus matches the paper's resource-limited loop counts exactly (30,
 
 from conftest import pedantic
 
-from repro.evaluation.tables import PAPER_TABLE3, format_table3
+from repro.evaluation.tables import PAPER_TABLE3, format_experiment
 
 
 def test_bench_table3(benchmark, evaluator):
     rows = pedantic(benchmark, evaluator.table3)
     print()
-    print(format_table3(rows))
+    print(format_experiment("table3", rows))
 
     for name, row in rows.items():
         paper = PAPER_TABLE3[name]

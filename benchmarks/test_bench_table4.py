@@ -11,13 +11,13 @@ than the communication-aware one on every benchmark.
 
 from conftest import pedantic
 
-from repro.evaluation.tables import format_table4
+from repro.evaluation.tables import format_experiment
 
 
 def test_bench_table4(benchmark, evaluator):
     rows = pedantic(benchmark, evaluator.table4)
     print()
-    print(format_table4(rows))
+    print(format_experiment("table4", rows))
 
     for name, row in rows.items():
         assert row["considered"] >= row["ignored"], name

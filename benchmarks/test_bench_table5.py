@@ -12,13 +12,13 @@ stay small.
 
 from conftest import pedantic
 
-from repro.evaluation.tables import format_table5
+from repro.evaluation.tables import format_experiment
 
 
 def test_bench_table5(benchmark, evaluator):
     rows = pedantic(benchmark, evaluator.table5)
     print()
-    print(format_table5(rows))
+    print(format_experiment("table5", rows))
 
     for name, row in rows.items():
         # alignment information never hurts (beyond scheduler jitter)

@@ -144,7 +144,7 @@ def _append_ledger_record(
     """Record this single-loop compilation in the run ledger.  The
     record shares the evaluation harness's shape, so the dashboard
     queries treat ad-hoc compiles and full-corpus runs uniformly."""
-    from repro.ledger import Ledger, RunRecord
+    from repro.ledger import Ledger, RunRecord, resolve_ledger_dir
 
     bench = (
         "stdin" if args.source == "-" else os.path.basename(args.source)
@@ -190,9 +190,7 @@ def _append_ledger_record(
         check=check,
         profile=profile,
     )
-    ledger = Ledger(
-        args.ledger or os.environ.get("REPRO_LEDGER") or Ledger().root
-    )
+    ledger = Ledger(resolve_ledger_dir(args.ledger))
     ledger.append(record)
     print(f"recorded run {record.run_id} in {ledger.runs_path}")
 

@@ -21,6 +21,7 @@ store without changing any answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.compiler.driver import CompiledLoop, compile_loop
 from repro.compiler.strategies import Strategy
@@ -28,6 +29,9 @@ from repro.ir.loop import Loop
 from repro.machine.machine import MachineDescription
 from repro.observability.effort import EFFORT
 from repro.vectorize.partition import PartitionConfig
+
+if TYPE_CHECKING:  # the pool's modules load only when a pool is made
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -130,3 +134,20 @@ def compile_one(request: CompileRequest) -> CompiledLoopPayload:
         allow_reassociation=request.allow_reassociation,
     )
     return CompiledLoopPayload(request=request, compiled=compiled)
+
+
+def fork_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes: the one pool the
+    Evaluator, the sweep runner and the compile server fan compiles out
+    to.
+
+    Forked workers inherit the fully imported compiler, so the pool is
+    warm from its first task.  The pool's modules are imported here,
+    not at load: importing ``multiprocessing`` with the server module
+    raised the served benchmark's peak RSS by about 1%."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    )

@@ -45,14 +45,9 @@ from repro.ledger import (
     Ledger,
     merge_records,
     record_from_payloads,
+    resolve_ledger_dir,
 )
 from repro.profiling import load_profile
-
-LEDGER_ENV = "REPRO_LEDGER"
-
-
-def resolve_ledger_dir(flag_value: str | None) -> str:
-    return flag_value or os.environ.get(LEDGER_ENV) or DEFAULT_LEDGER_DIR
 
 
 def _add_ledger_flag(parser: argparse.ArgumentParser) -> None:

@@ -45,10 +45,6 @@ class DepEdge:
     distance: int
     exact: bool = True
 
-    @property
-    def is_loop_carried(self) -> bool:
-        return self.distance > 0
-
     def __str__(self) -> str:
         star = "" if self.exact else "*"
         return (

@@ -13,11 +13,8 @@ from repro.evaluation.tables import (
     PAPER_TABLE3,
     PAPER_TABLE4,
     PAPER_TABLE5,
-    format_figure1,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
+    experiment_table,
+    format_experiment,
 )
 
 __all__ = [
@@ -30,10 +27,7 @@ __all__ = [
     "PAPER_TABLE4",
     "PAPER_TABLE5",
     "Variant",
+    "experiment_table",
     "figure1_iis",
-    "format_figure1",
-    "format_table2",
-    "format_table3",
-    "format_table4",
-    "format_table5",
+    "format_experiment",
 ]

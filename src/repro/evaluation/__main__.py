@@ -41,25 +41,9 @@ import time
 
 from repro.evaluation import bench_io
 from repro.evaluation.experiments import Evaluator
-from repro.evaluation.tables import (
-    format_figure1,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
-)
+from repro.evaluation.tables import format_experiment
 from repro.observability import recording, render_stats_table, write_trace
 from repro.workloads.spec import BENCHMARK_NAMES
-
-EXPERIMENTS = ("figure1", "table2", "table3", "table4", "table5")
-
-FORMATTERS = {
-    "figure1": format_figure1,
-    "table2": format_table2,
-    "table3": format_table3,
-    "table4": format_table4,
-    "table5": format_table5,
-}
 
 
 def explain_workload_loop(name: str) -> int:
@@ -119,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="experiment",
         default=[],
         help=f"which experiments to run (default: all of "
-        f"{', '.join(EXPERIMENTS)})",
+        f"{', '.join(bench_io.EXPERIMENTS)})",
     )
     parser.add_argument(
         "--benchmarks",
@@ -246,12 +230,12 @@ def main(argv: list[str] | None = None) -> int:
         return run_oracle_gap(args)
 
     for experiment in args.experiments:
-        if experiment not in EXPERIMENTS:
+        if experiment not in bench_io.EXPERIMENTS:
             parser.error(
                 f"unknown experiment {experiment!r} "
-                f"(choose from {', '.join(EXPERIMENTS)})"
+                f"(choose from {', '.join(bench_io.EXPERIMENTS)})"
             )
-    experiments = args.experiments or list(EXPERIMENTS)
+    experiments = args.experiments or list(bench_io.EXPERIMENTS)
     names = tuple(args.benchmarks)
 
     progress = None
@@ -291,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             payloads[experiment] = bench_io.collect_experiment(
                 evaluator, experiment, names
             )
-            print(FORMATTERS[experiment](payloads[experiment]["data"]))
+            print(format_experiment(experiment, payloads[experiment]["data"]))
             print(f"[{experiment}: {time.time() - start:.1f}s]\n")
     finally:
         if session is not None:
@@ -356,7 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         failed = errors > 0
 
     if args.ledger is not None or os.environ.get("REPRO_LEDGER"):
-        from repro.ledger import Ledger, record_from_payloads
+        from repro.ledger import (
+            Ledger,
+            record_from_payloads,
+            resolve_ledger_dir,
+        )
 
         record = record_from_payloads(
             payloads,
@@ -370,11 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             profile=profile.to_dict() if profile is not None else None,
             notes=(["gate failed"] if failed else []),
         )
-        ledger = Ledger(
-            args.ledger
-            or os.environ.get("REPRO_LEDGER")
-            or Ledger().root
-        )
+        ledger = Ledger(resolve_ledger_dir(args.ledger))
         ledger.append(record)
         print(f"recorded run {record.run_id} in {ledger.runs_path}")
 

@@ -128,6 +128,10 @@ def payload_for(
     return payload
 
 
+#: The experiments :func:`collect_experiment` runs, in the paper's order.
+EXPERIMENTS = ("figure1", "table2", "table3", "table4", "table5")
+
+
 def collect_experiment(
     evaluator: Evaluator,
     experiment: str,

@@ -25,9 +25,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.compiler.driver import CompiledLoop, compile_loop
-from repro.compiler.service import CompileRequest, compile_one, effort_counters
+from repro.compiler.service import (
+    CompileRequest,
+    compile_one,
+    effort_counters,
+    fork_pool,
+)
 from repro.compiler.strategies import Strategy
 from repro.machine.configs import aligned_machine, figure1_machine, paper_machine
 from repro.machine.machine import MachineDescription
@@ -121,17 +127,13 @@ class BenchmarkEvaluation:
         return self.total_cycles(baseline) / self.total_cycles(label)
 
 
-def _compile_job(request: CompileRequest) -> CompiledLoop:
-    """Top-level worker for the process pool: compile one request
-    through the shared pure entry point."""
-    return compile_one(request).compiled
-
-
 def _timed_compile_job(request: CompileRequest) -> tuple[CompiledLoop, float]:
-    """Pool worker measuring its own compile wall time, so per-loop
-    timings (progress stragglers, telemetry) survive the fan-out."""
+    """Compile one request through the shared pure entry point and time
+    it.  Top-level, so a pool worker can run it; the worker measures its
+    own wall time, so per-loop timings (progress stragglers) survive the
+    fan-out."""
     start = time.perf_counter()
-    compiled = _compile_job(request)
+    compiled = compile_one(request).compiled
     return compiled, (time.perf_counter() - start) * 1e3
 
 
@@ -183,13 +185,7 @@ class Evaluator:
         costs a worker warm-up each time ``prewarm`` or a table runner
         triggers compilation)."""
         if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=multiprocessing.get_context("fork"),
-            )
+            self._pool = fork_pool(self.jobs)
         return self._pool
 
     def close(self) -> None:
@@ -250,22 +246,30 @@ class Evaluator:
     ) -> None:
         """Compile every loop of every (benchmark, variant) batch,
         consulting the compile cache first and fanning misses out to the
-        process pool when ``jobs > 1``."""
+        process pool when ``jobs > 1``.
+
+        One loop handles the results, wherever they were compiled: in
+        this process (so ``--stats`` and ``--profile`` see every
+        compile) or in the pool.  Each batch's ``compile_benchmark``
+        span and ``wall_ms`` cover the time spent obtaining that
+        batch's results: compiling them here, or waiting for them."""
         rec = active_recorder()
         progress = self.progress
-        slots: dict[tuple[str, str], list[CompiledLoop | None]] = {}
-        misses: list[tuple[tuple[str, str], int, tuple, str | None]] = []
         cache = self.compile_cache
         if progress is not None:
             progress.add_total(
                 sum(len(self.benchmark(name).loops) for name, _ in batches)
             )
+        slots: dict[tuple[str, str], list[CompiledLoop | None]] = {}
+        misses: list[tuple[int, CompileRequest, str | None]] = []
+        batch_misses: list[int] = []
         for name, variant in batches:
             key = (name, variant.label)
             bench = self.benchmark(name)
             self.telemetry[key] = telemetry = CompileTelemetry()
             slot: list[CompiledLoop | None] = [None] * len(bench.loops)
             slots[key] = slot
+            before = len(misses)
             for i, wl in enumerate(bench.loops):
                 request = CompileRequest(
                     loop=wl.loop,
@@ -289,73 +293,47 @@ class Evaluator:
                             )
                         continue
                     telemetry.cache_misses += 1
-                misses.append((key, i, request, entry_key))
+                misses.append((i, request, entry_key))
+            batch_misses.append(len(misses) - before)
 
-        batch_wall: dict[tuple[str, str], float] = {}
+        requests = [request for _, request, _ in misses]
         if self.jobs > 1 and len(misses) > 1:
-            start = time.perf_counter()
-            pool = self._executor()
             # pool.map streams results back in submission order, so
             # the progress monitor ticks as workers finish rather
             # than after the whole fan-out drains.
-            for (key, i, request, entry_key), (compiled, loop_ms) in zip(
-                misses,
-                pool.map(
-                    _timed_compile_job,
-                    [request for _, _, request, _ in misses],
-                ),
-            ):
-                slots[key][i] = compiled
-                if cache is not None and entry_key is not None:
-                    cache.store(entry_key, compiled)
-                if progress is not None:
-                    progress.tick(
-                        request.loop.name,
-                        key[1],
-                        wall_ms=loop_ms,
-                        effort=effort_counters(compiled),
-                    )
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            for (key, _, _, _) in misses:
-                # Attribute the fan-out's wall time by miss share.
-                batch_wall[key] = batch_wall.get(key, 0.0) + elapsed_ms / len(
-                    misses
-                )
+            results = self._executor().map(_timed_compile_job, requests)
         else:
-            by_batch: dict[tuple[str, str], list] = {}
-            for miss in misses:
-                by_batch.setdefault(miss[0], []).append(miss)
-            for (name, variant) in batches:
-                key = (name, variant.label)
-                todo = by_batch.get(key, [])
-                if not todo:
-                    continue
-                with maybe_span(
-                    rec,
-                    "compile_benchmark",
-                    benchmark=name,
-                    variant=variant.label,
+            results = map(_timed_compile_job, requests)
+        pending = zip(misses, results)
+        for (name, variant), count in zip(batches, batch_misses):
+            if not count:
+                continue
+            key = (name, variant.label)
+            with maybe_span(
+                rec, "compile_benchmark", benchmark=name, variant=variant.label
+            ):
+                start = time.perf_counter()
+                # islice stops at the batch's last miss: the next
+                # batch's first compile runs inside the next span.
+                for (i, request, entry_key), (compiled, loop_ms) in islice(
+                    pending, count
                 ):
-                    start = time.perf_counter()
-                    for _, i, request, entry_key in todo:
-                        loop_start = time.perf_counter()
-                        compiled = _compile_job(request)
-                        loop_ms = (time.perf_counter() - loop_start) * 1e3
-                        slots[key][i] = compiled
-                        if cache is not None and entry_key is not None:
-                            cache.store(entry_key, compiled)
-                        if progress is not None:
-                            progress.tick(
-                                request.loop.name,
-                                variant.label,
-                                wall_ms=loop_ms,
-                                effort=effort_counters(compiled),
-                            )
-                    batch_wall[key] = (time.perf_counter() - start) * 1e3
+                    slots[key][i] = compiled
+                    if cache is not None and entry_key is not None:
+                        cache.store(entry_key, compiled)
+                    if progress is not None:
+                        progress.tick(
+                            request.loop.name,
+                            variant.label,
+                            wall_ms=loop_ms,
+                            effort=effort_counters(compiled),
+                        )
+                self.telemetry[key].wall_ms = (
+                    time.perf_counter() - start
+                ) * 1e3
 
         for key, slot in slots.items():
             telemetry = self.telemetry[key]
-            telemetry.wall_ms = batch_wall.get(key, 0.0)
             for compiled in slot:
                 assert compiled is not None
                 telemetry.absorb(compiled)

@@ -16,28 +16,14 @@ from __future__ import annotations
 
 import sys
 import time
-
 from collections import Counter
 
-from repro.evaluation.experiments import Evaluator, figure1_iis
-from repro.evaluation.tables import (
-    PAPER_FIGURE1,
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    PAPER_TABLE5,
-)
+from repro.evaluation.bench_io import EXPERIMENTS, collect_experiment
+from repro.evaluation.experiments import Evaluator
+from repro.evaluation.tables import experiment_table, markdown_table
 from repro.observability import recording
 from repro.observability.effort import EFFORT
 from repro.workloads.spec import BENCHMARK_NAMES
-
-
-def _md_table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
 
 
 def generate_report(
@@ -50,101 +36,14 @@ def generate_report(
         "# Measured results — selective vectorization reproduction",
         "",
         "Generated by `repro.evaluation.report`. Paper values in "
-        "parentheses.",
+        "parentheses (Figure 1: the Paper column).",
     ]
 
     with recording() as recorder:
-        fig = figure1_iis()
-        t2 = evaluator.table2(names)
-        t3 = evaluator.table3(names)
-        t4 = evaluator.table4(names)
-        t5 = evaluator.table5(names)
-
-    sections += [
-        "",
-        "## Figure 1 — dot product on the three-issue machine",
-        "",
-        _md_table(
-            ["Technique", "II/iteration (paper)"],
-            [
-                [label, f"{fig[label]:.2f} ({PAPER_FIGURE1[label]:.2f})"]
-                for label in ("modulo", "traditional", "full", "selective")
-            ],
-        ),
-    ]
-
-    mean = sum(r["selective"] for r in t2.values()) / len(t2)
-    sections += [
-        "",
-        "## Table 2 — speedup over modulo scheduling",
-        "",
-        _md_table(
-            ["Benchmark", "Traditional", "Full", "Selective"],
-            [
-                [
-                    name,
-                    f"{r['traditional']:.2f} ({PAPER_TABLE2[name]['traditional']:.2f})",
-                    f"{r['full']:.2f} ({PAPER_TABLE2[name]['full']:.2f})",
-                    f"{r['selective']:.2f} ({PAPER_TABLE2[name]['selective']:.2f})",
-                ]
-                for name, r in t2.items()
-            ]
-            + [["**mean (selective)**", "", "", f"**{mean:.2f} (1.11)**"]],
-        ),
-    ]
-
-    sections += [
-        "",
-        "## Table 3 — ResMII / final II outcomes (resource-limited loops)",
-        "",
-        _md_table(
-            ["Benchmark", "Loops", "ResMII b/e/w", "Final II b/e/w"],
-            [
-                [
-                    name,
-                    f"{r['loops']} ({PAPER_TABLE3[name]['loops']})",
-                    "{better}/{equal}/{worse}".format(**r["res_mii"])
-                    + " ({better}/{equal}/{worse})".format(**PAPER_TABLE3[name]),
-                    "{better}/{equal}/{worse}".format(**r["final_ii"]),
-                ]
-                for name, r in t3.items()
-            ],
-        ),
-    ]
-
-    sections += [
-        "",
-        "## Table 4 — communication considered vs ignored",
-        "",
-        _md_table(
-            ["Benchmark", "Considered", "Ignored"],
-            [
-                [
-                    name,
-                    f"{r['considered']:.2f} ({PAPER_TABLE4[name]['considered']:.2f})",
-                    f"{r['ignored']:.2f} ({PAPER_TABLE4[name]['ignored']:.2f})",
-                ]
-                for name, r in t4.items()
-            ],
-        ),
-    ]
-
-    sections += [
-        "",
-        "## Table 5 — misaligned vs aligned vector memory",
-        "",
-        _md_table(
-            ["Benchmark", "Misaligned", "Aligned"],
-            [
-                [
-                    name,
-                    f"{r['misaligned']:.2f} ({PAPER_TABLE5[name]['misaligned']:.2f})",
-                    f"{r['aligned']:.2f} ({PAPER_TABLE5[name]['aligned']:.2f})",
-                ]
-                for name, r in t5.items()
-            ],
-        ),
-    ]
+        for experiment in EXPERIMENTS:
+            data = collect_experiment(evaluator, experiment, names)["data"]
+            title, headers, rows = experiment_table(experiment, data)
+            sections += ["", f"## {title}", "", markdown_table(headers, rows)]
 
     telemetry = evaluator.telemetry_rows(names)
     if telemetry:
@@ -180,7 +79,7 @@ def generate_report(
             "Sorted by cumulative compile wall time, most expensive batch "
             "first. Cache hit/miss refers to the on-disk compile cache.",
             "",
-            _md_table(
+            markdown_table(
                 [
                     "Benchmark",
                     "Variant",
@@ -206,7 +105,7 @@ def generate_report(
             "tables (run `python -m repro.evaluation --explain "
             "<benchmark>.L<i>` for any single loop's full story).",
             "",
-            _md_table(
+            markdown_table(
                 ["Pass", "Reason", "Remarks"],
                 [
                     [pass_name, reason, str(n)]

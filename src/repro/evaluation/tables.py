@@ -1,8 +1,11 @@
 """Paper-style table rendering.
 
-Formats the experiment results in the layout of the paper's tables so
-that runs of the benchmark harness can be compared to the published
-numbers side by side.
+:func:`experiment_table` lays each experiment's result out as one grid
+in the layout of the paper's table, every measured value beside the
+published one, so that runs of the benchmark harness can be compared to
+the paper side by side.  The CLI prints the grid as text
+(:func:`format_experiment`); the report renders it as markdown
+(:func:`markdown_table`).
 """
 
 from __future__ import annotations
@@ -86,95 +89,87 @@ def render_table(
     return "\n".join(lines)
 
 
-def format_table2(measured: dict[str, dict[str, float]]) -> str:
-    rows = []
-    for name, r in measured.items():
-        p = PAPER_TABLE2[name]
-        rows.append(
-            [
-                name,
-                f"{r['traditional']:.2f} ({p['traditional']:.2f})",
-                f"{r['full']:.2f} ({p['full']:.2f})",
-                f"{r['selective']:.2f} ({p['selective']:.2f})",
-            ]
-        )
-    mean = sum(r["selective"] for r in measured.values()) / len(measured)
-    rows.append(["(mean selective)", "", "", f"{mean:.2f} (1.11)"])
-    return render_table(
-        ["Benchmark", "Traditional", "Full", "Selective"],
-        rows,
-        title="Table 2. Speedup over modulo scheduling — measured (paper)",
-    )
+def markdown_table(headers: list[str], rows: list[list[str]]) -> str:
+    """A grid as a markdown table."""
+    lines = ["| " + " | ".join(headers) + " |"]
+    lines.append("|" + "|".join("---" for _ in headers) + "|")
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    return "\n".join(lines)
 
 
-def format_table3(measured: dict[str, dict[str, object]]) -> str:
-    rows = []
-    for name, r in measured.items():
-        p = PAPER_TABLE3[name]
-        res = r["res_mii"]
-        fin = r["final_ii"]
-        rows.append(
-            [
-                name,
-                f"{r['loops']} ({p['loops']})",
-                f"{res['better']}/{res['equal']}/{res['worse']}"
-                f" ({p['better']}/{p['equal']}/{p['worse']})",
-                f"{fin['better']}/{fin['equal']}/{fin['worse']}",
-            ]
-        )
-    return render_table(
-        ["Benchmark", "Loops", "ResMII b/e/w (paper)", "Final II b/e/w"],
-        rows,
-        title="Table 3. Loops where selective vectorization finds a better/"
-        "equal/worse II (resource-limited loops)",
-    )
-
-
-def format_table4(measured: dict[str, dict[str, float]]) -> str:
-    rows = []
-    for name, r in measured.items():
-        p = PAPER_TABLE4[name]
-        rows.append(
-            [
-                name,
-                f"{r['considered']:.2f} ({p['considered']:.2f})",
-                f"{r['ignored']:.2f} ({p['ignored']:.2f})",
-            ]
-        )
-    return render_table(
-        ["Benchmark", "Considered", "Ignored"],
-        rows,
-        title="Table 4. Selective speedup with communication considered vs "
+#: Per speedup table: its title, and the measured columns each row
+#: shows beside the paper's value.
+_SPEEDUP_TABLES = {
+    "table2": (
+        "Table 2. Speedup over modulo scheduling — measured (paper)",
+        ("traditional", "full", "selective"),
+        PAPER_TABLE2,
+    ),
+    "table4": (
+        "Table 4. Selective speedup with communication considered vs "
         "ignored — measured (paper)",
-    )
-
-
-def format_table5(measured: dict[str, dict[str, float]]) -> str:
-    rows = []
-    for name, r in measured.items():
-        p = PAPER_TABLE5[name]
-        rows.append(
-            [
-                name,
-                f"{r['misaligned']:.2f} ({p['misaligned']:.2f})",
-                f"{r['aligned']:.2f} ({p['aligned']:.2f})",
-            ]
-        )
-    return render_table(
-        ["Benchmark", "Misaligned", "Aligned"],
-        rows,
-        title="Table 5. Selective speedup with memory assumed misaligned vs "
+        ("considered", "ignored"),
+        PAPER_TABLE4,
+    ),
+    "table5": (
+        "Table 5. Selective speedup with memory assumed misaligned vs "
         "aligned — measured (paper)",
-    )
+        ("misaligned", "aligned"),
+        PAPER_TABLE5,
+    ),
+}
 
 
-def format_figure1(measured: dict[str, float]) -> str:
+def experiment_table(
+    experiment: str, data: dict
+) -> tuple[str, list[str], list[list[str]]]:
+    """The grid of one experiment's result: ``(title, headers, rows)``,
+    each measured cell beside the paper's value.  ``data`` is the
+    experiment's result as ``bench_io.collect_experiment`` returns it.
+    """
+    if experiment == "figure1":
+        return (
+            "Figure 1. Dot product on the three-issue example machine",
+            ["Technique", "II/iteration", "Paper"],
+            [
+                [label, f"{data[label]:.2f}", f"{paper:.2f}"]
+                for label, paper in PAPER_FIGURE1.items()
+            ],
+        )
+    if experiment == "table3":
+        rows = []
+        for name, r in data.items():
+            p = PAPER_TABLE3[name]
+            res = r["res_mii"]
+            fin = r["final_ii"]
+            rows.append(
+                [
+                    name,
+                    f"{r['loops']} ({p['loops']})",
+                    f"{res['better']}/{res['equal']}/{res['worse']}"
+                    f" ({p['better']}/{p['equal']}/{p['worse']})",
+                    f"{fin['better']}/{fin['equal']}/{fin['worse']}",
+                ]
+            )
+        return (
+            "Table 3. Loops where selective vectorization finds a better/"
+            "equal/worse II (resource-limited loops)",
+            ["Benchmark", "Loops", "ResMII b/e/w (paper)", "Final II b/e/w"],
+            rows,
+        )
+    title, columns, paper_rows = _SPEEDUP_TABLES[experiment]
     rows = [
-        [label, f"{measured[label]:.2f}", f"{PAPER_FIGURE1[label]:.2f}"]
-        for label in ("modulo", "traditional", "full", "selective")
+        [name]
+        + [f"{r[c]:.2f} ({paper_rows[name][c]:.2f})" for c in columns]
+        for name, r in data.items()
     ]
-    return render_table(
-        ["Technique", "II/iteration", "Paper"],
-        rows,
-        title="Figure 1. Dot product on the three-issue example machine",
-    )
+    if experiment == "table2":
+        mean = sum(r["selective"] for r in data.values()) / len(data)
+        rows.append(["(mean selective)", "", "", f"{mean:.2f} (1.11)"])
+    return title, ["Benchmark"] + [c.capitalize() for c in columns], rows
+
+
+def format_experiment(experiment: str, data: dict) -> str:
+    """One experiment's result as the text table the CLI prints."""
+    title, headers, rows = experiment_table(experiment, data)
+    return render_table(headers, rows, title=title)

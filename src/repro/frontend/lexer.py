@@ -24,9 +24,6 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-KEYWORDS = frozenset(
-    {"array", "param", "carry", "sym", "do", "end", "result", "loop"}
-)
 PUNCTUATION = ("(", ")", ",", "+", "-", "*", "/", "=", ":")
 
 
@@ -35,10 +32,6 @@ class Token:
     kind: TokenKind
     text: str
     location: Location
-
-    @property
-    def is_keyword(self) -> bool:
-        return self.kind is TokenKind.NAME and self.text in KEYWORDS
 
 
 def tokenize(source: str) -> list[Token]:

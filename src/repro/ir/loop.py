@@ -53,10 +53,6 @@ class CarriedScalar:
     exit: Operand
     init: int | float
 
-    @property
-    def is_self_carried(self) -> bool:
-        return self.entry == self.exit
-
 
 @dataclass(frozen=True)
 class Loop:

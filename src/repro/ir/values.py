@@ -55,10 +55,6 @@ def const_f64(value: float) -> Constant:
     return Constant(float(value), ScalarType.F64)
 
 
-def operand_type(operand: Operand) -> IRType:
-    return operand.type
-
-
 def lane_register(reg: VirtualRegister, lane: int) -> VirtualRegister:
     """The scalar register standing for ``lane`` of a replicated value.
 

@@ -34,6 +34,7 @@ from repro.ledger.store import (
     DEFAULT_LEDGER_DIR,
     Ledger,
     merge_records,
+    resolve_ledger_dir,
 )
 
 __all__ = [
@@ -43,5 +44,6 @@ __all__ = [
     "RunRecord",
     "merge_records",
     "record_from_payloads",
+    "resolve_ledger_dir",
     "strip_wall_fields",
 ]

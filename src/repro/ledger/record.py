@@ -48,6 +48,22 @@ VOLATILE_FIELDS = WALL_FIELDS | frozenset({"cache_hits", "cache_misses"})
 #: deterministic content.
 CIRCUMSTANTIAL_FIELDS = ("run_id", "created_at", "label", "jobs", "cache")
 
+#: The types a stored record's container fields may hold; readers walk
+#: them without further checks.  ``profile`` may also be the file path
+#: older records stored.
+_CONTAINER_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "config": dict,
+    "experiments": dict,
+    "loops": dict,
+    "effort": dict,
+    "telemetry": dict,
+    "cache": dict,
+    "notes": list,
+    "check": (dict, type(None)),
+    "oracle": (dict, type(None)),
+    "profile": (dict, str, type(None)),
+}
+
 
 def utc_now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -177,11 +193,20 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, document: dict) -> "RunRecord":
+        """The record ``document`` holds.  Raises ``ValueError`` for a
+        document without its identity or with a container field of the
+        wrong type, which the ledger reader skips as unreadable."""
         known = {f for f in cls.__dataclass_fields__}
         fields = {k: v for k, v in document.items() if k in known}
         missing = {"run_id", "created_at"} - set(fields)
         if missing:
             raise ValueError(f"run record missing {sorted(missing)}")
+        for name, expected in _CONTAINER_FIELDS.items():
+            if name in fields and not isinstance(fields[name], expected):
+                raise ValueError(
+                    f"run record field {name!r} is a "
+                    f"{type(fields[name]).__name__}"
+                )
         return cls(**fields)
 
     def comparable_dict(self) -> dict:

@@ -31,6 +31,9 @@ from repro.ledger.record import WALL_FIELDS, RunRecord
 
 DEFAULT_LEDGER_DIR = ".repro-ledger"
 
+#: Environment variable naming the ledger directory when no flag does.
+LEDGER_ENV = "REPRO_LEDGER"
+
 RUNS_FILE = "runs.jsonl"
 
 T = TypeVar("T")
@@ -38,6 +41,12 @@ T = TypeVar("T")
 
 def _stderr_warn(message: str) -> None:
     print(f"[ledger] {message}", file=sys.stderr)
+
+
+def resolve_ledger_dir(flag: str | None) -> str:
+    """The ledger directory a command uses: ``flag`` when given, else
+    the ``REPRO_LEDGER`` environment variable, else ``.repro-ledger``."""
+    return flag or os.environ.get(LEDGER_ENV) or DEFAULT_LEDGER_DIR
 
 
 class JsonLinesLog:

@@ -306,6 +306,8 @@ def spawn_server(args: argparse.Namespace) -> tuple[subprocess.Popen, str, int]:
         announce = json.loads(line)["serving"]
     except (json.JSONDecodeError, KeyError, TypeError):
         proc.kill()
+        proc.wait()
+        proc.stdout.close()
         raise RuntimeError(
             f"server did not announce itself (got {line!r})"
         ) from None
@@ -591,6 +593,9 @@ def main(argv: list[str] | None = None) -> int:
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            finally:
+                proc.stdout.close()
 
     return _finish_run(
         args, spec, strategies, observed, len(unique) * args.duplicates

@@ -51,6 +51,13 @@ from repro.workloads.generator import GENERATORS, generate
 #: worker, and every request queued behind it, for as long as it runs.
 MAX_BASELINE_UNROLL = 64
 
+#: Longest DSL body a request may carry.  The event loop parses and
+#: keys a body before any worker sees it, at about 0.12 ms a statement,
+#: so a long body stalls every connection (86 ms at the cap on a 2-vCPU
+#: Xeon VM).  The largest corpus loop (43 ops) is about 1.3 KB of DSL;
+#: the cap leaves about 12 times that.
+MAX_DSL_CHARS = 16 * 1024
+
 
 class ProtocolError(Exception):
     """A request the protocol rejects, with a machine-readable code and
@@ -85,6 +92,13 @@ def _parse_loop_form(form: object) -> "object":
         source = form["dsl"]
         if not isinstance(source, str) or not source.strip():
             raise ProtocolError("bad_loop", "loop.dsl must be DSL text")
+        if len(source) > MAX_DSL_CHARS:
+            raise ProtocolError(
+                "loop_too_large",
+                f"loop.dsl is {len(source)} characters; the limit is "
+                f"{MAX_DSL_CHARS}",
+                status=413,
+            )
         try:
             return parse_loop(source)
         except Exception as exc:

@@ -41,7 +41,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.compiler.service import CompileRequest, compile_one
+from repro.compiler.service import CompileRequest, compile_one, fork_pool
 from repro.evaluation.compile_cache import CompileCache, code_version
 from repro.serve.protocol import ProtocolError, parse_compile_request
 from repro.serve.store import SUMMARY_SLOTS, ArtifactStore
@@ -220,7 +220,7 @@ class CompileServer:
         self._gate.set()
         self._stopped = asyncio.Event()
         if self.config.jobs >= 1:
-            self._pool = self._new_pool()
+            self._pool = fork_pool(self.config.jobs)
         self._dispatcher = loop.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -254,17 +254,6 @@ class CompileServer:
 
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Fork workers inherit the fully imported compiler, so the pool
-        # is warm from its first batch.
-        return ProcessPoolExecutor(
-            max_workers=self.config.jobs,
-            mp_context=multiprocessing.get_context("fork"),
-        )
 
     # -- test hooks ----------------------------------------------------
 
@@ -338,7 +327,7 @@ class CompileServer:
                 # A dead worker breaks the whole pool; replace it so
                 # the next batch runs, and let these waiters retry.
                 self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = self._new_pool()
+                self._pool = fork_pool(self.config.jobs)
                 self.stats.pool_restarts += 1
                 failure = WorkerLost(
                     f"a compile worker died mid-batch; retry shortly ({exc})"

@@ -20,11 +20,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.compiler.driver import check_env_enabled
-from repro.compiler.service import CompileRequest, compile_one
+from repro.compiler.service import CompileRequest, compile_one, fork_pool
 from repro.compiler.strategies import Strategy
 from repro.evaluation.bench_io import atomic_write_json, write_bench_json
 from repro.evaluation.experiments import CompileTelemetry
@@ -55,13 +58,8 @@ class ShardFailure(RuntimeError):
     """A shard died before its result landed durably.  Raised by the
     fault-injection knob (``fail_after``) to simulate a mid-shard kill:
     the shard's result file and manifest line are never written, exactly
-    as if the process had been SIGKILLed mid-compile."""
-
-    def __init__(self, shard: int, after: int) -> None:
-        self.shard = shard
-        super().__init__(
-            f"shard {shard} killed after {after} loop(s) (induced failure)"
-        )
+    as if the process had been SIGKILLed mid-compile.  It takes only its
+    message, so a pool worker's raise unpickles in the parent."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def _run_shard(task: dict) -> dict:
     start = time.perf_counter()
     for n, item in enumerate(plan):
         if fail_after is not None and n >= int(fail_after):
-            raise ShardFailure(shard, n)
+            raise ShardFailure(f"killed after {n} loop(s) (induced failure)")
         loop = item.materialize()
         loop_start = time.perf_counter()
         row: dict[str, dict[str, float]] = {}
@@ -336,45 +334,27 @@ def run_sweep(
         progress.add_total(sum(t["hi"] - t["lo"] for t in tasks))
 
     start = time.perf_counter()
-    failures: list[BaseException] = []
-    if config.jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(
-            max_workers=config.jobs,
-            mp_context=multiprocessing.get_context("fork"),
-        ) as pool:
+    failures: list[str] = []
+    with ExitStack() as stack:
+        # Each outcome returns the shard's summary or raises its error.
+        outcomes: Iterator[tuple[dict, Callable[[], dict]]]
+        if config.jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(fork_pool(config.jobs))
             # Submitting every shard and draining as_completed is the
             # work-stealing loop: a worker that finishes early pulls the
             # next pending shard off the shared queue.
             futures = {pool.submit(_run_shard, t): t for t in tasks}
-            for future in as_completed(futures):
-                task = futures[future]
-                exc = future.exception()
-                if exc is not None:
-                    failures.append(exc)
-                    continue
-                summary = future.result()
-                manifest.append(
-                    {"event": "shard", "status": "done", **summary}
-                )
-                if progress is not None:
-                    for ms in _load_shard(out_dir, summary["shard"]).get(
-                        "loop_wall_ms", []
-                    ):
-                        progress.tick(
-                            f"shard{summary['shard']:05d}",
-                            "sweep",
-                            wall_ms=ms,
-                        )
-                del task
-    else:
-        for task in tasks:
+            outcomes = ((futures[f], f.result) for f in as_completed(futures))
+        else:
+            # In-process, so a profile sees every compile.
+            outcomes = ((t, partial(_run_shard, t)) for t in tasks)
+        for task, outcome in outcomes:
             try:
-                summary = _run_shard(task)
-            except ShardFailure as exc:
-                failures.append(exc)
+                summary = outcome()
+            except Exception as exc:  # noqa: BLE001 — the shard is resumable
+                failures.append(
+                    f"shard {task['shard']}: {type(exc).__name__}: {exc}"
+                )
                 continue
             manifest.append({"event": "shard", "status": "done", **summary})
             if progress is not None:
@@ -387,7 +367,7 @@ def run_sweep(
     wall_s = time.perf_counter() - start
 
     if failures:
-        detail = "; ".join(str(f) for f in failures)
+        detail = "; ".join(failures)
         raise SweepError(
             f"{len(failures)} shard(s) failed ({detail}); completed shards "
             f"are durable — re-run with resume=True (--resume) to finish"

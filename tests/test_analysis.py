@@ -310,6 +310,20 @@ def test_back_end_kernels_are_deterministic_core(tree_result):
         assert Zone.DETERMINISTIC_CORE.value in functions[key]["zones"], key
 
 
+def test_pool_workers_are_fork_worker_zone(tree_result):
+    # Every pool comes from ``fork_pool``; each worker function stays
+    # named at its ``pool.map``, ``pool.submit`` or ``run_in_executor``
+    # call site, which is how the K-* rules find forked code.
+    functions = zone_map_payload(tree_result)["functions"]
+    for key in (
+        "repro.evaluation.experiments:_timed_compile_job",
+        "repro.sweep.runner:_run_shard",
+        "repro.serve.server:_compile_batch_worker",
+    ):
+        assert key in functions, f"{key} missing from zone map"
+        assert Zone.FORK_WORKER.value in functions[key]["zones"], key
+
+
 def test_zone_map_payload_shape(tree_result):
     payload = zone_map_payload(tree_result)
     assert payload["version"] == 1

@@ -4,7 +4,10 @@ import pytest
 
 from repro.compiler.__main__ import main as compiler_main
 from repro.evaluation.__main__ import main as evaluation_main
+from repro.evaluation.bench_io import EXPERIMENTS, collect_experiment
+from repro.evaluation.experiments import Evaluator
 from repro.evaluation.report import generate_report, write_report
+from repro.evaluation.tables import experiment_table
 
 DSL = """
 loop cli_demo
@@ -151,6 +154,20 @@ class TestReport:
         assert "## Table 5" in text
         assert "101.tomcatv" in text
         assert "(1.38)" in text  # paper value rendered alongside
+
+    def test_report_shows_every_experiment_grid(self):
+        """The report renders the same grid the CLI prints, for every
+        experiment: each row of ``experiment_table`` is a markdown row."""
+        names = ("101.tomcatv",)
+        evaluator = Evaluator()
+        text = generate_report(evaluator, names=names)
+        lines = set(text.splitlines())
+        for experiment in EXPERIMENTS:
+            data = collect_experiment(evaluator, experiment, names)["data"]
+            title, headers, rows = experiment_table(experiment, data)
+            assert f"## {title}" in lines
+            for row in [headers] + rows:
+                assert "| " + " | ".join(row) + " |" in lines, (experiment, row)
 
     def test_write_report(self, tmp_path):
         path = tmp_path / "report.md"

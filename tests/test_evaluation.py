@@ -9,13 +9,10 @@ import pytest
 from repro.evaluation.experiments import Evaluator, figure1_iis
 from repro.evaluation.tables import (
     PAPER_FIGURE1,
-    format_figure1,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
+    format_experiment,
     render_table,
 )
+from repro.observability import recording
 
 SMALL = ("101.tomcatv",)
 
@@ -31,7 +28,7 @@ class TestFigure1:
         assert measured == PAPER_FIGURE1
 
     def test_formatting(self):
-        text = format_figure1(figure1_iis())
+        text = format_experiment("figure1", figure1_iis())
         assert "selective" in text and "1.00" in text
 
 
@@ -59,9 +56,10 @@ class TestEvaluator:
         )
         assert first is second
 
-    def test_worker_pool_reused_across_fanouts(self, monkeypatch):
-        """One process pool serves every parallel batch; ``close`` (and
-        the context manager) shuts it down exactly once."""
+    @staticmethod
+    def _fake_pool(monkeypatch) -> list[int]:
+        """Stand an in-process pool in for ``fork_pool``'s executor;
+        returns the list of pool sizes created."""
         created: list[int] = []
 
         class FakePool:
@@ -78,6 +76,12 @@ class TestEvaluator:
         monkeypatch.setattr(
             "concurrent.futures.ProcessPoolExecutor", FakePool
         )
+        return created
+
+    def test_worker_pool_reused_across_fanouts(self, monkeypatch):
+        """One process pool serves every parallel batch; ``close`` (and
+        the context manager) shuts it down exactly once."""
+        created = self._fake_pool(monkeypatch)
         with Evaluator(jobs=2) as ev:
             variants = ev.standard_variants()
             ev.prewarm(SMALL, [variants[0]])
@@ -92,6 +96,22 @@ class TestEvaluator:
         assert ev._pool is None
         ev.close()  # idempotent after the context manager already closed
         assert pool.shutdowns == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_compile_benchmark_span_per_batch(self, jobs, monkeypatch):
+        """Pooled or serial, every compiled (benchmark, variant) batch
+        gets its own ``compile_benchmark`` span and wall time."""
+        created = self._fake_pool(monkeypatch)
+        with recording() as rec, Evaluator(jobs=jobs) as ev:
+            variants = ev.standard_variants()[:2]
+            ev.prewarm(SMALL, variants)
+        assert created == ([2] if jobs > 1 else [])
+        spans = [s for s in rec.tracer.roots if s.name == "compile_benchmark"]
+        assert [(s.attrs["benchmark"], s.attrs["variant"]) for s in spans] == [
+            (SMALL[0], v.label) for v in variants
+        ]
+        for variant in variants:
+            assert ev.telemetry[(SMALL[0], variant.label)].wall_ms > 0
 
     def test_table2_rows(self, evaluator):
         rows = evaluator.table2(SMALL)
@@ -133,10 +153,10 @@ class TestFormatting:
 
     def test_format_table_functions(self, evaluator):
         t2 = evaluator.table2(SMALL)
-        assert "101.tomcatv" in format_table2(t2)
+        assert "101.tomcatv" in format_experiment("table2", t2)
         t3 = evaluator.table3(SMALL)
-        assert "ResMII" in format_table3(t3)
+        assert "ResMII" in format_experiment("table3", t3)
         t4 = evaluator.table4(SMALL)
-        assert "Considered" in format_table4(t4)
+        assert "Considered" in format_experiment("table4", t4)
         t5 = evaluator.table5(SMALL)
-        assert "Misaligned" in format_table5(t5)
+        assert "Misaligned" in format_experiment("table5", t5)

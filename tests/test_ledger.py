@@ -200,11 +200,20 @@ class TestStore:
             f.write(b"this is not json\n")
             f.write(b'{"created_at": "2026-01-01T00:00:00Z"}\n')  # no run_id
             f.write(b"[1, 2]\n")  # JSON, but not an object
+            # Objects whose container fields have the wrong type.
+            f.write(
+                b'{"run_id":"r1","created_at":"2026-01-01T00:00:00Z",'
+                b'"loops":[1]}\n'
+            )
+            f.write(
+                b'{"run_id":"r2","created_at":"2026-01-01T00:00:00Z",'
+                b'"effort":[1]}\n'
+            )
         r2 = _record_for({"gamma": {"L0": {"ii": 5, **{c: 2 for c in COUNTERS}}}}, "b")
         ledger.append(r2)
         records = ledger.records()
         assert [r.run_id for r in records] == [r1.run_id, r2.run_id]
-        assert len([w for w in warnings if "unreadable" in w]) == 3
+        assert len([w for w in warnings if "unreadable" in w]) == 5
 
     def test_append_is_a_single_complete_line(self, tmp_path):
         ledger = Ledger(str(tmp_path / "ledger"))
@@ -377,7 +386,7 @@ class TestCommittedBaseline:
         return records[-1]
 
     def test_latest_record_is_clean_over_every_experiment(self, latest):
-        from repro.evaluation.__main__ import EXPERIMENTS
+        from repro.evaluation.bench_io import EXPERIMENTS
         from repro.workloads.spec import BENCHMARK_NAMES
 
         assert sorted(latest.experiments) == sorted(EXPERIMENTS)

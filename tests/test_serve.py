@@ -28,6 +28,7 @@ from repro.ledger import Ledger
 from repro.serve.loadgen import HttpClient
 from repro.serve.protocol import (
     MAX_BASELINE_UNROLL,
+    MAX_DSL_CHARS,
     ProtocolError,
     parse_compile_request,
 )
@@ -202,7 +203,16 @@ class TestRoutes:
                     assert status == 400
                     assert response["error"]["code"] == code
                     assert closed
-                assert server.stats.bad_requests == len(cases) + len(not_json)
+                # A DSL body over the cap is refused before it is parsed.
+                too_long = {"loop": {"dsl": "x" * (MAX_DSL_CHARS + 1)}}
+                status, _, response = await client.request(
+                    "POST", "/compile", too_long
+                )
+                assert status == 413, response
+                assert response["error"]["code"] == "loop_too_large"
+                assert (
+                    server.stats.bad_requests == len(cases) + len(not_json) + 1
+                )
             finally:
                 await client.close()
                 await server.drain_and_stop()
@@ -731,13 +741,23 @@ class TestShutdown:
 
 
 class TestLoadgenEndToEnd:
-    def test_spawned_server_cold_then_warm(self, tmp_path):
+    def test_spawned_server_cold_then_warm(self, tmp_path, monkeypatch):
         """The CI smoke in miniature: a cold loadgen run compiles, a
         warm rerun over the same store must be 100% cache/dedup.  The
         ledger record's ``jobs`` is the server's worker count, not the
-        client's connection count."""
+        client's connection count.  Each run closes the pipe it read
+        the spawned server's announcement from."""
         from repro.serve import loadgen
 
+        spawned = []
+        real_spawn_server = loadgen.spawn_server
+
+        def spawn_server(args):
+            started = real_spawn_server(args)
+            spawned.append(started[0])
+            return started
+
+        monkeypatch.setattr(loadgen, "spawn_server", spawn_server)
         store = str(tmp_path / "store")
         out = str(tmp_path / "bench")
         ledger_dir = str(tmp_path / "ledger")
@@ -755,9 +775,12 @@ class TestLoadgenEndToEnd:
             "2",
         ]
         assert loadgen.main(common + ["--out", out, "--ledger", ledger_dir]) == 0
-        bench = json.load(open(f"{out}/BENCH_serve.json"))
+        with open(f"{out}/BENCH_serve.json", encoding="utf-8") as f:
+            bench = json.load(f)
         assert bench["data"]["requests"] == 8
         assert bench["data"]["failures"] == 0
         [record] = Ledger(ledger_dir).records()
         assert record.jobs == 1
         assert loadgen.main(common + ["--expect-no-compiles"]) == 0
+        assert len(spawned) == 2
+        assert all(proc.stdout.closed for proc in spawned)

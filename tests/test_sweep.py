@@ -8,6 +8,7 @@ lets ``--fail-on-exact`` gate sweeps in CI.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -186,6 +187,60 @@ class TestKillAndResume:
         )
         with open(resumed.bench_path, encoding="utf-8") as f:
             assert json.load(f)["data"]["resumed_shards"] == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_shard_is_collected_and_resumable(
+        self, jobs, serial_reference, tmp_path, monkeypatch, capsys
+    ):
+        """A shard whose compile raises is named in the ``SweepError``
+        and the other shards land, serial or pooled; the CLI exits 3,
+        and a resume finishes bit-identically to the serial run."""
+        import repro.sweep.runner as runner
+
+        target = corpus_plan(SPEC)[4].name  # shard 1 of 3
+        real_compile_one = runner.compile_one
+
+        def compile_one(request):
+            if request.loop.name == target:
+                raise RuntimeError(f"cannot compile {target}")
+            return real_compile_one(request)
+
+        # Forked pool workers inherit the patch.
+        monkeypatch.setattr(runner, "compile_one", compile_one)
+        config = SweepConfig(spec=SPEC, shards=3, jobs=jobs)
+        out = str(tmp_path / "api")
+        expected = f"shard 1: RuntimeError: cannot compile {target}"
+        with pytest.raises(SweepError, match=re.escape(expected)):
+            run_sweep(config, out)
+        assert sorted(SweepManifest(out).completed_shards()) == [0, 2]
+
+        cli_args = [
+            "run",
+            "--size",
+            str(SPEC.size),
+            "--seed",
+            str(SPEC.seed),
+            "--archetypes",
+            ",".join(SPEC.archetypes),
+            "--trip",
+            "{}:{}".format(*SPEC.trip_counts),
+            "--shards",
+            "3",
+            "--jobs",
+            str(jobs),
+            "--out",
+            str(tmp_path / "cli"),
+        ]
+        assert main(cli_args) == EXIT_FAILED_SHARDS
+        assert expected in capsys.readouterr().err
+
+        monkeypatch.undo()
+        resumed = run_sweep(config, out, resume=True)
+        assert resumed.resumed_shards == 2 and resumed.ran_shards == 1
+        assert (
+            resumed.merged.content_digest()
+            == serial_reference.merged.content_digest()
+        )
 
     def test_resume_requires_matching_config(self, tmp_path):
         out = str(tmp_path / "run")
