@@ -201,11 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         for flag in ("ir", "deps", "partition", "transformed", "schedule", "run"):
             setattr(args, flag, True)
 
-    source = (
-        sys.stdin.read()
-        if args.source == "-"
-        else open(args.source, encoding="utf-8").read()
-    )
+    if args.source == "-":
+        source = sys.stdin.read()
+    else:
+        with open(args.source, encoding="utf-8") as f:
+            source = f.read()
     loop = parse_loop(source)
     machine = machine_by_name(args.machine)
     strategy = Strategy(args.strategy)

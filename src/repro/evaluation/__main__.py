@@ -317,10 +317,14 @@ def main(argv: list[str] | None = None) -> int:
     failed = False
     check_outcome: dict[str, object] | None = None
     if args.check:
-        from repro.evaluation.experiments import figure1_check_reports
+        from repro.compiler.driver import run_translation_checks
+        from repro.evaluation.experiments import figure1_compiled
 
         check_start = time.time()
-        reports = evaluator.run_checks(names) + figure1_check_reports()
+        reports = evaluator.run_checks(names) + [
+            run_translation_checks(compiled)
+            for compiled in figure1_compiled().values()
+        ]
         errors = sum(len(r.errors()) for r in reports)
         findings = sum(len(r.findings) for r in reports)
         for report in reports:

@@ -512,44 +512,25 @@ class Evaluator:
         return rows
 
 
+def figure1_compiled() -> dict[str, CompiledLoop]:
+    """The motivating example (the dot product) compiled under every
+    strategy on the toy machine, keyed by Figure 1's labels."""
+    machine = figure1_machine()
+    loop = dot_product()
+    return {
+        "modulo": compile_loop(
+            loop, machine, Strategy.BASELINE, baseline_unroll=1
+        ),
+        "traditional": compile_loop(loop, machine, Strategy.TRADITIONAL),
+        "full": compile_loop(loop, machine, Strategy.FULL),
+        "selective": compile_loop(loop, machine, Strategy.SELECTIVE),
+    }
+
+
 def figure1_iis() -> dict[str, float]:
     """The motivating example's initiation intervals per original
     iteration on the toy machine (paper Figure 1: 2.0 / 3.0 / 1.5 / 1.0)."""
-    machine = figure1_machine()
-    loop = dot_product()
-    results: dict[str, float] = {}
-    baseline = compile_loop(
-        loop, machine, Strategy.BASELINE, baseline_unroll=1
-    )
-    results["modulo"] = baseline.ii_per_iteration()
-    for label, strategy in (
-        ("traditional", Strategy.TRADITIONAL),
-        ("full", Strategy.FULL),
-        ("selective", Strategy.SELECTIVE),
-    ):
-        results[label] = compile_loop(loop, machine, strategy).ii_per_iteration()
-    return results
-
-
-def figure1_check_reports() -> list:
-    """Translation-validation reports for the Figure 1 example under
-    every strategy on the toy machine."""
-    from repro.compiler.driver import run_translation_checks
-
-    machine = figure1_machine()
-    loop = dot_product()
-    reports = []
-    for strategy in (
-        Strategy.BASELINE,
-        Strategy.TRADITIONAL,
-        Strategy.FULL,
-        Strategy.SELECTIVE,
-    ):
-        compiled = compile_loop(
-            loop,
-            machine,
-            strategy,
-            baseline_unroll=1 if strategy is Strategy.BASELINE else None,
-        )
-        reports.append(run_translation_checks(compiled))
-    return reports
+    return {
+        label: compiled.ii_per_iteration()
+        for label, compiled in figure1_compiled().items()
+    }

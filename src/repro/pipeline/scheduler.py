@@ -83,9 +83,6 @@ class ModuloSchedule:
             rows[t % self.ii].append((by_uid[uid], t // self.ii))
         return rows
 
-    def ii_per_original_iteration(self) -> float:
-        return self.ii / self.loop.increment
-
 
 class _SchedulerState:
     """II-invariant flat scheduling state for one (loop, graph, machine).

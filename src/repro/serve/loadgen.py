@@ -16,13 +16,11 @@ in-flight dedup.  ``429`` responses are retried after the server's
 
 The run writes ``BENCH_serve.json`` (throughput, latency percentiles,
 batch-size histogram, dedup and cache hit rates) and appends a ledger
-record whose deterministic content — per-loop II grid and summed
-effort counters — is built *only* from the per-unique-key response
-summaries.  A ``--direct`` run compiles the same unique requests
-in-process through the same :func:`~repro.compiler.service.compile_one`
-entry point and records the same shape, so
-``python -m repro.dashboard compare <serve> <direct> --fail-on-exact``
-proves the served answers bit-identical to direct compiles.  Unless
+record built by :func:`~repro.sweep.runner.corpus_record` from the
+per-unique-key response summaries alone: the record a ``python -m
+repro.sweep run`` of the same corpus records, so
+``python -m repro.dashboard compare <sweep> <serve> --fail-on-exact``
+proves the served answers bit-identical to in-process compiles.  Unless
 disabled, every response's content-addressed key is also checked
 against a locally computed key for the same request.
 """
@@ -37,15 +35,13 @@ import subprocess
 import sys
 import time
 
-from repro.compiler.service import compile_one
 from repro.compiler.strategies import Strategy
 from repro.evaluation.bench_io import write_bench_json
-from repro.ledger.record import RunRecord
 from repro.ledger.store import Ledger
 from repro.machine.configs import MACHINE_FACTORIES
-from repro.observability.effort import EFFORT
 from repro.observability.stats import percentile
 from repro.serve.protocol import parse_compile_request
+from repro.sweep.runner import SweepConfig, corpus_record
 from repro.workloads.generator import CorpusSpec, corpus_plan
 
 
@@ -140,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="spawn a server subprocess for the run (needs --store)",
     )
-    target.add_argument(
-        "--direct",
-        action="store_true",
-        help="no server: compile the unique requests in-process and "
-        "record the reference ledger entry for dashboard compare",
-    )
     parser.add_argument(
         "--store",
         default=None,
@@ -212,61 +202,6 @@ def build_requests(
         for label in strategies
     ]
     return spec, strategies, unique
-
-
-def build_record(
-    spec: CorpusSpec,
-    strategies: list[str],
-    machine: str,
-    summaries: dict[str, dict],
-    *,
-    wall_s: float,
-    label: str,
-    jobs: int,
-    cache_info: dict,
-) -> RunRecord:
-    """The ledger record of one serve (or direct) run.
-
-    Deterministic content — the per-loop II grid and summed effort —
-    comes only from per-unique-key summaries, so a served run and a
-    direct run over the same corpus produce records with zero exact
-    deltas under ``dashboard compare --fail-on-exact``.
-    """
-    loops_grid: dict[str, dict[str, dict[str, float]]] = {}
-    effort = {counter.name: 0 for counter in EFFORT}
-    for summary in summaries.values():
-        row = loops_grid.setdefault(summary["loop"], {})
-        row[summary["strategy"]] = {
-            "ii": summary["ii"],
-            "res_mii": summary["res_mii"],
-            "rec_mii": summary["rec_mii"],
-        }
-        for counter in EFFORT:
-            effort[counter.name] += int(summary["effort"].get(counter.name, 0))
-    return RunRecord.create(
-        config={
-            "experiments": ["serve"],
-            "serve": {
-                "corpus": spec.to_dict(),
-                "strategies": strategies,
-                "machine": machine,
-            },
-        },
-        loops={"serve": loops_grid},
-        label=label,
-        experiments={
-            "serve": {
-                "loops": spec.size,
-                "strategies": strategies,
-                "machine": machine,
-                "corpus": spec.to_dict(),
-            }
-        },
-        effort=effort,
-        jobs=jobs,
-        cache=cache_info,
-        wall_s=round(wall_s, 3),
-    )
 
 
 def spawn_server(args: argparse.Namespace) -> tuple[subprocess.Popen, str, int]:
@@ -409,20 +344,20 @@ def _finish_run(
     dedup = served.get("dedup", 0)
     cache = served.get("cache", 0)
     warm_rate = (dedup + cache) / n_ok if n_ok else 0.0
-    record = build_record(
-        spec,
-        strategies,
-        args.machine,
-        observed["summaries"],
-        wall_s=wall_s,
+    record = corpus_record(
+        SweepConfig(
+            spec=spec, strategies=tuple(strategies), machine=args.machine
+        ),
+        observed["summaries"].values(),
         label=args.run_label,
         jobs=observed["server_stats"]["jobs"],
-        cache_info={
+        cache={
             "hits": cache,
             "misses": served.get("compiled", 0),
             "dedup_hits": dedup,
             "compile_cache": True,
         },
+        wall_s=round(wall_s, 3),
     )
     if args.ledger:
         Ledger(args.ledger).append(record)
@@ -501,57 +436,12 @@ def _finish_run(
     return rc
 
 
-def run_direct(
-    args: argparse.Namespace,
-    spec: CorpusSpec,
-    strategies: list[str],
-    unique: list[dict],
-) -> int:
-    """Reference mode: same unique requests, compiled in-process."""
-    summaries: dict[str, dict] = {}
-    latencies: list[float] = []
-    start = time.perf_counter()
-    for body in unique:
-        request = parse_compile_request(body)
-        key = request.cache_key()
-        if key in summaries:
-            continue
-        loop_start = time.perf_counter()
-        payload = compile_one(request)
-        latencies.append((time.perf_counter() - loop_start) * 1e3)
-        summaries[key] = payload.summary()
-    wall_s = time.perf_counter() - start
-    record = build_record(
-        spec,
-        strategies,
-        args.machine,
-        summaries,
-        wall_s=wall_s,
-        label=args.run_label,
-        jobs=1,
-        cache_info={"hits": 0, "misses": len(summaries), "compile_cache": False},
-    )
-    if args.ledger:
-        Ledger(args.ledger).append(record)
-        print(f"recorded run {record.run_id} in {args.ledger}")
-    latencies.sort()
-    print(
-        f"direct: {len(summaries)} unique compile(s) in {wall_s:.2f}s, "
-        f"p50 {percentile(latencies, 0.5):.1f}ms "
-        f"p99 {percentile(latencies, 0.99):.1f}ms"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.concurrency < 1 or args.duplicates < 1:
         print("concurrency and duplicates must be >= 1", file=sys.stderr)
         return 2
     spec, strategies, unique = build_requests(args)
-    if args.direct:
-        return run_direct(args, spec, strategies, unique)
-
     if args.spawn:
         if not args.store:
             print("--spawn needs --store DIR", file=sys.stderr)
@@ -563,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         port = int(port_text)
         proc = None
     else:
-        print("pick a target: --url, --spawn, or --direct", file=sys.stderr)
+        print("pick a target: --url or --spawn", file=sys.stderr)
         return 2
 
     expected_keys = None

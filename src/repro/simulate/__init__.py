@@ -9,7 +9,6 @@ from repro.simulate.timing import (
     LOOP_SETUP_CYCLES,
     UnitTiming,
     aggregate_cycles,
-    speedup,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "UnitTiming",
     "aggregate_cycles",
     "simulate_pipeline",
-    "speedup",
 ]

@@ -45,17 +45,7 @@ class UnitTiming:
         cycles += (trip_count % self.factor) * self.cleanup_cycles
         return cycles
 
-    def steady_state_ii_per_iteration(self) -> float:
-        """Asymptotic cost per original iteration."""
-        return self.ii / self.factor
-
 
 def aggregate_cycles(timings: list[UnitTiming], trip_count: int) -> int:
     """Total cycles for one invocation of a (possibly distributed) loop."""
     return sum(t.invocation_cycles(trip_count) for t in timings)
-
-
-def speedup(baseline_cycles: int, other_cycles: int) -> float:
-    if other_cycles <= 0:
-        raise ValueError("non-positive cycle count")
-    return baseline_cycles / other_cycles

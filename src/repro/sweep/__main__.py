@@ -23,7 +23,7 @@ import sys
 
 from repro.observability.stats import percentile
 from repro.sweep.manifest import SweepManifest
-from repro.sweep.runner import SweepConfig, SweepError, run_sweep
+from repro.sweep.runner import MACHINES, SweepConfig, SweepError, run_sweep
 from repro.workloads.generator import GENERATORS, CorpusSpec
 
 EXIT_FAILED_SHARDS = 3
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--machine",
         default="paper",
-        choices=("paper", "figure1"),
+        choices=sorted(MACHINES),
         help="machine model (default: paper)",
     )
     run.add_argument("--shards", type=int, default=1)
@@ -141,20 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(
-        size=args.size,
-        seed=args.seed,
-        archetypes=args.archetypes,
-        weights=args.weights,
-        trip_counts=args.trip,
-    )
-    config = SweepConfig(
-        spec=spec,
-        shards=args.shards,
-        jobs=args.jobs,
-        strategies=args.strategies,
-        machine=args.machine,
-    )
+    try:
+        config = SweepConfig(
+            spec=CorpusSpec(
+                size=args.size,
+                seed=args.seed,
+                archetypes=args.archetypes,
+                weights=args.weights,
+                trip_counts=args.trip,
+            ),
+            shards=args.shards,
+            jobs=args.jobs,
+            strategies=args.strategies,
+            machine=args.machine,
+        )
+    except (KeyError, ValueError) as exc:
+        print(f"sweep: {exc.args[0]}", file=sys.stderr)
+        return 2
     progress = None
     if args.progress:
         from repro.profiling import ProgressMonitor

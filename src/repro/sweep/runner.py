@@ -13,6 +13,10 @@ The per-shard :class:`~repro.ledger.record.RunRecord`\\ s carry only
 shard-independent config, so ``merge_records`` folds them into a record
 whose deterministic content exactly equals a serial reference run —
 the property the ``sweep-smoke`` CI job gates with ``--fail-on-exact``.
+:func:`corpus_record` is the one builder of a generated-corpus record:
+a shard passes it the summaries of its own compiles, and the compile
+server's load generator the served ones, so a served run records the
+sweep's record.
 """
 
 from __future__ import annotations
@@ -24,16 +28,16 @@ from concurrent.futures import as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.compiler.driver import check_env_enabled
 from repro.compiler.service import CompileRequest, compile_one, fork_pool
 from repro.compiler.strategies import Strategy
 from repro.evaluation.bench_io import atomic_write_json, write_bench_json
-from repro.evaluation.experiments import CompileTelemetry
 from repro.ledger.record import RunRecord, digest_of, new_run_id
 from repro.ledger.store import Ledger, merge_records
 from repro.machine.configs import MACHINE_FACTORIES
+from repro.observability.effort import EFFORT
 from repro.observability.stats import percentile
 from repro.sweep.manifest import SweepManifest
 from repro.workloads.generator import CorpusSpec, corpus_plan
@@ -82,8 +86,7 @@ class SweepConfig:
                 f"(expected one of {sorted(MACHINES)})"
             )
         for label in self.strategies:
-            if label.upper() not in Strategy.__members__:
-                raise ValueError(f"unknown strategy {label!r}")
+            Strategy(label)  # a strategy's value, as the protocol takes it
 
     def record_config(self) -> dict:
         """The shard-record config: deliberately free of shard count and
@@ -141,6 +144,44 @@ def shard_path(out_dir: str, shard: int) -> str:
     return os.path.join(out_dir, SHARD_DIR, f"shard-{shard:05d}.json")
 
 
+def corpus_record(
+    config: SweepConfig, summaries: Iterable[dict], **fields: Any
+) -> RunRecord:
+    """The ledger record of compiles over ``config``'s corpus.
+
+    Its deterministic content — the per-loop II/ResMII/RecMII grid and
+    the summed effort — comes only from ``summaries``
+    (:meth:`~repro.compiler.service.CompiledLoopPayload.summary`
+    dicts), whoever compiled them; ``fields`` are the circumstantial
+    rest (run id, label, jobs, cache, wall time, check block).  A
+    counter a summary lacks reads as 0.
+    """
+    loops: dict[str, dict[str, dict[str, float]]] = {}
+    effort = {counter.name: 0 for counter in EFFORT}
+    for summary in summaries:
+        loops.setdefault(summary["loop"], {})[summary["strategy"]] = {
+            "ii": summary["ii"],
+            "res_mii": summary["res_mii"],
+            "rec_mii": summary["rec_mii"],
+        }
+        for counter in EFFORT:
+            effort[counter.name] += int(summary["effort"].get(counter.name, 0))
+    return RunRecord.create(
+        config=config.record_config(),
+        loops={"sweep": loops},
+        experiments={
+            "sweep": {
+                "loops": config.spec.size,
+                "strategies": sorted(config.strategies),
+                "machine": config.machine,
+                "corpus": config.spec.to_dict(),
+            }
+        },
+        effort=effort,
+        **fields,
+    )
+
+
 def _run_shard(task: dict) -> dict:
     """Compile one shard and durably write its result file.
 
@@ -158,14 +199,12 @@ def _run_shard(task: dict) -> dict:
     lo, hi = int(task["lo"]), int(task["hi"])
     fail_after = task.get("fail_after")
     machine = MACHINES[config.machine]()
-    strategies = [
-        (label, Strategy[label.upper()]) for label in sorted(config.strategies)
-    ]
+    strategies = [Strategy(label) for label in sorted(config.strategies)]
     plan = corpus_plan(config.spec)[lo:hi]
-    check_enabled = check_env_enabled()
 
-    telemetry = CompileTelemetry()
-    loops: dict[str, dict[str, dict[str, float]]] = {}
+    summaries: list[dict] = []
+    check_findings = 0
+    check_ms = 0.0
     loop_wall_ms: list[float] = []
     start = time.perf_counter()
     for n, item in enumerate(plan):
@@ -173,49 +212,31 @@ def _run_shard(task: dict) -> dict:
             raise ShardFailure(f"killed after {n} loop(s) (induced failure)")
         loop = item.materialize()
         loop_start = time.perf_counter()
-        row: dict[str, dict[str, float]] = {}
-        for label, strategy in strategies:
-            compiled = compile_one(
+        for strategy in strategies:
+            payload = compile_one(
                 CompileRequest(loop=loop, machine=machine, strategy=strategy)
-            ).compiled
-            telemetry.absorb(compiled)
-            row[label] = {
-                "ii": compiled.ii_per_iteration(),
-                "res_mii": compiled.res_mii_per_iteration(),
-                "rec_mii": compiled.rec_mii_per_iteration(),
-            }
-        loops[item.name] = row
+            )
+            summaries.append(payload.summary())
+            check_findings += payload.compiled.check_findings
+            check_ms += payload.compiled.check_ms
         loop_wall_ms.append((time.perf_counter() - loop_start) * 1e3)
     wall_s = time.perf_counter() - start
 
-    record = RunRecord.create(
-        config=config.record_config(),
-        loops={"sweep": loops},
+    record = corpus_record(
+        config,
+        summaries,
         run_id=f"{task['run_id']}-s{shard:05d}",
         label=task.get("label", ""),
-        experiments={
-            "sweep": {
-                "loops": config.spec.size,
-                "strategies": sorted(config.strategies),
-                "machine": config.machine,
-                "corpus": config.spec.to_dict(),
-            }
-        },
-        effort=telemetry.effort,
         jobs=1,
-        cache={
-            "hits": 0,
-            "misses": telemetry.loops,
-            "compile_cache": False,
-        },
+        cache={"hits": 0, "misses": len(summaries), "compile_cache": False},
         wall_s=round(wall_s, 3),
         check=(
             {
                 "enabled": True,
-                "findings": telemetry.check_findings,
-                "check_ms": round(telemetry.check_ms, 3),
+                "findings": check_findings,
+                "check_ms": round(check_ms, 3),
             }
-            if check_enabled
+            if check_env_enabled()
             else None
         ),
     )

@@ -124,10 +124,6 @@ class PartitionResult:
     def any_vectorized(self) -> bool:
         return bool(self.vectorized)
 
-    def ii_estimate(self, vector_length: int) -> float:
-        """Estimated II per *original* iteration (cost is per VL of them)."""
-        return self.cost / vector_length
-
 
 class _TransferSite:
     """One operand that can cross partitions: its producer (``None`` for

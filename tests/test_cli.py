@@ -66,6 +66,22 @@ class TestCompilerCLI:
     def test_optimize_flag(self, dsl_file, capsys):
         assert compiler_main([dsl_file, "--optimize", "--ir"]) == 0
 
+    def test_source_file_is_closed(self, dsl_file, monkeypatch):
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def keeping_open(*args, **kwargs):
+            f = real_open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        monkeypatch.setattr(builtins, "open", keeping_open)
+        assert compiler_main([dsl_file]) == 0
+        assert dsl_file in [f.name for f in opened]
+        assert all(f.closed for f in opened)
+
     def test_bad_strategy_rejected(self, dsl_file):
         with pytest.raises(SystemExit):
             compiler_main([dsl_file, "--strategy", "quantum"])

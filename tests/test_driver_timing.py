@@ -4,12 +4,7 @@ import pytest
 
 from repro.compiler.driver import compile_loop
 from repro.compiler.strategies import ALL_STRATEGIES, Strategy
-from repro.simulate.timing import (
-    LOOP_SETUP_CYCLES,
-    UnitTiming,
-    aggregate_cycles,
-    speedup,
-)
+from repro.simulate.timing import LOOP_SETUP_CYCLES, UnitTiming, aggregate_cycles
 from repro.workloads.kernels import dot_product, first_order_recurrence
 
 
@@ -38,18 +33,11 @@ class TestUnitTiming:
         with pytest.raises(ValueError):
             t.invocation_cycles(-1)
 
-    def test_steady_state(self):
-        t = UnitTiming(ii=3, stages=2, factor=2, cleanup_cycles=0, preheader_cycles=0)
-        assert t.steady_state_ii_per_iteration() == 1.5
-
-    def test_aggregate_and_speedup(self):
+    def test_aggregate_cycles(self):
         a = UnitTiming(ii=2, stages=1, factor=1, cleanup_cycles=0, preheader_cycles=0)
         b = UnitTiming(ii=3, stages=1, factor=1, cleanup_cycles=0, preheader_cycles=0)
         total = aggregate_cycles([a, b], 10)
         assert total == (LOOP_SETUP_CYCLES + 20) + (LOOP_SETUP_CYCLES + 30)
-        assert speedup(100, 50) == 2.0
-        with pytest.raises(ValueError):
-            speedup(100, 0)
 
 
 class TestCompiledLoop:

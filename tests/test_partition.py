@@ -31,7 +31,6 @@ class TestFigure1:
         dep = analyze_loop(dot_loop, 2)
         result = partition_operations(dep, toy)
         assert result.cost == 2  # per 2 original iterations
-        assert result.ii_estimate(2) == 1.0
 
     def test_partition_shape(self, dot_loop, toy):
         dep = analyze_loop(dot_loop, 2)

@@ -171,11 +171,6 @@ class TestModuloScheduler:
         with pytest.raises(SchedulingError):
             modulo_schedule(Loop("empty", ()), DependenceGraph(), paper)
 
-    def test_ii_per_original_iteration(self, dot_loop, paper):
-        loop, dep = lowered(dot_loop, paper, factor=2)
-        schedule = modulo_schedule(loop, dep.graph, paper)
-        assert schedule.ii_per_original_iteration() == schedule.ii / 2
-
 
 class TestScheduleCheck:
     """``_check_schedule`` validates every schedule the scheduler returns;

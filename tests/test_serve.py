@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import repro.evaluation.compile_cache as compile_cache
 import repro.serve.server as server_module
 from repro.compiler.service import CompileRequest, compile_one
+from repro.dashboard import compare_runs
 from repro.ledger import Ledger
 from repro.serve.loadgen import HttpClient
 from repro.serve.protocol import (
@@ -34,6 +35,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import CompileServer, ServerConfig
 from repro.serve.store import ArtifactStore
+from repro.sweep.runner import SweepConfig, run_sweep
+from repro.workloads.generator import CorpusSpec
 
 DSL = "array x(64), z(64)\ndo i\n z(i) = x(i) + x(i) * 2.0\nend"
 
@@ -282,6 +285,66 @@ class TestProtocolFuzz:
             holder = holder[name]
         holder[path[-1]] = value
         _accepts_or_refuses(body)
+
+
+#: Header lines: ones that shape a request (or over-run the fuzzed
+#: reader's 64-byte line limit), and any bytes at all.
+_WIRE_LINE = st.one_of(
+    st.sampled_from(
+        [
+            b"Content-Length: 4",
+            b"content-length: -1",
+            b"Content-Length: 99999999999",
+            b"Content-Length: x",
+            b"Connection: close",
+            b"X-Pad: " + b"a" * 64,
+            b"",
+        ]
+    ),
+    st.binary(max_size=80),
+)
+#: Any bytes, or a valid request line and then any header lines and
+#: body bytes.
+_WIRE = st.one_of(
+    st.binary(min_size=1, max_size=300),
+    st.builds(
+        lambda first, lines, eol, tail: (
+            b"".join(line + eol for line in [first, *lines]) + tail
+        ),
+        st.sampled_from([b"POST /compile HTTP/1.1", b"GET /stats HTTP/1.0"]),
+        st.lists(_WIRE_LINE, max_size=6),
+        st.sampled_from([b"\r\n", b"\n"]),
+        st.binary(max_size=40),
+    ),
+)
+
+
+class TestFramingFuzz:
+    """Any bytes a peer sends, then closes on, end in a framed request,
+    ``None`` (closed before the headers ended), a
+    :class:`ProtocolError` or ``IncompleteReadError`` (closed mid-body),
+    never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIRE)
+    def test_any_bytes(self, data):
+        async def read():
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(data[1:])
+            reader.feed_eof()
+            return await server_module._read_framed(data[:1], reader)
+
+        try:
+            framed = asyncio.run(read())
+        except ProtocolError as exc:
+            assert exc.status in (400, 413) and exc.code and exc.message
+        except asyncio.IncompleteReadError:
+            pass
+        else:
+            if framed is not None:
+                method, path, headers, body = framed
+                assert method == method.upper() and path
+                assert len(body) == int(headers.get("content-length", "0"))
 
 
 class TestReadTimeout:
@@ -758,6 +821,9 @@ class TestLoadgenEndToEnd:
             return started
 
         monkeypatch.setattr(loadgen, "spawn_server", spawn_server)
+        # A sweep under REPRO_CHECK records a check block; a served run
+        # never does.
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
         store = str(tmp_path / "store")
         out = str(tmp_path / "bench")
         ledger_dir = str(tmp_path / "ledger")
@@ -781,6 +847,15 @@ class TestLoadgenEndToEnd:
         assert bench["data"]["failures"] == 0
         [record] = Ledger(ledger_dir).records()
         assert record.jobs == 1
+        # The served record is the sweep's record of the same corpus.
+        swept = run_sweep(
+            SweepConfig(spec=CorpusSpec(size=4, seed=9)),
+            str(tmp_path / "sweep"),
+            ledger_dir=ledger_dir,
+        ).merged
+        assert Ledger(ledger_dir).records()[-1].run_id == swept.run_id
+        assert swept.content_digest() == record.content_digest()
+        assert compare_runs(record, swept).clean
         assert loadgen.main(common + ["--expect-no-compiles"]) == 0
         assert len(spawned) == 2
         assert all(proc.stdout.closed for proc in spawned)

@@ -110,8 +110,9 @@ class TestShardBounds:
             SweepConfig(spec=SPEC, shards=0)
         with pytest.raises(ValueError):
             SweepConfig(spec=SPEC, machine="vax")
-        with pytest.raises(ValueError):
-            SweepConfig(spec=SPEC, strategies=("no_such_strategy",))
+        for strategies in (("no_such_strategy",), ("SELECTIVE",)):
+            with pytest.raises(ValueError):
+                SweepConfig(spec=SPEC, strategies=strategies)
 
 
 class TestSerialRun:
@@ -337,6 +338,19 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "1 ran, 1 resumed" in text
         assert os.path.exists(os.path.join(out, "BENCH_sweep.json"))
+
+    def test_any_registered_machine(self, tmp_path):
+        out = str(tmp_path / "vl4")
+        args = ["run", "--size", "2", "--archetypes", "copy_like"]
+        assert main(args + ["--machine", "vl4", "--out", out]) == 0
+
+    @pytest.mark.parametrize("label", ["SELECTIVE", "foo"])
+    def test_unknown_strategy_is_a_usage_error(self, tmp_path, capsys, label):
+        out = str(tmp_path / "refused")
+        args = ["run", "--size", "2", "--strategies", label, "--out", out]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"sweep: '{label}'")
+        assert not os.path.exists(out)
 
     def test_status_without_manifest(self, tmp_path, capsys):
         assert main(["status", "--out", str(tmp_path / "none")]) == 1
