@@ -89,6 +89,11 @@ def default_config() -> AnalysisConfig:
             # ``Bins`` receiver the call graph does not resolve.
             "repro.vectorize.bins:Bins.probe",
             "repro.vectorize.bins:Bins.replay",
+            # Decide every modulo placement, called on a reservation table
+            # the call graph does not resolve either.
+            "repro.pipeline.reservation:ModuloReservationTable.probe_spec",
+            "repro.pipeline.reservation:ModuloReservationTable.free_rows",
+            "repro.pipeline.reservation:ModuloReservationTable.first_fit",
             # Run on the first read of a LoopDependence's classification
             # or component order; the call graph does not follow property
             # reads.

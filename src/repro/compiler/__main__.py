@@ -26,7 +26,7 @@ from repro.compiler.service import (
 )
 from repro.compiler.strategies import ALL_STRATEGIES, Strategy
 from repro.dependence.analysis import analyze_loop
-from repro.frontend import parse_loop
+from repro.frontend import LoweringError, SyntaxErrorDSL, parse_loop
 from repro.interp.memory import memory_for_loop
 from repro.machine.configs import MACHINE_FACTORIES as MACHINES
 from repro.machine.configs import machine_by_name
@@ -201,12 +201,30 @@ def main(argv: list[str] | None = None) -> int:
         for flag in ("ir", "deps", "partition", "transformed", "schedule", "run"):
             setattr(args, flag, True)
 
+    # Bad input is one line on stderr and exit 2 (1 is --check's).
+    if args.trace_json:
+        trace_dir = os.path.dirname(os.path.abspath(args.trace_json))
+        if not os.path.isdir(trace_dir):
+            print(
+                f"cannot write {args.trace_json}: no directory {trace_dir}",
+                file=sys.stderr,
+            )
+            return 2
     if args.source == "-":
         source = sys.stdin.read()
     else:
-        with open(args.source, encoding="utf-8") as f:
-            source = f.read()
-    loop = parse_loop(source)
+        try:
+            with open(args.source, encoding="utf-8") as f:
+                source = f.read()
+        except OSError as exc:
+            print(f"cannot read {args.source}: {exc.strerror}", file=sys.stderr)
+            return 2
+    try:
+        loop = parse_loop(source)
+    except (SyntaxErrorDSL, LoweringError) as exc:
+        name = "<stdin>" if args.source == "-" else args.source
+        print(f"{name}:{exc}", file=sys.stderr)
+        return 2
     machine = machine_by_name(args.machine)
     strategy = Strategy(args.strategy)
 

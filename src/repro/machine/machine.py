@@ -154,10 +154,23 @@ class MachineDescription:
         """An opcode's resource uses resolved against the flat instance
         layout, memoized: one ``(first index, instance count, busy
         cycles)`` triple per use, in use order — everything the modulo
-        reservation table's bitmask scan needs, with no name lookups."""
+        reservation table's bitmask scan needs, with no name lookups.
+
+        The uses must name distinct classes, because the table's row
+        masks (``free_rows``) check each use against its class alone.
+        Opcode selection pairs the issue slot with one unit class, plus
+        the vector unit for Figure 1's vector memory operations; a
+        machine whose resource roles share a class is refused here."""
         memo = self._memo("_spec_memo")
         spec = memo.get(info)
         if spec is None:
+            names = [use.resource for use in info.uses]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValueError(
+                        f"opcode {info.mnemonic!r} on machine {self.name!r} "
+                        f"uses resource class {name!r} twice"
+                    )
             _, spans = self.instance_layout()
             spec = tuple(
                 (*spans[use.resource], use.cycles) for use in info.uses

@@ -16,6 +16,12 @@ lookups, and committing a placement is one OR.  Row ownership (needed
 for eviction and rendering) rides in a per-instance ``{row: holder}``
 dict that only placements touch.
 
+The same masks answer every row at once: ``free_rows`` is the bitmask
+of the rows a spec fits at, from one pass over its classes' instances,
+and ``first_fit`` takes the first fitting row at or after a cycle and
+builds the placement token there, so the scheduler never probes row by
+row.
+
 The original per-(instance, row) dict implementation is kept as the
 executable specification in ``tests/reservation_spec.py``: the
 hypothesis equivalence suite drives both tables through random
@@ -24,6 +30,8 @@ placement/eviction sequences and requires identical observable state.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import TYPE_CHECKING
 
 from repro.ir.operations import Operation
@@ -119,6 +127,69 @@ class ModuloReservationTable:
             else:
                 return None
         return start, chosen
+
+    def free_rows(self, spec: tuple[tuple[int, int, int], ...]) -> int:
+        """The kernel rows at which ``probe_spec(spec, row)`` succeeds, as
+        a bitmask (bit ``r`` set ⇔ row ``r`` fits).
+
+        A one-cycle use fits wherever some instance of its class is free:
+        the rows not busy on all of them.  A ``c``-cycle use fits at ``r``
+        on an instance whose rows ``r`` to ``r + c - 1`` (mod II) are all
+        free, the AND of ``c`` rotations of its free rows.  The spec fits
+        where every use does.  This leaves out ``probe_spec``'s
+        bookkeeping of the instances an earlier use took, so it is exact
+        because a spec's uses name distinct classes
+        (:meth:`MachineDescription.reservation_spec` refuses others)."""
+        ii = self.ii
+        full = self.full_mask
+        busy = self.busy
+        rows = full
+        for first, count, cycles in spec:
+            if cycles == 1:
+                rows &= ~reduce(and_, busy[first : first + count])
+            elif cycles > ii:
+                return 0  # cannot fit a reservation longer than II
+            else:
+                fits = 0
+                for i in range(first, first + count):
+                    free = full & ~busy[i]
+                    run = free
+                    for k in range(1, cycles):
+                        run &= (free >> k) | (free << (ii - k))
+                    fits |= run
+                rows &= fits
+            if not rows:
+                return 0
+        return rows
+
+    def first_fit(
+        self, spec: tuple[tuple[int, int, int], ...], cycle: int
+    ) -> tuple[int, PlacementToken] | None:
+        """The first cycle in ``[cycle, cycle + II)`` at which
+        ``probe_spec`` succeeds, with the token it would return there, or
+        None: one :meth:`free_rows` mask, then each use takes the first
+        instance of its class that is free at the chosen row."""
+        rows = self.free_rows(spec)
+        if not rows:
+            return None
+        ii = self.ii
+        shift = cycle % ii
+        ahead = (rows >> shift) | (rows << (ii - shift))
+        offset = (ahead & -ahead).bit_length() - 1
+        start = (shift + offset) % ii
+        busy = self.busy
+        mask_rows = self._mask_rows
+        chosen: list[tuple[int, int, int]] = []
+        for first, _, cycles in spec:
+            row = mask_rows.get(cycles)
+            if row is None:
+                row = self._masks_for(cycles)
+            mask = row[start]
+            i = first
+            while busy[i] & mask:  # some instance is free: the row fits
+                i += 1
+            chosen.append((i, mask, cycles))
+        return cycle + offset, (start, chosen)
 
     def commit(self, key: int, token: PlacementToken) -> None:
         """Apply a probe's placement under holder ``key``."""

@@ -2,12 +2,12 @@
 
 For each candidate II starting at MII = max(ResMII, RecMII), operations
 are scheduled highest-priority-first (priority = height in the
-II-weighted dependence graph).  Each operation is placed at the earliest
-start consistent with its scheduled predecessors, scanning II consecutive
-cycles for a resource-feasible slot; when none exists the operation is
-force-placed, evicting resource conflicts and unscheduling dependence
-violators.  A budget bounds the total number of placements; exhausting it
-moves on to II+1.
+II-weighted dependence graph).  Each operation is placed at the first
+resource-feasible cycle among the II consecutive cycles from the earliest
+start consistent with its scheduled predecessors; when none exists the
+operation is force-placed, evicting resource conflicts and unscheduling
+dependence violators.  A budget bounds the total number of placements;
+exhausting it moves on to II+1.
 
 The inner loop runs on flat state: :class:`_SchedulerState` remaps every
 operation to a dense index once per loop (extending the graph's
@@ -15,13 +15,18 @@ operation to a dense index once per loop (extending the graph's
 graph omits), so scheduled times, last-placement memory, and the ready
 set are plain lists; dependence walks follow edge-index adjacency into
 the shared edge arrays; and resource placement goes through the
-reservation table's probe/commit tokens — one bitmask scan per candidate
-cycle, with the successful probe reused as the placement instead of a
-second scan.  The schedule produced is bit-identical to the original
-dict implementation's, including ``times`` dict insertion order (the
-placement order list is replayed last-occurrence-first) and the jitter
-variants' RNG draw sequence (perturbations are applied in body order,
-choices drawn per fitting-slot count).
+reservation table's probe/commit tokens.  A placement never scans the
+candidate cycles one by one: earliest fit probes ``estart`` and, only
+when that fails, takes the first fitting cycle and its token from one
+row-mask pass (``first_fit``); a jittered attempt draws from the fitting
+cycles of one ``free_rows`` mask and probes only its pick.  So a
+placement makes at most two probes, the second only when it is forced.
+The schedule produced is bit-identical to the per-row scans'
+(``tests/scheduler_spec.py``) and the original dict implementation's,
+including ``times`` dict insertion order (the placement order list is
+replayed last-occurrence-first) and the jitter variants' RNG draw
+sequence (perturbations are applied in body order, choices drawn per
+fitting-cycle count).
 """
 
 from __future__ import annotations
@@ -233,7 +238,8 @@ def _try_schedule(
     last_time: list[int | None] = [None] * n
     order: list[int] = []  # placement order, for dict-order replay
     mrt = ModuloReservationTable(machine, ii)
-    probe = mrt.probe_spec
+    probe, first_fit, free_rows = mrt.probe_spec, mrt.first_fit, mrt.free_rows
+    full = mrt.full_mask
     placements = 0
     evictions = 0
 
@@ -282,34 +288,35 @@ def _try_schedule(
                 estart = bound
 
         spec = specs[i]
-        token = None
-        placed_at = -1
+        placed_at = estart
         if rng is None:
-            # Earliest fit: stop scanning at the first feasible slot, and
-            # keep its probe token as the placement.
-            for t in range(estart, estart + ii):
-                token = probe(spec, t)
-                if token is not None:
-                    placed_at = t
-                    break
+            # Earliest fit.  Most placements fit at estart; for the rest
+            # one row-mask pass finds the first fitting cycle after it,
+            # and its token.
+            token = probe(spec, estart)
+            if token is None:
+                fit = first_fit(spec, estart)
+                if fit is not None:
+                    placed_at, token = fit
         else:
             # Jittered attempts sometimes pick a later fitting cycle,
             # which reaches schedules where an issue row must be left
-            # open for a not-yet-scheduled operation — they need the
-            # full fitting-slot list.
-            fitting: list[int] = []
-            tokens = []
-            for t in range(estart, estart + ii):
-                tk = probe(spec, t)
-                if tk is not None:
-                    fitting.append(t)
-                    tokens.append(tk)
-            if fitting:
+            # open for a not-yet-scheduled operation.  They draw from the
+            # ascending fitting cycles in [estart, estart + II), bit k of
+            # ``ahead`` standing for estart + k, and probe only the pick.
+            token = None
+            rows = free_rows(spec)
+            if rows:
+                shift = estart % ii
+                ahead = ((rows >> shift) | (rows << (ii - shift))) & full
+                fitting = ahead.bit_count()
                 pick = 0
-                if len(fitting) > 1 and rng.random() < 0.5:
-                    pick = rng.choice(range(len(fitting)))
-                placed_at = fitting[pick]
-                token = tokens[pick]
+                if fitting > 1 and rng.random() < 0.5:
+                    pick = rng.choice(range(fitting))
+                for _ in range(pick):
+                    ahead &= ahead - 1  # drop the earliest fitting cycle
+                placed_at = estart + (ahead & -ahead).bit_length() - 1
+                token = probe(spec, placed_at)
         if token is not None:
             mrt.commit(i, token)
         else:

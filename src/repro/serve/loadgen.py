@@ -441,7 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.concurrency < 1 or args.duplicates < 1:
         print("concurrency and duplicates must be >= 1", file=sys.stderr)
         return 2
-    spec, strategies, unique = build_requests(args)
+    try:
+        spec, strategies, unique = build_requests(args)
+    except (KeyError, ValueError) as exc:
+        print(f"loadgen: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.spawn:
         if not args.store:
             print("--spawn needs --store DIR", file=sys.stderr)
@@ -450,7 +454,11 @@ def main(argv: list[str] | None = None) -> int:
     elif args.url:
         host, _, port_text = args.url.rpartition(":")
         host = host or "127.0.0.1"
-        port = int(port_text)
+        try:
+            port = int(port_text)
+        except ValueError:
+            print(f"loadgen: --url needs HOST:PORT, not {args.url!r}", file=sys.stderr)
+            return 2
         proc = None
     else:
         print("pick a target: --url or --spawn", file=sys.stderr)

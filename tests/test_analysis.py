@@ -302,6 +302,9 @@ def test_back_end_kernels_are_deterministic_core(tree_result):
         "repro.pipeline.mii:res_mii",
         "repro.pipeline.mii:_extract_cycle_edges",
         "repro.pipeline.list_schedule:list_schedule_length",
+        "repro.pipeline.reservation:ModuloReservationTable.probe_spec",
+        "repro.pipeline.reservation:ModuloReservationTable.free_rows",
+        "repro.pipeline.reservation:ModuloReservationTable.first_fit",
         "repro.pipeline.scheduler:_check_schedule",
         "repro.regalloc.allocator:_allocate_kernel",
         "repro.regalloc.allocator:_max_live",

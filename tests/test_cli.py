@@ -82,6 +82,39 @@ class TestCompilerCLI:
         assert dsl_file in [f.name for f in opened]
         assert all(f.closed for f in opened)
 
+    def test_missing_source_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.loop")
+        assert compiler_main([missing]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot read {missing}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "statement, error",
+        [
+            ("z(i) = x(i) +", "4:18: unexpected token '\\n' in expression"),
+            ("z(i) = y(i)", "4:12: array 'y' is not declared"),
+        ],
+    )
+    def test_dsl_error_is_one_line(self, tmp_path, capsys, statement, error):
+        path = tmp_path / "bad.loop"
+        path.write_text(
+            f"loop bad\narray x(64), z(64)\ndo i\n    {statement}\nend\n"
+        )
+        assert compiler_main([str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{path}:{error}\n"
+
+    def test_trace_into_missing_directory_fails_before_compiling(
+        self, dsl_file, tmp_path, capsys
+    ):
+        target = tmp_path / "absent" / "trace.json"
+        assert compiler_main([dsl_file, "--trace-json", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write {target}: no directory {target.parent}\n"
+
     def test_bad_strategy_rejected(self, dsl_file):
         with pytest.raises(SystemExit):
             compiler_main([dsl_file, "--strategy", "quantum"])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 
@@ -583,7 +584,7 @@ class TestDashboardCLI:
             )
             == 0
         )
-        html = open(out_html, encoding="utf-8").read()
+        html = Path(out_html).read_text(encoding="utf-8")
         assert "<!doctype html>" in html
         assert "http" + "://" not in html
 
@@ -612,9 +613,9 @@ class TestDashboardCLI:
         argv = ["--ledger", ledger_dir, "--bench-dir", bench_dir]
         assert dashboard_main(["record", *argv]) == 0
         perf_path = os.path.join(bench_dir, "BENCH_compile_perf.json")
-        perf = json.loads(open(perf_path).read())
+        perf = json.loads(Path(perf_path).read_text())
         perf["effort"]["sched_attempts"] += 7
-        open(perf_path, "w").write(json.dumps(perf))
+        Path(perf_path).write_text(json.dumps(perf))
         assert dashboard_main(["record", *argv]) == 0
         code = dashboard_main(
             [
@@ -695,20 +696,20 @@ class TestDashboardCLI:
         )
         # Second shard covers a different benchmark.
         payload = json.loads(
-            open(os.path.join(bench_dir, "BENCH_table2.json")).read()
+            Path(bench_dir, "BENCH_table2.json").read_text()
         )
         payload["data"] = {"beta": {"selective": 1.1}}
         payload["loops"] = {"beta": {"beta.L0": {"selective": {"ii": 7}}}}
         payload["telemetry"] = {
             "beta": {"selective": {"loops": 1, "sched_attempts": 3}}
         }
-        open(os.path.join(bench_dir, "BENCH_table2.json"), "w").write(
+        Path(bench_dir, "BENCH_table2.json").write_text(
             json.dumps(payload)
         )
         perf_path = os.path.join(bench_dir, "BENCH_compile_perf.json")
-        perf = json.loads(open(perf_path).read())
+        perf = json.loads(Path(perf_path).read_text())
         perf["effort"]["sched_attempts"] = 3
-        open(perf_path, "w").write(json.dumps(perf))
+        Path(perf_path).write_text(json.dumps(perf))
         assert (
             dashboard_main(
                 ["record", "--ledger", shard_b, "--bench-dir", bench_dir]

@@ -33,6 +33,7 @@ from math import inf
 
 import pytest
 
+from repro.compiler.driver import compile_loop
 from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop
 from repro.dependence.graph import Via
@@ -41,6 +42,8 @@ from repro.ir.values import const_f64
 from repro.machine.configs import paper_machine
 from repro.observability.recorder import recording
 from repro.pipeline.mii import edge_delay, edge_delays, rec_mii, res_mii
+from repro.pipeline.reservation import ModuloReservationTable
+from repro.pipeline.scheduler import modulo_schedule
 from repro.vectorize.bins import Bins
 from repro.vectorize.communication import Side
 from repro.vectorize.partition import (
@@ -406,7 +409,6 @@ def test_tarjan_runs_only_where_components_are_read(strategy, monkeypatch):
     and of its cleanup loop never run Tarjan: one run for the loop, plus
     one per distributed piece under traditional vectorization."""
     import repro.dependence.analysis as analysis
-    from repro.compiler.driver import compile_loop
     from repro.workloads.kernels import dot_product
 
     monkeypatch.delenv("REPRO_CHECK", raising=False)
@@ -530,6 +532,45 @@ def test_dependence_builder_builds_lane_subscripts_once_per_memory_op(monkeypatc
     assert pairs > len(mem_ops)
     monkeypatch.undo()
     assert graph.edges == dependence_spec.build_dependence_graph(unit).edges
+
+
+def test_slot_search_probes_at_most_twice_per_placement(monkeypatch):
+    """The row-mask slot search fires: earliest fit probes ``estart``,
+    then takes the first fitting row from one mask or is forced (one
+    more probe, after evicting), and a jittered placement probes only
+    the row it draws, so a placement makes at most two probes and at
+    most one fails.  The unit is 32 ops at II 13 after four
+    budget-exhausting attempts; scanning rows one at a time it made
+    14,255 probes, 12,197 of them failing."""
+    compiled = compile_loop(generate("mixed", 794858457), MACHINE, Strategy.BASELINE)
+    [unit] = compiled.units
+    loop = unit.transform.loop
+    graph = analyze_loop(loop, MACHINE.vector_length).graph
+    probes: list[bool] = []  # since the last commit: did each probe fit?
+    placements: list[list[bool]] = []
+    probe_spec, commit = ModuloReservationTable.probe_spec, ModuloReservationTable.commit
+
+    def counted_probe(mrt, spec, cycle):
+        token = probe_spec(mrt, spec, cycle)
+        probes.append(token is not None)
+        return token
+
+    def counted_commit(mrt, key, token):
+        placements.append(probes[:])
+        probes.clear()
+        commit(mrt, key, token)
+
+    monkeypatch.setattr(ModuloReservationTable, "probe_spec", counted_probe)
+    monkeypatch.setattr(ModuloReservationTable, "commit", counted_commit)
+    with recording(trace=False) as rec:
+        schedule = modulo_schedule(loop, graph, MACHINE)
+    assert (len(loop.body), schedule.ii, schedule.attempts) == (32, 13, 5)
+    # Every scheduler placement commits, and so does each op the final
+    # check replays.
+    assert len(placements) == rec.counter("sched.placements") + len(loop.body)
+    assert max(len(p) for p in placements) <= 2
+    assert max(p.count(False) for p in placements) <= 1
+    assert not probes
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,15 @@ inputs and requires identical observable behavior —
   occupied cells after every action, same eviction sets, across random
   machines (including few-unit machines that force conflicts and
   non-pipelined multi-cycle divides) and random place / force-place /
-  remove sequences;
+  remove sequences, and after every action ``free_rows`` equals the rows
+  the dict table fits at and ``first_fit`` the first probe that fits;
+* :func:`modulo_schedule` (row-mask slot search) vs the per-row scans it
+  replaced (``tests/scheduler_spec.py``): the same ``times`` in the same
+  dict order, II and attempt count (or the same error) for every unit of
+  generated loops compiled under all four strategies on every
+  ``MACHINE_FACTORIES`` machine and the tight machines, and for
+  generated loops with divides on the tight machines; Figure 1's
+  selective kernel pins a jittered attempt;
 * :func:`_relax_pred` / :func:`_heights` vs reference reimplementations
   of the original dict-based relaxations: same distances, same
   predecessor edges, same witness, same heights, on random dependence
@@ -45,7 +53,7 @@ inputs and requires identical observable behavior —
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.driver import compile_loop
@@ -69,13 +77,20 @@ from repro.pipeline.mii import (
     res_mii,
 )
 from repro.pipeline.reservation import ModuloReservationTable
-from repro.pipeline.scheduler import _heights
+from repro.pipeline.scheduler import SchedulingError, _heights, modulo_schedule
 from repro.regalloc.allocator import _max_live, kernel_lifetimes
 from repro.vectorize.communication import Side
 from repro.vectorize.full import full_assignment
 from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import GENERATORS, generate
-from tests import dependence_spec, list_schedule_spec, mii_spec, regalloc_spec
+from repro.workloads.kernels import dot_product
+from tests import (
+    dependence_spec,
+    list_schedule_spec,
+    mii_spec,
+    regalloc_spec,
+    scheduler_spec,
+)
 from tests.reservation_spec import DictModuloReservationTable
 
 F64 = ScalarType.F64
@@ -144,11 +159,17 @@ action_strategy = st.tuples(
     ii=st.integers(1, 9),
     actions=st.lists(action_strategy, min_size=1, max_size=25),
 )
+# A 7-cycle fp divide on a one-fp-unit machine at an II longer than it,
+# as long as it and shorter than it.
+@example(machine_idx=2, ii=9, actions=[("place", 2, 3), ("place", 0, 0)])
+@example(machine_idx=2, ii=7, actions=[("place", 0, 4), ("place", 2, 0)])
+@example(machine_idx=2, ii=5, actions=[("place", 2, 0)])
 def test_bitset_mrt_matches_dict_mrt(machine_idx, ii, actions):
     machine = MACHINES[machine_idx]
     fast = ModuloReservationTable(machine, ii)
     ref = DictModuloReservationTable(machine, ii)
     placed: list[Operation] = []
+    shapes = [_make_op(shape_idx) for shape_idx in range(len(OP_SHAPES))]
     for verb, shape_idx, cycle in actions:
         if verb == "remove" and placed:
             op = placed.pop(cycle % len(placed))
@@ -187,6 +208,16 @@ def test_bitset_mrt_matches_dict_mrt(machine_idx, ii, actions):
         # same cells busy with the same holders, the same holder set.
         assert fast.occupied_cells() == ref.occupied_cells()
         assert set(fast.held) == set(ref.held)
+        # The row masks answer every row as the reference does one by
+        # one (divides shorter than II, as long and longer included), and
+        # the first fit from ``cycle`` is the first probe that succeeds.
+        for op in shapes:
+            spec = fast.spec_of(op)
+            rows = [r for r in range(ii) if ref.fits(op, r)]
+            assert fast.free_rows(spec) == sum(1 << r for r in rows), op
+            fits = [t for t in range(cycle, cycle + ii) if t % ii in rows]
+            expected = (fits[0], fast.probe_spec(spec, fits[0])) if fits else None
+            assert fast.first_fit(spec, cycle) == expected, (op, cycle)
 
 
 # ----------------------------------------------------------------------
@@ -549,3 +580,70 @@ def test_closed_form_max_live_matches_spec_on_random_lifetimes(ii, spans):
         for k, (ty, start, length) in enumerate(spans)
     }
     assert _max_live(lifetimes, ii) == regalloc_spec.max_live(lifetimes, ii)
+
+
+# ----------------------------------------------------------------------
+# Modulo scheduling: the row-mask slot search vs the per-row scans.
+
+TIGHT_MACHINES = MACHINES[2:]
+
+
+def _schedule_outcome(schedule, loop, graph, machine):
+    """``times`` as (uid, cycle) pairs in dict order, II and attempts, or
+    the error a scheduler raised."""
+    try:
+        result = schedule(loop, graph, machine)
+    except (SchedulingError, ValueError) as exc:
+        return type(exc), str(exc)
+    return list(result.times.items()), result.ii, result.attempts
+
+
+def _assert_scheduler_matches_spec(loop, machine) -> int:
+    """Schedule ``loop`` with :func:`modulo_schedule` and with the
+    per-row scans of ``tests/scheduler_spec.py``; the outcomes must be
+    equal.  Returns 1 if a jittered attempt was reached, else 0."""
+    graph = analyze_loop(loop, machine.vector_length).graph
+    got = _schedule_outcome(modulo_schedule, loop, graph, machine)
+    spec = _schedule_outcome(scheduler_spec.modulo_schedule, loop, graph, machine)
+    assert got == spec, loop.name
+    return int(len(got) == 3 and got[2] > 1)
+
+
+def _assert_units_match_spec(loop, machine) -> int:
+    """Every unit of ``loop`` compiled under the four strategies (the
+    ones the machine supports: the tight machines have no vector unit),
+    plus the source body itself; returns how many reached a jittered
+    attempt."""
+    jittered = _assert_scheduler_matches_spec(loop, machine)
+    for strategy in Strategy:
+        try:
+            compiled = compile_loop(loop, machine, strategy)
+        except ValueError:
+            assert not machine.supports_vectors
+            continue
+        for unit in compiled.units:
+            jittered += _assert_scheduler_matches_spec(unit.transform.loop, machine)
+    return jittered
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loop=loop_strategy,
+    machine=st.sampled_from(NAMED_MACHINES + TIGHT_MACHINES),
+)
+def test_modulo_schedule_matches_spec(loop, machine):
+    _assert_units_match_spec(loop, machine)
+
+
+@settings(max_examples=30, deadline=None)
+@given(loop=divided_loop_strategy(), machine=st.sampled_from(TIGHT_MACHINES))
+def test_modulo_schedule_matches_spec_with_divides(loop, machine):
+    # 5- and 7-cycle divides on classes of one or two units: the
+    # multi-cycle row masks, and forced placements that evict a
+    # divide's whole span.
+    _assert_scheduler_matches_spec(loop, machine)
+
+
+def test_modulo_schedule_spec_covers_jittered_attempts():
+    # Figure 1's selective II 1.0 takes a second, jittered attempt.
+    assert _assert_units_match_spec(dot_product(), figure1_machine()) >= 1

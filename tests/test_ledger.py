@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,7 +222,7 @@ class TestStore:
             {"alpha": {"L0": {"ii": 4, **{c: 2 for c in COUNTERS}}}}, "x"
         )
         ledger.append(record)
-        raw = open(ledger.runs_path, "rb").read()
+        raw = Path(ledger.runs_path).read_bytes()
         assert raw.endswith(b"\n")
         assert raw.count(b"\n") == 1
 

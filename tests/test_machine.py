@@ -157,6 +157,19 @@ class TestVariants:
                 vector_length=2,
             )
 
+    def test_reservation_spec_refuses_a_class_used_twice(self, toy):
+        # Vector memory on the Figure 1 machine takes the vector token; a
+        # machine that also routes memory through ``vec`` would name that
+        # class twice in one opcode, which the row masks cannot check.
+        from dataclasses import replace
+
+        bad = replace(toy, name="vec-mem", mem_resource="vec")
+        info = bad.opcode_info_for(OpKind.LOAD, F64, True)
+        with pytest.raises(ValueError, match="'vload'.*'vec-mem'.*'vec' twice"):
+            bad.reservation_spec(info)
+        # Its other opcodes still resolve.
+        assert bad.reservation_spec(bad.opcode_info_for(OpKind.ADD, F64, True))
+
     def test_unknown_resource_class_lookup(self, paper):
         with pytest.raises(KeyError):
             paper.resource_class("tpu")

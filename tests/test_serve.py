@@ -18,6 +18,7 @@ import re
 import signal
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -859,3 +860,34 @@ class TestLoadgenEndToEnd:
         assert loadgen.main(common + ["--expect-no-compiles"]) == 0
         assert len(spawned) == 2
         assert all(proc.stdout.closed for proc in spawned)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--strategies", "foo"], "'foo' is not a valid Strategy"),
+            (["--size", "0"], "corpus size must be >= 1"),
+            (["--archetypes", "nope"], "unknown archetype 'nope'"),
+        ],
+    )
+    def test_bad_corpus_flag_is_a_usage_error(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        """A bad corpus or strategy flag is one line of error and exit 2,
+        before any server is spawned."""
+        from repro.serve import loadgen
+
+        def spawn_server(args):
+            raise AssertionError("spawned a server for a bad flag")
+
+        monkeypatch.setattr(loadgen, "spawn_server", spawn_server)
+        argv = ["--spawn", "--store", str(tmp_path / "store"), *flags]
+        assert loadgen.main(argv) == 2
+        assert capsys.readouterr().err == f"loadgen: {message}\n"
+
+    def test_url_without_a_port_is_a_usage_error(self, capsys):
+        from repro.serve import loadgen
+
+        assert loadgen.main(["--url", "nowhere"]) == 2
+        assert capsys.readouterr().err == (
+            "loadgen: --url needs HOST:PORT, not 'nowhere'\n"
+        )
