@@ -4,13 +4,14 @@ A single session-scoped :class:`~repro.evaluation.experiments.Evaluator`
 caches compiled loops, so regenerating all tables costs one compilation
 sweep of the corpus rather than one per table.
 
-Every run of the paper experiments also leaves ``BENCH_<table>.json``
-artifacts behind (schema in :mod:`repro.evaluation.bench_io`) so the
+When ``REPRO_BENCH_DIR`` names a directory (created if missing), a run
+of the paper experiments writes one ``BENCH_<table>.json`` artifact per
+experiment there (schema in :mod:`repro.evaluation.bench_io`) so the
 numbers can be archived; ``python -m repro.dashboard record`` turns a
-directory of them into a run-ledger record.  The regression gate itself
-compares ``python -m repro.evaluation --ledger`` runs against the
-committed ledger in ``benchmarks/baseline/``.  Set ``REPRO_BENCH_DIR``
-to redirect the artifacts, or ``REPRO_BENCH_DIR=''`` to suppress them.
+directory of them into a run-ledger record.  Unset or empty, it writes
+nothing.  The regression gate itself compares ``python -m
+repro.evaluation --ledger`` runs against the committed ledger in
+``benchmarks/baseline/``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def pedantic(benchmark, fn, *args):
 def pytest_sessionfinish(session, exitstatus):
     if not _RESULTS:
         return
-    directory = os.environ.get("REPRO_BENCH_DIR", ".")
+    directory = os.environ.get("REPRO_BENCH_DIR")
     if not directory:
         return
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")

@@ -13,14 +13,20 @@ reservation of ``c`` consecutive rows starting at ``start`` is the
 rotated interval mask ``((1 << c) - 1) << start``, wrapped modulo II —
 so a feasibility probe is one AND per instance instead of per-cell dict
 lookups, and committing a placement is one OR.  Row ownership (needed
-for eviction and rendering) rides in a per-instance ``{row: holder}``
-dict that only placements touch.
+for eviction) rides in a per-instance ``{row: holder}`` dict that only
+placements touch.
 
 The same masks answer every row at once: ``free_rows`` is the bitmask
 of the rows a spec fits at, from one pass over its classes' instances,
 and ``first_fit`` takes the first fitting row at or after a cycle and
 builds the placement token there, so the scheduler never probes row by
 row.
+
+Only the scheduler builds a table.  The instances its placements hold
+when it finishes are the schedule's binding
+(:attr:`~repro.pipeline.scheduler.ModuloSchedule.instances`); the final
+check verifies that binding and :func:`render_reservation_table` draws
+it, so no second table replays a finished schedule.
 
 The original per-(instance, row) dict implementation is kept as the
 executable specification in ``tests/reservation_spec.py``: the
@@ -34,7 +40,6 @@ from functools import reduce
 from operator import and_
 from typing import TYPE_CHECKING
 
-from repro.ir.operations import Operation
 from repro.machine.machine import MachineDescription
 
 if TYPE_CHECKING:  # avoid the scheduler <-> reservation import cycle
@@ -47,12 +52,14 @@ PlacementToken = tuple[int, list[tuple[int, int, int]]]
 class ModuloReservationTable:
     """Bitmask-rows modulo reservation table.
 
-    The op-level API (``fits`` / ``place`` / ``place_evicting`` /
-    ``remove``) keys holders by ``op.uid``.  The spec-level API
-    (``spec_of`` / ``probe_spec`` / ``commit`` / ...) lets the scheduler
-    resolve an op's reservation spec once, reuse the probe's result as a
-    placement token (no second scan on commit), and key holders by its
-    own dense indices — holder keys are opaque ints either way.
+    The API works on reservation specs
+    (:meth:`MachineDescription.reservation_spec`), which the scheduler
+    resolves once per op: ``probe_spec`` / ``free_rows`` / ``first_fit``
+    find a placement and return it as a token that ``commit`` applies
+    with no second scan, ``conflicting_spec`` and ``remove`` evict.
+    Holder keys are opaque ints (the scheduler's dense op indices), and
+    ``held`` maps each to the instances it holds: the binding the
+    scheduler returns with its schedule.
     """
 
     __slots__ = (
@@ -62,7 +69,6 @@ class ModuloReservationTable:
         "busy",
         "owner",
         "held",
-        "_names",
         "_mask_rows",
     )
 
@@ -71,10 +77,9 @@ class ModuloReservationTable:
         self.ii = ii
         self.full_mask = (1 << ii) - 1
         names, _ = machine.instance_layout()
-        self._names = names
         #: Per-instance row bitmask (bit r set ⇔ row r busy).
         self.busy = [0] * len(names)
-        #: Per-instance {row: holder key} (eviction / rendering).
+        #: Per-instance {row: holder key} (eviction).
         self.owner: list[dict[int, int]] = [{} for _ in names]
         #: holder key -> [(instance index, rows mask, start, cycles)].
         self.held: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -92,13 +97,6 @@ class ModuloReservationTable:
             row.append((m | (m >> ii)) & full)
         self._mask_rows[cycles] = row
         return row
-
-    # ------------------------------------------------------------------
-    # Spec-level fast path
-
-    def spec_of(self, op: Operation) -> tuple[tuple[int, int, int], ...]:
-        machine = self.machine
-        return machine.reservation_spec(machine.opcode_info(op))
 
     def probe_spec(
         self, spec: tuple[tuple[int, int, int], ...], cycle: int
@@ -242,49 +240,6 @@ class ModuloReservationTable:
                     clear |= 1 << row
             self.busy[i] &= ~clear
 
-    # ------------------------------------------------------------------
-    # Op-level API (holders keyed by op.uid)
-
-    def fits(self, op: Operation, cycle: int) -> bool:
-        return self.probe_spec(self.spec_of(op), cycle) is not None
-
-    def place(self, op: Operation, cycle: int) -> None:
-        token = self.probe_spec(self.spec_of(op), cycle)
-        if token is None:
-            raise ValueError(f"no free resources for {op} at cycle {cycle}")
-        self.commit(op.uid, token)
-
-    def conflicting_holders(self, op: Operation, cycle: int) -> set[int]:
-        """Uids holding resources the op would need at ``cycle``, choosing
-        for each resource class the alternative displacing the fewest
-        holders."""
-        return self.conflicting_spec(self.spec_of(op), cycle)
-
-    def place_evicting(self, op: Operation, cycle: int) -> set[int]:
-        """Place the op at ``cycle``, evicting whatever stands in the way.
-        Returns the evicted uids."""
-        spec = self.spec_of(op)
-        evicted = self.conflicting_spec(spec, cycle)
-        for key in evicted:
-            self.remove(key)
-        token = self.probe_spec(spec, cycle)
-        if token is None:
-            raise ValueError(f"no free resources for {op} at cycle {cycle}")
-        self.commit(op.uid, token)
-        return evicted
-
-    # ------------------------------------------------------------------
-
-    def occupied_cells(self) -> dict[tuple[str, int], int]:
-        """``(instance name, row) -> holder key`` for every busy cell —
-        the rendering view the dict implementation kept as its primary
-        state."""
-        return {
-            (self._names[i], row): key
-            for i, rows in enumerate(self.owner)
-            for row, key in rows.items()
-        }
-
 
 # ----------------------------------------------------------------------
 # ASCII rendering (the --explain kernel visualizer)
@@ -296,35 +251,26 @@ def render_reservation_table(schedule: "ModuloSchedule") -> str:
     naming the holding operation (``mnemonic.uid``).  The ResMII
     bottleneck resource, when known, is marked ``*``.
 
-    The table is reconstructed by replaying the schedule's placements in
-    issue order — the same replay ``_check_schedule`` validates — so what
-    is drawn is a feasible instance binding of the final kernel.
+    The cells are the scheduler's own instance binding
+    (``schedule.instances``), the one ``_check_schedule`` verified.
     """
     machine = schedule.machine
     ii = schedule.ii
-    mrt = ModuloReservationTable(machine, ii)
-    for op in sorted(schedule.loop.body, key=lambda o: schedule.times[o.uid]):
-        mrt.place(op, schedule.times[op.uid])
-    by_uid = {op.uid: op for op in schedule.loop.body}
-    cells = mrt.occupied_cells()
-
-    def label(uid: int) -> str:
-        return f"{by_uid[uid].mnemonic()}.{uid}"
+    names, _ = machine.instance_layout()
+    grid = [["."] * ii for _ in names]
+    bound = iter(schedule.instances)
+    for op in schedule.loop.body:
+        label = f"{op.mnemonic()}.{op.uid}"
+        t = schedule.times[op.uid]
+        for _, _, cycles in machine.reservation_spec(machine.opcode_info(op)):
+            cells = grid[next(bound)]
+            for k in range(cycles):
+                cells[(t + k) % ii] = label
 
     bottleneck = getattr(schedule.res_mii, "bottleneck", None)
-    instances = [
-        inst for rc in machine.resources for inst in rc.instances()
-    ]
-    grid = {
-        inst: [
-            label(cells[(inst, row)]) if (inst, row) in cells else "."
-            for row in range(ii)
-        ]
-        for inst in instances
-    }
-    name_w = max(len(inst) + 2 for inst in instances)
+    name_w = max(len(inst) + 2 for inst in names)
     col_w = max(
-        [len(c) for cells_ in grid.values() for c in cells_] + [len(str(ii - 1)) + 2]
+        [len(c) for cells in grid for c in cells] + [len(str(ii - 1)) + 2]
     )
     lines = [
         f"reservation table of {schedule.loop.name}: II={ii}, "
@@ -335,10 +281,10 @@ def render_reservation_table(schedule: "ModuloSchedule") -> str:
         f"c{row}".rjust(col_w) for row in range(ii)
     )
     lines.append(header)
-    for inst in instances:
+    for inst, cells in zip(names, grid):
         mark = "*" if inst == bottleneck else " "
         row = f"{mark}{inst}".ljust(name_w) + " ".join(
-            cell.rjust(col_w) for cell in grid[inst]
+            cell.rjust(col_w) for cell in cells
         )
         lines.append(row)
     if bottleneck is not None:

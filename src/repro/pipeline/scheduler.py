@@ -27,6 +27,13 @@ including ``times`` dict insertion order (the placement order list is
 replayed last-occurrence-first) and the jitter variants' RNG draw
 sequence (perturbations are applied in body order, choices drawn per
 fitting-cycle count).
+
+A schedule carries the instance binding its reservation table holds at
+the end (``ModuloSchedule.instances``).  The final check verifies that
+binding exactly, with no table, and ``--explain`` draws it.  Neither
+re-binds the finished kernel: a greedy re-binding in issue order is not
+exact for multi-cycle reservations on a class with several instances,
+and can reject a valid schedule.
 """
 
 from __future__ import annotations
@@ -62,6 +69,11 @@ class ModuloSchedule:
     machine: MachineDescription
     ii: int
     times: dict[int, int]
+    #: The instance each reservation holds (a flat index into
+    #: ``machine.instance_layout()``), op by op in body order and use by
+    #: use in reservation-spec order: the binding the scheduler's table
+    #: chose, which ``_check_schedule`` verified.
+    instances: tuple[int, ...]
     res_mii: int
     rec_mii: int
     attempts: int
@@ -207,7 +219,7 @@ def _try_schedule(
     *,
     base_height: list[int],
     state: _SchedulerState,
-) -> dict[int, int] | None:
+) -> tuple[dict[int, int], tuple[int, ...]] | None:
     # The II-invariant state and the per-II un-jittered heights are
     # computed by the caller once and shared by the four restart
     # variants.
@@ -343,7 +355,9 @@ def _try_schedule(
         last_time[i] = placed_at
         order.append(i)
 
-        # Unschedule any scheduled neighbor whose dependence is now violated.
+        # Unschedule any scheduled successor whose dependence is now
+        # violated.  No predecessor can be: every placement, forced or
+        # not, lands at or after estart, which bounds them all.
         for j in succ_e[i]:
             d = edst[j]
             if d == i:
@@ -355,18 +369,6 @@ def _try_schedule(
                 mrt.remove(d)
                 times[d] = -1
                 push(d)
-                evictions += 1
-        for j in pred_e[i]:
-            s = esrc[j]
-            if s == i:
-                continue
-            ts = times[s]
-            if ts < 0:
-                continue
-            if placed_at < ts + delay[j] - ii * edist[j]:
-                mrt.remove(s)
-                times[s] = -1
-                push(s)
                 evictions += 1
 
     if rec is not None:
@@ -384,7 +386,9 @@ def _try_schedule(
         if times[i] >= 0 and not seen[i]:
             seen[i] = 1
             last_seen.append(i)
-    return {uids[i]: times[i] for i in reversed(last_seen)}
+    held = mrt.held
+    instances = tuple(k for i in state.body_idx for k, _, _, _ in held[i])
+    return {uids[i]: times[i] for i in reversed(last_seen)}, instances
 
 
 def modulo_schedule(
@@ -419,7 +423,7 @@ def modulo_schedule(
             base_height = _heights_flat(state, ii)
             for variant in (None, 1, 2, 3):
                 attempts += 1
-                times = _try_schedule(
+                found = _try_schedule(
                     loop,
                     graph,
                     machine,
@@ -430,7 +434,7 @@ def modulo_schedule(
                     base_height=base_height,
                     state=state,
                 )
-                if times is None and variant == 3 and recorder is not None:
+                if found is None and variant == 3 and recorder is not None:
                     # All restart variants failed at this II: record what
                     # blocked it (at the bound it is the bound itself;
                     # above it, the placement budget).
@@ -444,9 +448,10 @@ def modulo_schedule(
                         budget=budget,
                         at_bound=ii == mii,
                     )
-                if times is not None:
+                if found is not None:
+                    times, instances = found
                     _check_schedule(
-                        loop, graph, machine, ii, times, state.arrays.delay
+                        loop, graph, machine, ii, times, instances, state.arrays.delay
                     )
                     if recorder is not None:
                         recorder.count("sched.loops_scheduled")
@@ -485,6 +490,7 @@ def modulo_schedule(
                         machine=machine,
                         ii=ii,
                         times=times,
+                        instances=instances,
                         res_mii=res,
                         rec_mii=rec,
                         attempts=attempts,
@@ -564,13 +570,16 @@ def _check_schedule(
     machine: MachineDescription,
     ii: int,
     times: dict[int, int],
+    instances: tuple[int, ...],
     delays: list[int] | None = None,
 ) -> None:
     """Validate dependence and resource feasibility of a finished schedule.
 
-    ``delays`` holds each edge's delay in ``graph.edges`` order.  Every
-    edge is checked, then every op is replayed into a fresh reservation
-    table in issue order with one probe, whose token is the placement."""
+    ``delays`` holds each edge's delay in ``graph.edges`` order, and
+    ``instances`` the instance binding (see :class:`ModuloSchedule`).
+    Every edge is checked, then every bound reservation: its instance
+    must belong to the use's class, and its rows, rotated to the op's
+    kernel row, must overlap none bound to that instance before it."""
     if delays is None:
         delays = [edge_delay(e, graph, machine) for e in graph.edges]
     for edge, delay in zip(graph.edges, delays):
@@ -578,10 +587,24 @@ def _check_schedule(
             raise SchedulingError(
                 f"schedule violates {edge} in {loop.name!r} (ii={ii})"
             )
-    mrt = ModuloReservationTable(machine, ii)
-    for op in sorted(loop.body, key=lambda o: times[o.uid]):
+    busy = [0] * len(machine.instance_layout()[0])
+    full = (1 << ii) - 1
+    k = 0
+    for op in loop.body:
         t = times[op.uid]
-        token = mrt.probe_spec(mrt.spec_of(op), t)
-        if token is None:
-            raise SchedulingError(f"resource overflow at cycle {t} for {op}")
-        mrt.commit(op.uid, token)
+        for first, count, cycles in machine.reservation_spec(machine.opcode_info(op)):
+            if k == len(instances):
+                raise SchedulingError(f"no instance bound for a use of {op}")
+            i = instances[k]
+            k += 1
+            if not first <= i < first + count:
+                raise SchedulingError(f"instance {i} is outside a class {op} uses")
+            rows = ((1 << cycles) - 1) << (t % ii)
+            rows = (rows | rows >> ii) & full
+            if cycles > ii or busy[i] & rows:
+                raise SchedulingError(f"resource overflow at cycle {t} for {op}")
+            busy[i] |= rows
+    if k != len(instances):
+        raise SchedulingError(
+            f"{len(instances) - k} instance(s) bound past the last use in {loop.name!r}"
+        )

@@ -1,14 +1,17 @@
 """Executable specification of the modulo scheduler's slot search.
 
 This is the ``_try_schedule`` the row-mask search in
-:mod:`repro.pipeline.scheduler` replaced, kept verbatim: earliest fit
+:mod:`repro.pipeline.scheduler` replaced, kept verbatim but for its
+result, which also carries its table's instance binding: earliest fit
 probes the reservation table at every cycle from ``estart`` until one
-fits, and a jittered attempt probes all II cycles to build its list of
-fitting cycles and tokens before drawing from it.
+fits, a jittered attempt probes all II cycles to build its list of
+fitting cycles and tokens before drawing from it, and a placement
+unschedules any predecessor it violates (which never happens).
 :func:`modulo_schedule` drives it through the same II search and final
 check as the scheduler, without the recorder's remarks.
 ``tests/test_flat_kernels.py`` requires the scheduler's ``times``
-(values and dict order), II and attempt count to equal this one's.
+(values and dict order), instance binding, II and attempt count to
+equal this one's.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _try_schedule(
     *,
     base_height: list[int],
     state: _SchedulerState,
-) -> dict[int, int] | None:
+) -> tuple[dict[int, int], tuple[int, ...]] | None:
     # The II-invariant state and the per-II un-jittered heights are
     # computed by the caller once and shared by the four restart
     # variants.
@@ -218,7 +221,8 @@ def _try_schedule(
         if times[i] >= 0 and not seen[i]:
             seen[i] = 1
             last_seen.append(i)
-    return {uids[i]: times[i] for i in reversed(last_seen)}
+    instances = tuple(k for i in state.body_idx for k, _, _, _ in mrt.held[i])
+    return {uids[i]: times[i] for i in reversed(last_seen)}, instances
 
 
 def modulo_schedule(
@@ -240,7 +244,7 @@ def modulo_schedule(
         base_height = _heights_flat(state, ii)
         for variant in (None, 1, 2, 3):
             attempts += 1
-            times = _try_schedule(
+            found = _try_schedule(
                 loop,
                 graph,
                 machine,
@@ -251,15 +255,17 @@ def modulo_schedule(
                 base_height=base_height,
                 state=state,
             )
-            if times is not None:
+            if found is not None:
+                times, instances = found
                 _check_schedule(
-                    loop, graph, machine, ii, times, state.arrays.delay
+                    loop, graph, machine, ii, times, instances, state.arrays.delay
                 )
                 return ModuloSchedule(
                     loop=loop,
                     machine=machine,
                     ii=ii,
                     times=times,
+                    instances=instances,
                     res_mii=res,
                     rec_mii=rec,
                     attempts=attempts,

@@ -565,9 +565,9 @@ def test_slot_search_probes_at_most_twice_per_placement(monkeypatch):
     with recording(trace=False) as rec:
         schedule = modulo_schedule(loop, graph, MACHINE)
     assert (len(loop.body), schedule.ii, schedule.attempts) == (32, 13, 5)
-    # Every scheduler placement commits, and so does each op the final
-    # check replays.
-    assert len(placements) == rec.counter("sched.placements") + len(loop.body)
+    # Every scheduler placement commits; the final check reads the
+    # binding and builds no table.
+    assert len(placements) == rec.counter("sched.placements")
     assert max(len(p) for p in placements) <= 2
     assert max(p.count(False) for p in placements) <= 1
     assert not probes

@@ -15,9 +15,9 @@ inputs and requires identical observable behavior —
   the dict table fits at and ``first_fit`` the first probe that fits;
 * :func:`modulo_schedule` (row-mask slot search) vs the per-row scans it
   replaced (``tests/scheduler_spec.py``): the same ``times`` in the same
-  dict order, II and attempt count (or the same error) for every unit of
-  generated loops compiled under all four strategies on every
-  ``MACHINE_FACTORIES`` machine and the tight machines, and for
+  dict order, instance binding, II and attempt count (or the same error)
+  for every unit of generated loops compiled under all four strategies
+  on every ``MACHINE_FACTORIES`` machine and the tight machines, and for
   generated loops with divides on the tight machines; Figure 1's
   selective kernel pins a jittered attempt;
 * :func:`_relax_pred` / :func:`_heights` vs reference reimplementations
@@ -168,8 +168,13 @@ def test_bitset_mrt_matches_dict_mrt(machine_idx, ii, actions):
     machine = MACHINES[machine_idx]
     fast = ModuloReservationTable(machine, ii)
     ref = DictModuloReservationTable(machine, ii)
+    names, _ = machine.instance_layout()
     placed: list[Operation] = []
     shapes = [_make_op(shape_idx) for shape_idx in range(len(OP_SHAPES))]
+
+    def spec_of(op):
+        return machine.reservation_spec(machine.opcode_info(op))
+
     for verb, shape_idx, cycle in actions:
         if verb == "remove" and placed:
             op = placed.pop(cycle % len(placed))
@@ -177,42 +182,43 @@ def test_bitset_mrt_matches_dict_mrt(machine_idx, ii, actions):
             ref.remove(op.uid)
         elif verb == "place":
             op = _make_op(shape_idx)
-            fits_fast = fast.fits(op, cycle)
-            fits_ref = ref.fits(op, cycle)
-            assert fits_fast == fits_ref, (op, cycle)
-            if fits_fast:
-                fast.place(op, cycle)
+            token = fast.probe_spec(spec_of(op), cycle)
+            assert (token is not None) == ref.fits(op, cycle), (op, cycle)
+            if token is not None:
+                fast.commit(op.uid, token)
                 ref.place(op, cycle)
                 placed.append(op)
-        else:  # force placement
+        else:  # force placement, as the scheduler's forced path does it
             op = _make_op(shape_idx)
-            assert fast.conflicting_holders(op, cycle) == ref.conflicting_holders(
-                op, cycle
-            ), (op, cycle)
-            err_fast = err_ref = False
-            evicted_fast = evicted_ref = set()
+            spec = spec_of(op)
+            evicted = fast.conflicting_spec(spec, cycle)
+            assert evicted == ref.conflicting_holders(op, cycle), (op, cycle)
+            for key in evicted:
+                fast.remove(key)
+            token = fast.probe_spec(spec, cycle)
             try:
-                evicted_fast = fast.place_evicting(op, cycle)
+                ref.place_evicting(op, cycle)
             except ValueError:
-                err_fast = True
-            try:
-                evicted_ref = ref.place_evicting(op, cycle)
-            except ValueError:
-                err_ref = True
-            assert err_fast == err_ref, (op, cycle)
-            if not err_fast:
-                assert evicted_fast == evicted_ref, (op, cycle)
-                placed = [p for p in placed if p.uid not in evicted_fast]
+                assert token is None, (op, cycle)
+            else:
+                assert token is not None, (op, cycle)
+                fast.commit(op.uid, token)
+                placed = [p for p in placed if p.uid not in evicted]
                 placed.append(op)
         # After every action the full observable state must agree: the
         # same cells busy with the same holders, the same holder set.
-        assert fast.occupied_cells() == ref.occupied_cells()
+        cells = {
+            (names[i], row): key
+            for i, rows in enumerate(fast.owner)
+            for row, key in rows.items()
+        }
+        assert cells == ref.occupied_cells()
         assert set(fast.held) == set(ref.held)
         # The row masks answer every row as the reference does one by
         # one (divides shorter than II, as long and longer included), and
         # the first fit from ``cycle`` is the first probe that succeeds.
         for op in shapes:
-            spec = fast.spec_of(op)
+            spec = spec_of(op)
             rows = [r for r in range(ii) if ref.fits(op, r)]
             assert fast.free_rows(spec) == sum(1 << r for r in rows), op
             fits = [t for t in range(cycle, cycle + ii) if t % ii in rows]
@@ -589,13 +595,13 @@ TIGHT_MACHINES = MACHINES[2:]
 
 
 def _schedule_outcome(schedule, loop, graph, machine):
-    """``times`` as (uid, cycle) pairs in dict order, II and attempts, or
-    the error a scheduler raised."""
+    """``times`` as (uid, cycle) pairs in dict order, the instance
+    binding, II and attempts, or the error a scheduler raised."""
     try:
         result = schedule(loop, graph, machine)
     except (SchedulingError, ValueError) as exc:
         return type(exc), str(exc)
-    return list(result.times.items()), result.ii, result.attempts
+    return list(result.times.items()), result.instances, result.ii, result.attempts
 
 
 def _assert_scheduler_matches_spec(loop, machine) -> int:
@@ -606,7 +612,7 @@ def _assert_scheduler_matches_spec(loop, machine) -> int:
     got = _schedule_outcome(modulo_schedule, loop, graph, machine)
     spec = _schedule_outcome(scheduler_spec.modulo_schedule, loop, graph, machine)
     assert got == spec, loop.name
-    return int(len(got) == 3 and got[2] > 1)
+    return int(len(got) == 4 and got[3] > 1)
 
 
 def _assert_units_match_spec(loop, machine) -> int:

@@ -13,10 +13,11 @@ and check the structural guarantees every component promises:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.findings import Severity
+from repro.check.schedule_check import check_schedule
 from repro.dependence.analysis import analyze_loop
 from repro.machine.configs import paper_machine
 from repro.pipeline.mii import edge_delay
-from repro.pipeline.reservation import ModuloReservationTable
 from repro.pipeline.scheduler import modulo_schedule
 from repro.vectorize.communication import Side
 from repro.vectorize.partition import partition_operations
@@ -54,9 +55,10 @@ def test_partition_respects_vectorizability(loop):
 @settings(max_examples=15, deadline=None)
 @given(loop=loop_strategy, factor=st.sampled_from([1, 2]))
 def test_schedule_feasibility(loop, factor):
-    """Every produced schedule satisfies all dependence edges and fits a
-    fresh reservation table — rebuilt from scratch, not trusting the
-    scheduler's own bookkeeping."""
+    """Every produced schedule satisfies all dependence edges and its
+    reservations can be bound to the machine's instances — checked by
+    the independent schedule checker, not trusting the scheduler's own
+    bookkeeping."""
     dep = analyze_loop(loop, 2)
     assignment = {op.uid: Side.SCALAR for op in loop.body}
     tr = transform_loop(dep, MACHINE, assignment, factor)
@@ -68,10 +70,8 @@ def test_schedule_feasibility(loop, factor):
         rhs = schedule.times[edge.src] + edge_delay(edge, dep2.graph, MACHINE)
         assert lhs >= rhs
 
-    mrt = ModuloReservationTable(MACHINE, schedule.ii)
-    for op in sorted(tr.loop.body, key=lambda o: schedule.times[o.uid]):
-        assert mrt.fits(op, schedule.times[op.uid])
-        mrt.place(op, schedule.times[op.uid])
+    errors = [f for f in check_schedule(schedule) if f.severity is Severity.ERROR]
+    assert errors == []
 
     assert schedule.ii >= max(schedule.res_mii, schedule.rec_mii)
     assert all(t >= 0 for t in schedule.times.values())

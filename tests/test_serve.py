@@ -17,6 +17,7 @@ import os
 import re
 import signal
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from repro.sweep.runner import SweepConfig, run_sweep
 from repro.workloads.generator import CorpusSpec
 
 DSL = "array x(64), z(64)\ndo i\n z(i) = x(i) + x(i) * 2.0\nend"
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def _body(seed: int = 1, strategy: str = "selective") -> dict:
@@ -123,6 +125,28 @@ class TestRoutes:
                 status, _, body = await client.request("GET", "/compile")
                 assert status == 405
                 assert body["error"]["code"] == "method_not_allowed"
+            finally:
+                await client.close()
+                await server.drain_and_stop()
+
+        asyncio.run(scenario())
+
+    def test_a_valid_divide_schedule_is_served(self, tmp_path):
+        # Two divides holding the two fp units for 32 cycles each: a
+        # valid baseline schedule, once answered with 500 compile_error.
+        dsl = (EXAMPLES / "divides.loop").read_text()
+
+        async def scenario():
+            server = await _boot(str(tmp_path))
+            client = await _client(server)
+            try:
+                status, _, body = await client.request(
+                    "POST",
+                    "/compile",
+                    {"loop": {"dsl": dsl}, "machine": "paper", "strategy": "baseline"},
+                )
+                assert status == 200, body
+                assert body["served"] == "compiled"
             finally:
                 await client.close()
                 await server.drain_and_stop()
