@@ -4,8 +4,8 @@
 to each compiled unit and aggregates the findings into one
 :class:`CheckReport`.  With an observability recorder active, every
 finding is also emitted as a ``check`` Remark (plus one summary remark
-per report) so ``--explain``, ``--stats``, and JSON traces surface
-validation alongside the compiler's own provenance events.  Checkers
+per report) so ``--explain`` and JSON traces surface validation
+alongside the compiler's own provenance remarks.  Checkers
 only read compilation state; they never mutate it.
 """
 

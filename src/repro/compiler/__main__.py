@@ -30,11 +30,7 @@ from repro.frontend import LoweringError, SyntaxErrorDSL, parse_loop
 from repro.interp.memory import memory_for_loop
 from repro.machine.configs import MACHINE_FACTORIES as MACHINES
 from repro.machine.configs import machine_by_name
-from repro.observability import (
-    recording,
-    render_stats_table,
-    write_trace,
-)
+from repro.observability import output_path_error, recording, write_trace
 from repro.pipeline.kernel import kernel_listing, pipeline_listing
 from repro.vectorize.communication import Side
 
@@ -79,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="certify the compiled result against the exact-optimality "
         "oracle (branch-and-bound partition + exhaustive modulo "
         "schedule); optional NODES overrides the search-node budget "
-        "(default: REPRO_ORACLE_BUDGET, then 200000). Combines with "
-        "--explain to add a certification section to the report",
+        "(default: 200000). Combines with --explain to add a "
+        "certification section to the report",
     )
     parser.add_argument(
         "--check",
@@ -89,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "independent stage checkers re-derive every dependence, "
         "resource, and allocation obligation) and exit nonzero on any "
         "ERROR finding. With --explain, adds a validation section",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print phase timings, search counters, and events after compiling",
     )
     parser.add_argument(
         "--trace-json",
@@ -202,14 +193,10 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, flag, True)
 
     # Bad input is one line on stderr and exit 2 (1 is --check's).
-    if args.trace_json:
-        trace_dir = os.path.dirname(os.path.abspath(args.trace_json))
-        if not os.path.isdir(trace_dir):
-            print(
-                f"cannot write {args.trace_json}: no directory {trace_dir}",
-                file=sys.stderr,
-            )
-            return 2
+    error = output_path_error(args.trace_json, args.profile)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.source == "-":
         source = sys.stdin.read()
     else:
@@ -232,8 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.oracle is not None:
         from repro.oracle import OracleBudget
 
-        nodes = None if args.oracle == "default" else int(args.oracle)
-        oracle_budget = OracleBudget.from_env(override_nodes=nodes)
+        oracle_budget = (
+            OracleBudget()
+            if args.oracle == "default"
+            else OracleBudget(max_nodes=int(args.oracle))
+        )
 
     if args.explain:
         from repro.compiler.explain import explain_loop
@@ -291,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
 
     recorder = None
     compile_start = time.perf_counter()
-    if args.stats or args.trace_json or args.profile is not None:
+    if args.trace_json or args.profile is not None:
         with recording() as recorder:
             compiled, certificate, check_report = compile_and_analyze()
     else:
@@ -358,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
 
     profile = None
     if recorder is not None:
-        if args.stats:
-            print()
-            print(render_stats_table(recorder))
         if args.trace_json:
             write_trace(recorder, args.trace_json)
             print(f"\nwrote trace to {args.trace_json}")

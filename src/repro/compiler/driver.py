@@ -216,9 +216,12 @@ def _compile_unit(
             min_ii = schedule.ii + 1
             if rec is not None:
                 rec.count("regalloc.retries")
-                rec.event(
-                    "regalloc.retry",
-                    loop=transform.loop.name,
+                rec.remark(
+                    "regalloc",
+                    transform.loop.name,
+                    "retry",
+                    f"register pressure over capacity at II={schedule.ii}; "
+                    f"retrying at II>={min_ii}",
                     attempt=attempt + 1,
                     ii=schedule.ii,
                     next_min_ii=min_ii,
@@ -247,9 +250,12 @@ def _compile_unit(
                 )
             if rec is not None:
                 rec.count("regalloc.spill_rounds")
-                rec.event(
-                    "regalloc.spill",
-                    loop=transform.loop.name,
+                rec.remark(
+                    "regalloc",
+                    transform.loop.name,
+                    "spill",
+                    f"register pressure still over capacity at II={schedule.ii} "
+                    f"after {MAX_ALLOCATION_RETRIES} retries; spilling to memory",
                     ii=schedule.ii,
                     overflow=_overflowing_files(allocation),
                 )
@@ -273,17 +279,6 @@ def _compile_unit(
             cleanup_cycles=cleanup_cycles,
             preheader_cycles=len(transform.loop.preheader),
         )
-        if rec is not None:
-            rec.event(
-                "unit.compiled",
-                loop=transform.loop.name,
-                ii=schedule.ii,
-                res_mii=schedule.res_mii,
-                rec_mii=schedule.rec_mii,
-                stages=schedule.stage_count,
-                factor=transform.factor,
-                allocation_ok=allocation.ok,
-            )
         return CompiledUnit(
             transform=transform,
             schedule=schedule,

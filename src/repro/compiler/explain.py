@@ -59,7 +59,7 @@ def _render_strategy(
         f"== strategy {label}: II/iteration = "
         f"{compiled.ii_per_iteration():.2f} =="
     ]
-    partition_remarks = recorder.events.remarks_for(
+    partition_remarks = recorder.remarks.select(
         loop=compiled.source.name, pass_name="partition"
     )
     if label == Strategy.SELECTIVE.value and partition_remarks:
@@ -75,7 +75,7 @@ def _render_strategy(
         )
         lines += _render_res_bound(schedule.res_mii, "    ")
         lines += _render_rec_bound(schedule.rec_mii, ops, "    ")
-        for r in recorder.events.remarks_for(
+        for r in recorder.remarks.select(
             loop=unit.transform.loop.name, pass_name="scheduler"
         ):
             lines.append(f"    [{r.reason}] {r.message}")
@@ -96,7 +96,7 @@ def render_explanation(
     for label, c in compiled.items():
         sections += _render_strategy(label, c, recorder)
         sections.append("")
-    certificates = recorder.events.remarks_for(
+    certificates = recorder.remarks.select(
         loop=loop.name, pass_name="oracle"
     )
     if certificates:
@@ -104,7 +104,7 @@ def render_explanation(
         for r in certificates:
             sections.append(f"  [{r.reason}] {r.message}")
         sections.append("")
-    validations = recorder.events.remarks_for(
+    validations = recorder.remarks.select(
         loop=loop.name, pass_name="check"
     )
     if validations:
@@ -112,7 +112,7 @@ def render_explanation(
         for r in validations:
             sections.append(f"  [{r.reason}] {r.message}")
         sections.append("")
-    verdicts = recorder.events.remarks_for(loop=loop.name, pass_name="driver")
+    verdicts = recorder.remarks.select(loop=loop.name, pass_name="driver")
     if verdicts:
         sections.append("== strategy comparison ==")
         for r in verdicts:

@@ -42,7 +42,8 @@ import time
 from repro.evaluation import bench_io
 from repro.evaluation.experiments import Evaluator
 from repro.evaluation.tables import format_experiment
-from repro.observability import recording, render_stats_table, write_trace
+from repro.observability import output_path_error, recording, write_trace
+from repro.oracle import DEFAULT_MAX_NODES
 from repro.workloads.spec import BENCHMARK_NAMES
 
 
@@ -79,7 +80,7 @@ def run_oracle_gap(args: argparse.Namespace) -> int:
     from repro.oracle import OracleBudget
     from repro.oracle.gap import oracle_gap_report, render_gap_table
 
-    budget = OracleBudget.from_env(override_nodes=args.oracle_budget)
+    budget = OracleBudget(max_nodes=args.oracle_budget)
     start = time.time()
     payload = oracle_gap_report(budget)
     print(render_gap_table(payload))
@@ -136,10 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--oracle-budget",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_NODES,
         metavar="NODES",
         help="search-node budget per oracle invocation (default: "
-        "REPRO_ORACLE_BUDGET environment variable, then 200000)",
+        f"{DEFAULT_MAX_NODES})",
     )
     parser.add_argument(
         "--bench-dir",
@@ -157,21 +158,14 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="compile loops on a pool of N processes (default: serial, "
-        "or the REPRO_JOBS environment variable)",
+        help="compile loops on a pool of N processes (default: serial)",
     )
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
         default=None,
         help="persist compiled loops in DIR keyed by loop/machine/"
-        "strategy/compiler-version (default: off, or the "
-        "REPRO_COMPILE_CACHE environment variable)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print aggregate compile telemetry after the experiments",
+        "strategy/compiler-version (default: off)",
     )
     parser.add_argument(
         "--trace-json",
@@ -211,10 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="emit periodic progress heartbeats to stderr (loops "
         "done/total, ETA, cache hit-rate, stragglers); works with "
-        "--jobs. The REPRO_PROGRESS environment variable enables the "
-        "same heartbeats, but only onto an interactive terminal — "
-        "redirected stderr (CI logs) stays clean unless --progress is "
-        "passed explicitly",
+        "--jobs",
     )
     parser.add_argument(
         "--progress-json",
@@ -222,6 +213,10 @@ def main(argv: list[str] | None = None) -> int:
         help="append progress heartbeats as JSON lines to PATH",
     )
     args = parser.parse_args(argv)
+    error = output_path_error(args.trace_json, args.profile, args.progress_json)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
 
     if args.explain:
         return explain_workload_loop(args.explain)
@@ -239,24 +234,18 @@ def main(argv: list[str] | None = None) -> int:
     names = tuple(args.benchmarks)
 
     progress = None
-    progress_env = bool(os.environ.get("REPRO_PROGRESS"))
-    if args.progress or args.progress_json or progress_env:
+    if args.progress or args.progress_json:
         from repro.profiling import ProgressMonitor
 
         progress = ProgressMonitor(
-            stream=(
-                sys.stderr if (args.progress or progress_env) else None
-            ),
+            stream=sys.stderr if args.progress else None,
             json_path=args.progress_json,
-            # Implicit (environment-enabled) heartbeats must not pollute
-            # redirected logs; an explicit --progress always emits.
-            require_tty=not args.progress,
         )
 
     recorder = None
     session = (
-        recording(trace=bool(args.trace_json) or args.stats or args.profile is not None)
-        if (args.stats or args.trace_json or args.profile is not None)
+        recording()
+        if (args.trace_json or args.profile is not None)
         else None
     )
     if session is not None:
@@ -304,8 +293,6 @@ def main(argv: list[str] | None = None) -> int:
 
     profile = None
     if recorder is not None:
-        if args.stats:
-            print(render_stats_table(recorder))
         if args.trace_json:
             write_trace(recorder, args.trace_json)
             print(f"wrote trace to {args.trace_json}")

@@ -16,8 +16,8 @@ The cache is safe to share between processes: entries are written to a
 temporary file and atomically renamed into place, a torn or corrupt
 entry reads as a miss, and concurrent writers of the same key converge
 on identical content.  Enable it by passing a directory to
-:class:`CompileCache` (the evaluation CLI wires ``--compile-cache`` /
-``REPRO_COMPILE_CACHE`` to this).
+:class:`CompileCache` (the evaluation CLI wires ``--compile-cache`` to
+this).
 
 With ``max_bytes`` set the cache is additionally size-bounded: every
 hit bumps the entry's mtime, and after each store the least-recently

@@ -22,7 +22,6 @@ strategy.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -141,12 +140,11 @@ class Evaluator:
     """Compiles and caches the corpus under the standard variants.
 
     ``jobs`` fans independent (benchmark, variant, loop) compilations out
-    to a process pool (default: serial; ``REPRO_JOBS`` overrides).
-    ``compile_cache`` — a directory path or
-    :class:`~repro.evaluation.compile_cache.CompileCache` — persists
-    compiled loops across runs keyed by loop IR, machine, strategy, and
-    compiler version (``REPRO_COMPILE_CACHE`` overrides).  Neither
-    changes any result: the corpus is deterministic, workers return the
+    to a process pool (default: serial).  ``compile_cache`` — a directory
+    path or :class:`~repro.evaluation.compile_cache.CompileCache` —
+    persists compiled loops across runs keyed by loop IR, machine,
+    strategy, and compiler version (default: off).  Neither changes any
+    result: the corpus is deterministic, workers return the
     same objects in-process compilation produces, and cached entries are
     content-addressed.
     """
@@ -159,11 +157,7 @@ class Evaluator:
         progress=None,
     ):
         self.machine = machine or paper_machine()
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-        self.jobs = max(1, jobs)
-        if compile_cache is None:
-            compile_cache = os.environ.get("REPRO_COMPILE_CACHE") or None
+        self.jobs = max(1, jobs or 1)
         if isinstance(compile_cache, str):
             from repro.evaluation.compile_cache import CompileCache
 
@@ -249,7 +243,7 @@ class Evaluator:
         process pool when ``jobs > 1``.
 
         One loop handles the results, wherever they were compiled: in
-        this process (so ``--stats`` and ``--profile`` see every
+        this process (so ``--profile`` and ``--trace-json`` see every
         compile) or in the pool.  Each batch's ``compile_benchmark``
         span and ``wall_ms`` cover the time spent obtaining that
         batch's results: compiling them here, or waiting for them."""

@@ -1,27 +1,26 @@
-"""Compiler-pipeline observability: spans, counters, structured events.
+"""Compiler-pipeline observability: spans, counters, remarks.
 
 Modeled on LLVM's ``-time-passes`` / ``-stats`` / optimization-remarks
 trio.  One :class:`Recorder` holds a session; installing it (explicitly,
-via the CLI ``--stats`` / ``--trace-json`` flags, or via the
-``REPRO_STATS`` / ``REPRO_TRACE`` environment variables) turns on the
+via the CLI ``--profile`` / ``--trace-json`` flags, or via the
+``REPRO_PROFILE`` / ``REPRO_TRACE`` environment variables) turns on the
 instrumentation wired through the compilation pipeline.  With no
 recorder installed every instrumentation site is a single ``None`` check.
 
 Typical library use::
 
-    from repro.observability import recording, render_stats_table
+    from repro.observability import recording
+    from repro.profiling import Profile, render_tree
 
     with recording() as rec:
         compile_loop(loop, machine, Strategy.SELECTIVE)
-    print(render_stats_table(rec))
+    print(render_tree(Profile.from_recorder(rec), counters=True))
 """
 
-from repro.observability.events import Event, EventLog, Remark
 from repro.observability.export import (
     TRACE_SCHEMA_VERSION,
+    output_path_error,
     recorder_to_dict,
-    render_remarks,
-    render_stats_table,
     write_trace,
 )
 from repro.observability.recorder import (
@@ -31,21 +30,20 @@ from repro.observability.recorder import (
     maybe_span,
     recording,
 )
+from repro.observability.remarks import Remark, RemarkLog
 from repro.observability.schema import (
     SUPPORTED_TRACE_VERSIONS,
     TraceSchemaError,
     load_trace,
     validate_trace,
 )
-from repro.observability.stats import Distribution, StatRegistry
+from repro.observability.stats import StatRegistry
 from repro.observability.trace import Span, SpanTracer
 
 __all__ = [
-    "Distribution",
-    "Event",
-    "EventLog",
     "Recorder",
     "Remark",
+    "RemarkLog",
     "SUPPORTED_TRACE_VERSIONS",
     "Span",
     "SpanTracer",
@@ -56,10 +54,9 @@ __all__ = [
     "install",
     "load_trace",
     "maybe_span",
+    "output_path_error",
     "recorder_to_dict",
     "recording",
-    "render_remarks",
-    "render_stats_table",
     "validate_trace",
     "write_trace",
 ]

@@ -1,34 +1,30 @@
-"""Sinks: the human-readable stats table and the machine-readable trace.
+"""The machine-readable trace sink.
 
-``render_stats_table`` is what ``--stats`` prints — phase wall times
-aggregated by span name, every counter, every distribution, and a count
-of structured events by kind.  ``write_trace`` is what ``--trace-json``
-writes — the full span forest with attributes, plus counters and the
-ordered event log, as one JSON document (schema documented in
-``docs/observability.md``).
+``write_trace`` is what ``--trace-json`` writes — the full span forest
+with attributes and per-span counters, the flat counters, and the
+ordered remark log, as one JSON document (schema documented in
+``docs/observability.md``).  The human-readable phase report is the
+``--profile`` call tree (:mod:`repro.profiling`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 
-from repro.observability.events import jsonify
 from repro.observability.recorder import Recorder
+from repro.observability.remarks import jsonify
 
-TRACE_SCHEMA_VERSION = 3
+TRACE_SCHEMA_VERSION = 4
 
 
 def recorder_to_dict(recorder: Recorder) -> dict[str, object]:
     """The complete session as JSON-stable plain data."""
-    stats = recorder.stats.to_dict()
-    spans = [jsonify(root.to_dict()) for root in recorder.tracer.roots]
     return {
         "schema_version": TRACE_SCHEMA_VERSION,
-        "spans": spans,
-        "counters": stats["counters"],
-        "distributions": stats["distributions"],
-        "events": [jsonify(e) for e in recorder.events.to_dict()],
-        "remarks": [jsonify(r) for r in recorder.events.remarks_to_dict()],
+        "spans": [jsonify(root.to_dict()) for root in recorder.tracer.roots],
+        "counters": dict(sorted(recorder.stats.counters.items())),
+        "remarks": recorder.remarks.to_dict(),
     }
 
 
@@ -38,82 +34,18 @@ def write_trace(recorder: Recorder, path: str) -> None:
         f.write("\n")
 
 
-# ----------------------------------------------------------------------
-
-
-def _rows_to_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    fmt = "  ".join(f"{{:<{w}}}" if i == 0 else f"{{:>{w}}}" for i, w in enumerate(widths))
-    lines = [fmt.format(*headers), fmt.format(*("-" * w for w in widths))]
-    lines += [fmt.format(*row) for row in rows]
-    return lines
-
-
-def render_remarks(
-    recorder: Recorder,
-    loop: str | None = None,
-    pass_name: str | None = None,
-) -> str:
-    """The optimization remarks of one session, one line per remark,
-    grouped by loop (what ``--explain`` prints)."""
-    remarks = recorder.events.remarks_for(loop=loop, pass_name=pass_name)
-    if not remarks:
-        return "(no remarks recorded)"
-    lines: list[str] = []
-    current: str | None = None
-    for r in remarks:
-        if r.loop != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"remarks for loop {r.loop}:")
-            current = r.loop
-        lines.append(f"  {r.render()}")
-    return "\n".join(lines)
-
-
-def render_stats_table(recorder: Recorder) -> str:
-    """The ``--stats`` report for one recording session."""
-    lines: list[str] = ["=== compilation statistics ==="]
-
-    agg = recorder.tracer.aggregate()
-    if agg:
-        rows = [
-            [name, str(count), f"{total / 1e6:.3f}", f"{self_ns / 1e6:.3f}"]
-            for name, (count, total, self_ns) in sorted(
-                agg.items(), key=lambda kv: -kv[1][1]
-            )
-        ]
-        lines += ["", "-- phase wall time --"]
-        lines += _rows_to_table(["phase", "calls", "total ms", "self ms"], rows)
-
-    counters = recorder.stats.counters
-    if counters:
-        lines += ["", "-- counters --"]
-        lines += _rows_to_table(
-            ["counter", "value"],
-            [[name, str(value)] for name, value in sorted(counters.items())],
-        )
-
-    dists = recorder.stats.distributions
-    if dists:
-        rows = [
-            [name, str(d.n), f"{d.mean:.2f}", f"{d.min:g}", f"{d.max:g}"]
-            for name, d in sorted(dists.items())
-        ]
-        lines += ["", "-- distributions --"]
-        lines += _rows_to_table(["distribution", "n", "mean", "min", "max"], rows)
-
-    event_counts = recorder.events.counts()
-    if event_counts:
-        lines += ["", "-- events --"]
-        lines += _rows_to_table(
-            ["event", "count"],
-            [[name, str(count)] for name, count in sorted(event_counts.items())],
-        )
-
-    if len(lines) == 1:
-        lines.append("(nothing recorded)")
-    return "\n".join(lines)
+def output_path_error(*paths: str | None) -> str | None:
+    """The one-line usage error for the first output path that cannot be
+    written as a file (its directory is missing, or it is a directory),
+    or ``None``.  Unset paths and ``-`` (stdout) are skipped.  The CLIs
+    call this before any work, so a bad ``--trace-json`` or ``--profile``
+    path costs no compile and loses no ledger record."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        if os.path.isdir(path):
+            return f"cannot write {path}: it is a directory"
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            return f"cannot write {path}: no directory {directory}"
+    return None

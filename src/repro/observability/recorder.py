@@ -7,7 +7,7 @@ Instrumented code follows one pattern::
         ...
         if rec is not None:
             rec.count("sched.ii_attempts", attempts)
-            rec.event("sched.budget_exhausted", ii=ii)
+            rec.remark("scheduler", loop.name, "ii-rejected", message, ii=ii)
 
 When nothing is recording, ``active_recorder()`` returns ``None`` (a
 module-global read) and ``maybe_span`` returns one shared null context
@@ -17,16 +17,14 @@ compiler pays nothing for carrying the instrumentation.
 Enablement, in precedence order:
 
 1. explicitly, via :func:`install` / :func:`recording` (what the CLI
-   ``--stats`` / ``--trace-json`` flags do);
-2. the ``REPRO_STATS`` / ``REPRO_TRACE`` / ``REPRO_PROFILE`` environment
-   variables, checked once at import: ``REPRO_STATS=1`` installs a
-   counters-only recorder that prints the stats table to stderr at exit;
-   ``REPRO_TRACE=path`` additionally records spans/events and writes a
-   JSON trace to ``path`` at exit; ``REPRO_PROFILE=path`` writes a
-   hierarchical profile (see :mod:`repro.profiling`) at exit, the way
-   ``--profile=path`` does (``-`` prints its call tree).  This
-   reaches runs that never parse CLI flags (pytest, pytest-benchmark,
-   library embedders).
+   ``--profile`` / ``--trace-json`` flags do);
+2. the ``REPRO_TRACE`` / ``REPRO_PROFILE`` environment variables,
+   checked once at import: ``REPRO_TRACE=path`` writes a JSON trace to
+   ``path`` at exit; ``REPRO_PROFILE=path`` writes a hierarchical
+   profile (see :mod:`repro.profiling`) at exit, the way
+   ``--profile=path`` does (``-`` prints its call tree).  This reaches
+   runs that never parse CLI flags (pytest, pytest-benchmark, library
+   embedders).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 
-from repro.observability.events import EventLog
+from repro.observability.remarks import RemarkLog
 from repro.observability.stats import StatRegistry
 from repro.observability.trace import SpanContext, SpanTracer
 
@@ -42,46 +40,26 @@ _NULL_SPAN = nullcontext()
 
 
 class Recorder:
-    """One recording session: a span forest, a stat registry, an event log.
+    """One recording session: a span forest, a stat registry, a remark log."""
 
-    ``trace=False`` turns spans into no-ops (counters/events still
-    record).
-    """
-
-    def __init__(self, *, trace: bool = True):
-        self.trace_enabled = trace
+    def __init__(self) -> None:
         self.tracer = SpanTracer()
         self.stats = StatRegistry()
-        self.events = EventLog()
+        self.remarks = RemarkLog()
 
-    # -- spans ---------------------------------------------------------
-
-    def span(self, name: str, **attrs: object):
-        if not self.trace_enabled:
-            return _NULL_SPAN
+    def span(self, name: str, **attrs: object) -> SpanContext:
         return SpanContext(self.tracer, name, attrs)
-
-    # -- counters / distributions --------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
         self.stats.add(name, n)
-        if self.trace_enabled:
-            # Attribute the effort to the innermost open phase so the
-            # profiler can turn the span tree into a call-tree profile.
-            span = self.tracer.current()
-            if span is not None:
-                span.count(name, n)
-
-    def observe(self, name: str, value: float) -> None:
-        self.stats.observe(name, value)
+        # Attribute the effort to the innermost open phase so the
+        # profiler can turn the span tree into a call-tree profile.
+        span = self.tracer.current()
+        if span is not None:
+            span.count(name, n)
 
     def counter(self, name: str) -> int:
         return self.stats.counter(name)
-
-    # -- events --------------------------------------------------------
-
-    def event(self, name: str, **data: object):
-        return self.events.emit(name, self.tracer.path(), data)
 
     def remark(
         self,
@@ -92,21 +70,14 @@ class Recorder:
         **data: object,
     ):
         """One optimization remark: why a pass decided what it decided."""
-        return self.events.remark(
+        return self.remarks.add(
             pass_name, loop, reason, message, self.tracer.path(), data
         )
-
-    # ------------------------------------------------------------------
 
     def reset(self) -> None:
         self.tracer.reset()
         self.stats.reset()
-        self.events.reset()
-
-    def to_dict(self) -> dict[str, object]:
-        from repro.observability.export import recorder_to_dict
-
-        return recorder_to_dict(self)
+        self.remarks.reset()
 
 
 _ACTIVE: Recorder | None = None
@@ -141,11 +112,9 @@ class _RecordingContext:
         install(self._previous)
 
 
-def recording(
-    recorder: Recorder | None = None, *, trace: bool = True
-) -> _RecordingContext:
+def recording(recorder: Recorder | None = None) -> _RecordingContext:
     """``with recording() as rec:`` — scoped instrumentation session."""
-    return _RecordingContext(recorder or Recorder(trace=trace))
+    return _RecordingContext(recorder or Recorder())
 
 
 def maybe_span(rec: Recorder | None, name: str, **attrs: object):
@@ -159,34 +128,25 @@ def maybe_span(rec: Recorder | None, name: str, **attrs: object):
 # Environment-variable fallback (checked once, at import).
 
 
-def _env_truthy(value: str | None) -> bool:
-    return bool(value) and value.strip().lower() not in ("0", "false", "no", "off", "")
-
-
 def _install_from_env() -> None:
     trace_path = os.environ.get("REPRO_TRACE", "").strip()
     profile_path = os.environ.get("REPRO_PROFILE", "").strip()
-    want_stats = _env_truthy(os.environ.get("REPRO_STATS"))
-    if not trace_path and not profile_path and not want_stats:
+    if not trace_path and not profile_path:
         return
-    recorder = Recorder(trace=bool(trace_path or profile_path))
+    recorder = Recorder()
     install(recorder)
 
     import atexit
 
     def _flush() -> None:
-        import sys
-
-        from repro.observability.export import render_stats_table, write_trace
-
         if trace_path:
+            from repro.observability.export import write_trace
+
             write_trace(recorder, trace_path)
         if profile_path:
             from repro.profiling import emit_profile
 
             emit_profile(recorder, profile_path, quiet=True)
-        if want_stats:
-            print(render_stats_table(recorder), file=sys.stderr)
 
     atexit.register(_flush)
 

@@ -9,8 +9,8 @@ phases are resolvable.
 
 The tracer itself is always cheap; the *zero-overhead-when-disabled*
 guarantee lives one level up, in :mod:`repro.observability.recorder`,
-which hands out a shared null context manager when tracing is off so
-instrumented code never reaches this module.
+which hands out a shared null context manager when no recorder is
+installed so instrumented code never reaches this module.
 """
 
 from __future__ import annotations
@@ -105,19 +105,6 @@ class SpanTracer:
     def reset(self) -> None:
         self.roots.clear()
         self._stack.clear()
-
-    def aggregate(self) -> dict[str, tuple[int, int, int]]:
-        """Per span name: (count, total ns, self ns) over the whole forest."""
-        agg: dict[str, tuple[int, int, int]] = {}
-        for root in self.roots:
-            for span in root.walk():
-                count, total, self_ns = agg.get(span.name, (0, 0, 0))
-                agg[span.name] = (
-                    count + 1,
-                    total + span.duration_ns,
-                    self_ns + span.self_ns,
-                )
-        return agg
 
 
 class SpanContext:

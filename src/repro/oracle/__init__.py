@@ -24,7 +24,6 @@ returned ``[lower_bound, best]`` interval is guaranteed.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -32,9 +31,6 @@ from dataclasses import dataclass
 CERTIFIED = "certified"
 BOUNDED = "bounded"  # node budget exhausted
 TIMEOUT = "timeout"  # wall-clock budget exhausted
-
-#: Environment fallback for the node budget (mirrors REPRO_JOBS etc.).
-BUDGET_ENV = "REPRO_ORACLE_BUDGET"
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_MAX_SECONDS = 10.0
@@ -52,18 +48,6 @@ class OracleBudget:
 
     max_nodes: int | None = DEFAULT_MAX_NODES
     max_seconds: float | None = DEFAULT_MAX_SECONDS
-
-    @classmethod
-    def from_env(cls, override_nodes: int | None = None) -> "OracleBudget":
-        """Budget from ``REPRO_ORACLE_BUDGET`` (a node count), optionally
-        overridden by an explicit CLI value."""
-        nodes = DEFAULT_MAX_NODES
-        raw = os.environ.get(BUDGET_ENV, "").strip()
-        if raw:
-            nodes = int(raw)
-        if override_nodes is not None:
-            nodes = override_nodes
-        return cls(max_nodes=nodes)
 
 
 class BudgetMeter:
@@ -105,7 +89,6 @@ class BudgetMeter:
 
 __all__ = [
     "BOUNDED",
-    "BUDGET_ENV",
     "CERTIFIED",
     "TIMEOUT",
     "BudgetMeter",

@@ -475,17 +475,6 @@ def _record(rec, dep: LoopDependence, result: PartitionOracleResult) -> None:
     rec.count("oracle.partition_pruned_bound", result.pruned_bound)
     rec.count("oracle.partition_pruned_symmetry", result.pruned_symmetry)
     rec.count(f"oracle.partition_{result.status}")
-    rec.event(
-        "oracle.partition",
-        loop=dep.loop.name,
-        status=result.status,
-        best_cost=result.best_cost,
-        lower_bound=result.lower_bound,
-        candidates=result.candidates,
-        nodes=result.nodes,
-        leaves=result.leaves,
-        kl_cost=result.kl_cost,
-    )
 
 
 # ----------------------------------------------------------------------

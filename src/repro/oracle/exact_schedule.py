@@ -334,14 +334,4 @@ def certify_schedule(
         recorder.count("oracle.schedule_runs")
         recorder.count("oracle.schedule_nodes", result.nodes)
         recorder.count(f"oracle.schedule_{result.status}")
-        recorder.event(
-            "oracle.schedule",
-            loop=loop.name,
-            status=result.status,
-            mii=mii,
-            achieved_ii=achieved_ii,
-            certified_ii=certified_ii,
-            infeasible_iis=list(infeasible),
-            nodes=result.nodes,
-        )
     return result

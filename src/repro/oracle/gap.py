@@ -145,7 +145,7 @@ def certify_compiled(
     is never altered — the oracle runs after the fact)."""
     from repro.observability.recorder import active_recorder, maybe_span
 
-    budget = budget or OracleBudget.from_env()
+    budget = budget or OracleBudget()
     rec = active_recorder()
     with maybe_span(rec, "oracle_certify", loop=loop.name):
         partition_result: PartitionOracleResult | None = None
@@ -374,7 +374,7 @@ def oracle_gap_report(
     """Run the harness and assemble the ``BENCH_oracle_gap.json`` payload."""
     from repro.evaluation.bench_io import BENCH_SCHEMA_VERSION
 
-    budget = budget or OracleBudget.from_env()
+    budget = budget or OracleBudget()
     suite = suite if suite is not None else default_gap_suite()
     rows: dict[str, dict[str, object]] = {}
     summary = {

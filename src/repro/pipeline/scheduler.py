@@ -273,14 +273,6 @@ def _try_schedule(
                 rec.count("sched.budget_exhausted")
                 rec.count("sched.placements", placements)
                 rec.count("sched.evictions", evictions)
-                rec.event(
-                    "sched.budget_exhausted",
-                    loop=loop.name,
-                    ii=ii,
-                    variant=jitter_seed,
-                    placements=placements,
-                    evictions=evictions,
-                )
             return None
         budget -= 1
         placements += 1
@@ -456,16 +448,6 @@ def modulo_schedule(
                     if recorder is not None:
                         recorder.count("sched.loops_scheduled")
                         recorder.count("sched.ii_attempts", attempts)
-                        recorder.observe("sched.ii_over_mii", ii - mii)
-                        recorder.event(
-                            "sched.scheduled",
-                            loop=loop.name,
-                            ii=ii,
-                            res_mii=res,
-                            rec_mii=rec,
-                            attempts=attempts,
-                            variant=variant,
-                        )
                         slack = ii - mii
                         recorder.remark(
                             "scheduler",
@@ -497,13 +479,6 @@ def modulo_schedule(
                     )
         if recorder is not None:
             recorder.count("sched.ii_attempts", attempts)
-            recorder.event(
-                "sched.failed",
-                loop=loop.name,
-                start_ii=start,
-                max_ii=max_ii,
-                attempts=attempts,
-            )
         raise SchedulingError(
             f"no schedule for {loop.name!r} with II in [{start}, {max_ii}]"
         )

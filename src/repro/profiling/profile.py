@@ -116,9 +116,8 @@ class Profile:
         for span in recorder.tracer.roots:
             _merge_span(root, span)
         root.total_ns = sum(c.total_ns for c in root.children.values())
-        # Counters the attribution missed (recorded outside any span, or
-        # with tracing disabled) stay on the root so flat totals are
-        # always recoverable from the tree alone.
+        # Counters recorded outside any span stay on the root so flat
+        # totals are always recoverable from the tree alone.
         attributed = root.cumulative_counters()
         for name, flat in sorted(recorder.stats.counters.items()):
             missing = flat - attributed.get(name, 0)

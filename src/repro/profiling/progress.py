@@ -34,13 +34,6 @@ DEFAULT_INTERVAL_S = 2.0
 DEFAULT_STRAGGLERS = 3
 
 
-def _is_tty(stream: TextIO) -> bool:
-    try:
-        return bool(stream.isatty())
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
 class ProgressMonitor:
     """Heartbeat emitter for a sweep of loop compilations."""
 
@@ -54,7 +47,6 @@ class ProgressMonitor:
         decay: float = DEFAULT_DECAY,
         stragglers: int = DEFAULT_STRAGGLERS,
         clock: Callable[[], float] = time.monotonic,
-        require_tty: bool = False,
     ):
         self.total = total
         self.done = 0
@@ -62,11 +54,6 @@ class ProgressMonitor:
         self.cache_misses = 0
         self.effort_by_strategy: dict[str, dict[str, int]] = {}
         self.stream = stream
-        #: When set, human heartbeats go to ``stream`` only if it is an
-        #: interactive terminal — implicit progress (enabled by
-        #: environment rather than an explicit flag) must not pollute
-        #: redirected CI logs.  JSON heartbeats are unaffected.
-        self.require_tty = require_tty
         self.json_path = json_path
         self.interval_s = interval_s
         self.decay = decay
@@ -202,9 +189,7 @@ class ProgressMonitor:
     def _emit(self, now: float) -> None:
         self._last_emit = now
         self.heartbeats += 1
-        if self.stream is not None and not (
-            self.require_tty and not _is_tty(self.stream)
-        ):
+        if self.stream is not None:
             print(self.render_line(), file=self.stream, flush=True)
         if self.json_path:
             with open(self.json_path, "a", encoding="utf-8") as f:

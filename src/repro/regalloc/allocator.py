@@ -128,16 +128,6 @@ def allocate_kernel(
             rec.count("regalloc.calls")
             if not result.ok:
                 rec.count("regalloc.failures")
-                rec.event(
-                    "regalloc.overflow",
-                    loop=schedule.loop.name,
-                    ii=schedule.ii,
-                    overflow={
-                        p.file: [p.max_live, p.capacity]
-                        for p in result.pressures.values()
-                        if not p.fits
-                    },
-                )
         return result
 
 

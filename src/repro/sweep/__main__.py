@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.observability import output_path_error
 from repro.observability.stats import percentile
 from repro.sweep.manifest import SweepManifest
 from repro.sweep.runner import MACHINES, SweepConfig, SweepError, run_sweep
@@ -158,17 +159,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"sweep: {exc.args[0]}", file=sys.stderr)
         return 2
+    error = output_path_error(args.profile)
+    if error is not None:
+        print(f"sweep: {error}", file=sys.stderr)
+        return 2
     progress = None
     if args.progress:
         from repro.profiling import ProgressMonitor
 
-        progress = ProgressMonitor(stream=sys.stderr, require_tty=False)
+        progress = ProgressMonitor(stream=sys.stderr)
 
     recorder = None
     if args.profile is not None:
         from repro.observability import recording
 
-        recorder_cm = recording(trace=True)
+        recorder_cm = recording()
         recorder = recorder_cm.__enter__()
     try:
         result = run_sweep(

@@ -561,19 +561,6 @@ def partition_operations(
             rec.count("kl.moves_accepted", moves_accepted)
             for counter in PARTITION_EFFORT:
                 rec.count(counter.recorder, getattr(result, counter.source))
-            rec.observe("kl.cost_reduction", scalar_cost - best_cost)
-            rec.event(
-                "kl.converged",
-                loop=dep.loop.name,
-                iterations=iterations,
-                cost=best_cost,
-                scalar_cost=scalar_cost,
-                moves=moves,
-                moves_accepted=moves_accepted,
-                history=list(history),
-                vectorized=len(result.vectorized),
-                candidates=len(candidates),
-            )
             _emit_placement_remarks(rec, dep, machine, config, model, result)
         return result
 

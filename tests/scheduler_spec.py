@@ -99,14 +99,6 @@ def _try_schedule(
                 rec.count("sched.budget_exhausted")
                 rec.count("sched.placements", placements)
                 rec.count("sched.evictions", evictions)
-                rec.event(
-                    "sched.budget_exhausted",
-                    loop=loop.name,
-                    ii=ii,
-                    variant=jitter_seed,
-                    placements=placements,
-                    evictions=evictions,
-                )
             return None
         budget -= 1
         placements += 1

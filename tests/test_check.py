@@ -257,7 +257,7 @@ def test_findings_flow_through_recorder():
     with recording() as rec:
         compiled = compile_loop(dot_product(), MACHINE, Strategy.SELECTIVE)
         run_all_checks(compiled)
-    remarks = rec.events.remarks_for(pass_name="check")
+    remarks = rec.remarks.select(pass_name="check")
     assert any(r.reason == "check-summary" for r in remarks)
 
 

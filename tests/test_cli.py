@@ -115,22 +115,54 @@ class TestCompilerCLI:
         assert out == ""
         assert err == f"cannot write {target}: no directory {target.parent}\n"
 
+    def test_profile_into_missing_directory_fails_before_compiling(
+        self, dsl_file, tmp_path, capsys
+    ):
+        target = tmp_path / "absent" / "profile.json"
+        ledger = tmp_path / "ledger"
+        args = [dsl_file, "--profile", str(target), "--ledger", str(ledger)]
+        assert compiler_main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write {target}: no directory {target.parent}\n"
+        assert not ledger.exists()
+
+    def test_trace_onto_a_directory_fails_before_compiling(
+        self, dsl_file, tmp_path, capsys
+    ):
+        assert compiler_main([dsl_file, "--trace-json", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write {tmp_path}: it is a directory\n"
+
     def test_bad_strategy_rejected(self, dsl_file):
         with pytest.raises(SystemExit):
             compiler_main([dsl_file, "--strategy", "quantum"])
 
     def test_stats_flag_prints_table(self, dsl_file, capsys):
-        assert compiler_main([dsl_file, "--stats"]) == 0
+        assert compiler_main([dsl_file, "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "=== compilation statistics ===" in out
-        assert "phase wall time" in out
-        assert "compile_loop" in out
-        assert "modulo_schedule" in out
-        assert "kl.moves_evaluated" in out
-        assert "kl.moves_accepted" in out
-        assert "kl.bin_packs" in out
-        assert "sched.ii_attempts" in out
-        assert "regalloc.calls" in out
+        assert "== profile ==" in out
+        phases = {
+            line.split()[0] for line in out.splitlines() if "%" in line
+        }
+        assert {
+            "compile_loop",
+            "partition",
+            "transform",
+            "dependence",
+            "modulo_schedule",
+            "regalloc",
+            "cleanup_schedule",
+        } <= phases
+        for counter in (
+            "kl.moves_evaluated",
+            "kl.moves_accepted",
+            "kl.bin_packs",
+            "sched.ii_attempts",
+            "regalloc.calls",
+        ):
+            assert f"· {counter} = " in out
 
     def test_trace_json_flag_writes_trace(self, dsl_file, capsys, tmp_path):
         import json
@@ -139,19 +171,20 @@ class TestCompilerCLI:
         assert compiler_main([dsl_file, "--trace-json", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"wrote trace to {path}" in out
-        trace = json.loads(path.read_text())
-        from repro.observability.export import TRACE_SCHEMA_VERSION
+        from repro.observability import TRACE_SCHEMA_VERSION, load_trace
 
+        trace = load_trace(str(path))
         assert trace["schema_version"] == TRACE_SCHEMA_VERSION
+        assert set(trace) == {"schema_version", "spans", "counters", "remarks"}
         assert trace["spans"][0]["name"] == "compile_loop"
         assert trace["spans"][0]["attrs"]["loop"] == "cli_demo"
-        assert any(e["name"] == "kl.converged" for e in trace["events"])
+        assert any(r["pass"] == "partition" for r in trace["remarks"])
         assert trace["counters"]["sched.loops_scheduled"] >= 1
 
     def test_no_stats_without_flags(self, dsl_file, capsys):
         assert compiler_main([dsl_file]) == 0
         out = capsys.readouterr().out
-        assert "compilation statistics" not in out
+        assert "== profile ==" not in out
 
 
 class TestEvaluationCLI:
@@ -170,6 +203,21 @@ class TestEvaluationCLI:
         out = capsys.readouterr().out
         assert "101.tomcatv" in out and "Selective" in out
 
+    @pytest.mark.parametrize(
+        "flag", ["--trace-json", "--profile", "--progress-json"]
+    )
+    def test_output_into_missing_directory_fails_before_any_work(
+        self, flag, capsys, tmp_path
+    ):
+        target = tmp_path / "absent" / "out.json"
+        ledger = tmp_path / "ledger"
+        args = ["figure1", "--no-bench-json", "--ledger", str(ledger)]
+        assert evaluation_main(args + [flag, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write {target}: no directory {target.parent}\n"
+        assert not ledger.exists()
+
     def test_stats_and_trace_flags(self, capsys, tmp_path):
         import json
 
@@ -181,7 +229,7 @@ class TestEvaluationCLI:
                     "--benchmarks",
                     "101.tomcatv",
                     "--no-bench-json",
-                    "--stats",
+                    "--profile",
                     "--trace-json",
                     str(path),
                 ]
@@ -189,8 +237,9 @@ class TestEvaluationCLI:
             == 0
         )
         out = capsys.readouterr().out
-        assert "=== compilation statistics ===" in out
-        assert "kl.moves_evaluated" in out
+        assert "== profile ==" in out
+        assert "compile_benchmark" in out
+        assert "· kl.moves_evaluated = " in out
         trace = json.loads(path.read_text())
         names = {s["name"] for s in trace["spans"]}
         assert "compile_benchmark" in names

@@ -166,7 +166,7 @@ class TestSchedulerRemarks:
         rec = schedule.rec_mii
         assert isinstance(rec, RecMII)
         assert rec > schedule.res_mii  # dot product is recurrence-limited
-        remarks = recorder.events.remarks_for(pass_name="scheduler")
+        remarks = recorder.remarks.select(pass_name="scheduler")
         bounds = [r for r in remarks if r.reason == "rec-bound"]
         assert len(bounds) == 1
         message = bounds[0].message
@@ -181,7 +181,7 @@ class TestSchedulerRemarks:
         with recording() as recorder:
             schedule = modulo_schedule(loop, dep.graph, paper)
         assert schedule.res_mii >= schedule.rec_mii
-        remarks = recorder.events.remarks_for(pass_name="scheduler")
+        remarks = recorder.remarks.select(pass_name="scheduler")
         bounds = [r for r in remarks if r.reason == "res-bound"]
         assert len(bounds) == 1
         assert schedule.res_mii.bottleneck in bounds[0].message
@@ -194,7 +194,7 @@ class TestSchedulerRemarks:
         with recording() as recorder:
             recorded = modulo_schedule(loop, dep.graph, paper)
         assert schedule.ii == recorded.ii
-        assert recorder.events.remarks
+        assert recorder.remarks.records
 
 
 class TestExplainCLI:

@@ -455,7 +455,7 @@ def test_rec_mii_runs_bellman_ford_once_per_improving_cycle():
     run extracts the critical cycle at II 7 (a binary search takes 7)."""
     unit = _memory_recurrence_unit()
     graph = analyze_loop(unit, MACHINE.vector_length).graph
-    with recording(trace=False) as rec:
+    with recording() as rec:
         bound = rec_mii(graph, MACHINE)
     assert rec.counter("mii.bf_runs") == 3
     assert bound == 8
@@ -562,7 +562,7 @@ def test_slot_search_probes_at_most_twice_per_placement(monkeypatch):
 
     monkeypatch.setattr(ModuloReservationTable, "probe_spec", counted_probe)
     monkeypatch.setattr(ModuloReservationTable, "commit", counted_commit)
-    with recording(trace=False) as rec:
+    with recording() as rec:
         schedule = modulo_schedule(loop, graph, MACHINE)
     assert (len(loop.body), schedule.ii, schedule.attempts) == (32, 13, 5)
     # Every scheduler placement commits; the final check reads the

@@ -1,4 +1,4 @@
-"""Tests for the observability subsystem: spans, stats, events, export."""
+"""Tests for the observability subsystem: spans, counters, remarks, export."""
 
 import json
 from pathlib import Path
@@ -14,10 +14,10 @@ from repro.observability import (
     maybe_span,
     recorder_to_dict,
     recording,
-    render_stats_table,
     write_trace,
 )
-from repro.observability.effort import EFFORT
+from repro.observability.effort import EFFORT, PARTITION_EFFORT
+from repro.profiling import Profile, render_tree
 from repro.workloads.livermore import k1_hydro
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -50,9 +50,9 @@ class TestSpans:
         for _ in range(3):
             with rec.span("phase"):
                 pass
-        agg = rec.tracer.aggregate()
-        assert agg["phase"][0] == 3
-        assert agg["phase"][1] > 0
+        phase = Profile.from_recorder(rec).phases()["phase"]
+        assert phase.calls == 3
+        assert phase.total_ns > 0
 
     def test_exception_unwinds_stack(self):
         rec = Recorder()
@@ -65,15 +65,12 @@ class TestSpans:
 
 
 class TestStats:
-    def test_counters_and_distributions(self):
+    def test_counters_accumulate(self):
         rec = Recorder()
         rec.count("c", 2)
         rec.count("c")
-        rec.observe("d", 1.0)
-        rec.observe("d", 3.0)
         assert rec.counter("c") == 3
-        dist = rec.stats.distributions["d"]
-        assert (dist.n, dist.mean, dist.min, dist.max) == (2, 2.0, 1.0, 3.0)
+        assert rec.counter("never") == 0
 
     def test_counters_reset_between_sessions(self):
         with recording() as first:
@@ -85,7 +82,7 @@ class TestStats:
         first.reset()
         assert first.counter("c") == 0
         assert first.tracer.roots == []
-        assert len(first.events) == 0
+        assert first.remarks.records == []
 
 
 class TestDisabledMode:
@@ -97,20 +94,13 @@ class TestDisabledMode:
         compile_loop(k1_hydro(), paper_machine(), Strategy.SELECTIVE)
         assert probe.stats.counters == {}
         assert probe.tracer.roots == []
-        assert len(probe.events) == 0
+        assert probe.remarks.records == []
         assert active_recorder() is None
 
     def test_maybe_span_with_none_is_shared_null(self):
         first = maybe_span(None, "a")
         second = maybe_span(None, "b", x=1)
         assert first is second  # no per-call allocation when disabled
-
-    def test_trace_disabled_recorder_skips_spans(self):
-        rec = Recorder(trace=False)
-        with rec.span("phase"):
-            rec.count("c")
-        assert rec.tracer.roots == []
-        assert rec.counter("c") == 1
 
     def test_recording_restores_previous(self):
         outer = Recorder()
@@ -133,18 +123,19 @@ class TestExport:
         write_trace(rec, str(path))
         assert json.loads(path.read_text()) == d
 
-    def test_stats_table_renders_all_sections(self):
+    def test_profile_tree_renders_phases_and_counters(self):
         with recording() as rec:
             compile_loop(k1_hydro(), paper_machine(), Strategy.SELECTIVE)
-        table = render_stats_table(rec)
-        assert "phase wall time" in table
-        assert "counters" in table
-        assert "events" in table
-        assert "compile_loop" in table
-        assert "kl.moves_evaluated" in table
+        tree = render_tree(Profile.from_recorder(rec), counters=True)
+        assert "compile_loop" in tree
+        assert "modulo_schedule" in tree
+        assert "· kl.moves_evaluated = " in tree
+        assert "· sched.ii_attempts = " in tree
 
     def test_empty_recorder_renders(self):
-        assert "nothing recorded" in render_stats_table(Recorder())
+        tree = render_tree(Profile.from_recorder(Recorder()), counters=True)
+        assert tree.splitlines()[0] == "== profile =="
+        assert "(session)" in tree
 
 
 class TestCompilePipelineTelemetry:
@@ -180,13 +171,28 @@ class TestCompilePipelineTelemetry:
 
     def test_decision_events_recorded(self, session):
         rec, compiled = session
-        kl = rec.events.by_name("kl.converged")
-        assert len(kl) == 1
-        assert kl[0].data["cost"] == compiled.partition.cost
-        scheduled = rec.events.by_name("sched.scheduled")
-        assert scheduled and scheduled[0].data["ii"] == compiled.units[0].ii
-        units = rec.events.by_name("unit.compiled")
-        assert units and units[0].data["allocation_ok"] is True
+        placements = rec.remarks.select(pass_name="partition")
+        assert placements
+        assert {r.loop for r in placements} == {compiled.source.name}
+        # The partitioner's search effort lands on its own phase.
+        partition = Profile.from_recorder(rec).phases()["compile_loop/partition"]
+        for counter in PARTITION_EFFORT:
+            assert partition.counters[counter.recorder] == getattr(
+                compiled.partition, counter.source
+            )
+        scheduled = [
+            r
+            for r in rec.remarks.select(pass_name="scheduler")
+            if r.reason == "scheduled"
+        ]
+        assert [r.data["ii"] for r in scheduled] == [
+            unit.ii for unit in compiled.units
+        ]
+        assert all(
+            r.data["res_mii"] <= r.data["ii"] and r.data["mii"] <= r.data["ii"]
+            for r in scheduled
+        )
+        assert all(unit.allocation.ok for unit in compiled.units)
 
     def test_partition_result_carries_search_counts(self, session):
         _, compiled = session
@@ -197,14 +203,14 @@ class TestCompilePipelineTelemetry:
 
 
 class TestEnvFallback:
-    def test_repro_stats_env_prints_table_at_exit(self, tmp_path):
+    def test_repro_profile_env_prints_tree_at_exit(self, tmp_path):
         import os
         import subprocess
         import sys
 
         trace_path = tmp_path / "trace.json"
         env = dict(os.environ)
-        env["REPRO_STATS"] = "1"
+        env["REPRO_PROFILE"] = "-"
         env["REPRO_TRACE"] = str(trace_path)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
@@ -222,8 +228,9 @@ class TestEnvFallback:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "compilation statistics" in proc.stderr
-        assert "kl.moves_evaluated" in proc.stderr
+        assert proc.stdout.startswith("== profile ==")
+        assert "compile_loop" in proc.stdout
+        assert "· kl.moves_evaluated = " in proc.stdout
         trace = json.loads(trace_path.read_text())
         assert trace["counters"]["sched.loops_scheduled"] >= 1
 
@@ -241,14 +248,17 @@ class TestRegallocRetryTelemetry:
         with recording() as rec:
             compile_loop(wide_loop(10), machine, Strategy.BASELINE)
         assert rec.counter("regalloc.retries") > 0
-        retries = rec.events.by_name("regalloc.retry")
-        assert retries
+        remarks = rec.remarks.select(pass_name="regalloc")
+        retries = [r for r in remarks if r.reason == "retry"]
+        assert len(retries) == rec.counter("regalloc.retries")
         first = retries[0].data
         assert first["attempt"] == 1
         assert first["next_min_ii"] == first["ii"] + 1
         assert "fp" in first["overflow"]
         # The spill fallback fired and was recorded too.
-        assert rec.events.by_name("regalloc.spill")
+        spills = [r for r in remarks if r.reason == "spill"]
+        assert len(spills) == rec.counter("regalloc.spill_rounds") > 0
+        assert "fp" in spills[0].data["overflow"]
 
     def test_unspillable_pressure_raises_descriptive_error(self):
         from dataclasses import replace

@@ -239,7 +239,7 @@ def test_unfinished_certificate_leaves_a_remark():
             loop, PAPER, compiled, budget=OracleBudget(max_nodes=1)
         )
     assert cert.status in (BOUNDED, TIMEOUT)
-    remarks = rec.events.remarks_for(loop=loop.name, pass_name="oracle")
+    remarks = rec.remarks.select(loop=loop.name, pass_name="oracle")
     assert any(
         r.reason in ("partition-unfinished", "ii-unfinished")
         for r in remarks
@@ -294,14 +294,6 @@ def test_kl_verify_runs_oracle_second_witness(monkeypatch):
     with recording() as rec:
         compile_loop(dot_product(), PAPER, Strategy.SELECTIVE)
     assert rec.counter("oracle.partition_runs") >= 1
-
-
-def test_budget_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_ORACLE_BUDGET", "1234")
-    assert OracleBudget.from_env().max_nodes == 1234
-    assert OracleBudget.from_env(override_nodes=9).max_nodes == 9
-    monkeypatch.delenv("REPRO_ORACLE_BUDGET")
-    assert OracleBudget.from_env().max_nodes == 200_000
 
 
 # ----------------------------------------------------------------------

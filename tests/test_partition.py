@@ -208,7 +208,7 @@ def test_placement_remarks_are_pinned(name, paper):
     position = {op.uid: i for i, op in enumerate(loop.body)}
     remarks = sorted(
         (position[r.data["op"]], r.reason, r.data.get("flip_cost"))
-        for r in rec.events.remarks_for(pass_name="partition")
+        for r in rec.remarks.select(pass_name="partition")
     )
     cost, expected = PLACEMENT_REMARKS[name]
     assert result.cost == cost

@@ -225,36 +225,9 @@ class TestProgressMonitor:
         # One tick per clock second, 2.5 s interval: not every tick emits.
         assert len(payloads) < 6 + 1
 
-    def test_require_tty_suppresses_non_tty_stream(self):
-        stream = io.StringIO()  # not a terminal
-        monitor = self._monitor(
-            total=4, stream=stream, interval_s=0.0, require_tty=True
-        )
-        for i in range(4):
-            monitor.tick(f"L{i}", "selective")
-        monitor.finish()
-        assert stream.getvalue() == ""
-        # The heartbeats still fired (JSON sinks would have been fed).
-        assert monitor.heartbeats > 0
-
-    def test_require_tty_emits_on_a_terminal(self):
-        class FakeTty(io.StringIO):
-            def isatty(self):
-                return True
-
-        stream = FakeTty()
-        monitor = self._monitor(
-            total=2, stream=stream, interval_s=0.0, require_tty=True
-        )
-        monitor.tick("L0", "selective")
-        monitor.finish()
-        assert "[progress]" in stream.getvalue()
-
     def test_explicit_progress_ignores_tty_state(self):
-        stream = io.StringIO()
-        monitor = self._monitor(
-            total=2, stream=stream, interval_s=0.0, require_tty=False
-        )
+        stream = io.StringIO()  # not a terminal
+        monitor = self._monitor(total=2, stream=stream, interval_s=0.0)
         monitor.tick("L0", "selective")
         monitor.finish()
         assert "[progress]" in stream.getvalue()

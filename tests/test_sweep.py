@@ -352,6 +352,18 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"sweep: '{label}'")
         assert not os.path.exists(out)
 
+    def test_profile_into_missing_directory_fails_before_sweeping(
+        self, tmp_path, capsys
+    ):
+        out = str(tmp_path / "refused")
+        target = tmp_path / "absent" / "profile.json"
+        args = ["run", "--size", "2", "--out", out, "--profile", str(target)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"sweep: cannot write {target}: no directory {target.parent}\n"
+        )
+        assert not os.path.exists(out)
+
     def test_status_without_manifest(self, tmp_path, capsys):
         assert main(["status", "--out", str(tmp_path / "none")]) == 1
         assert "no manifest" in capsys.readouterr().out

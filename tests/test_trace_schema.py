@@ -43,15 +43,12 @@ _counters = st.lists(
     max_size=3,
 )
 
-# A span tree: (name, counters, emit_event, emit_remark, children).
+# A span tree: (name, counters, emit_remark, children).
 _span_trees = st.recursive(
-    st.tuples(
-        _names, _counters, st.booleans(), st.booleans(), st.just([])
-    ),
+    st.tuples(_names, _counters, st.booleans(), st.just([])),
     lambda children: st.tuples(
         _names,
         _counters,
-        st.booleans(),
         st.booleans(),
         st.lists(children, max_size=3),
     ),
@@ -60,12 +57,10 @@ _span_trees = st.recursive(
 
 
 def _replay(rec, node) -> None:
-    name, counters, emit_event, emit_remark, children = node
+    name, counters, emit_remark, children = node
     with rec.span(name, loop="prop_loop"):
         for counter, n in counters:
             rec.count(counter, n)
-        if emit_event:
-            rec.event(f"{name}.done", detail=1)
         if emit_remark:
             rec.remark(name, "prop_loop", "because", "property remark", k=1)
         for child in children:
@@ -83,10 +78,10 @@ class TestRoundTripProperty:
         document = json.loads(json.dumps(recorder_to_dict(rec)))
         loaded = load_trace(document)
         assert loaded["schema_version"] == TRACE_SCHEMA_VERSION
+        assert set(loaded) == {"schema_version", "spans", "counters", "remarks"}
         # Everything emitted survives the round trip.
         assert len(loaded["spans"]) == len(rec.tracer.roots)
-        assert len(loaded["events"]) == len(rec.events.to_dict())
-        assert len(loaded["remarks"]) == len(rec.events.remarks_to_dict())
+        assert loaded["remarks"] == rec.remarks.to_dict()
         assert loaded["counters"] == rec.stats.counters
         # Per-span counter attribution sums back to the flat registry.
         attributed: dict[str, int] = {}
@@ -121,7 +116,6 @@ class TestGoldenFixture:
                     with rec.span("partition", loop="golden"):
                         rec.count("kl.iterations", 2)
                         rec.count("kl.pack_steps", 7)
-                        rec.event("kl.converged", iterations=2)
                     with rec.span("modulo_schedule", loop="golden"):
                         rec.count("sched.ii_attempts", 3)
                         rec.count("sched.height_relaxations", 5)
@@ -158,16 +152,12 @@ class TestGoldenFixture:
 
 class TestValidation:
     def _minimal(self, version=TRACE_SCHEMA_VERSION):
-        doc = {
+        return {
             "schema_version": version,
             "spans": [],
             "counters": {},
-            "distributions": {},
-            "events": [],
+            "remarks": [],
         }
-        if version >= 2:
-            doc["remarks"] = []
-        return doc
 
     def test_supported_versions_include_current(self):
         assert TRACE_SCHEMA_VERSION in SUPPORTED_TRACE_VERSIONS
@@ -177,15 +167,25 @@ class TestValidation:
             validate_trace(self._minimal(version))
 
     def test_unsupported_version_rejected(self):
-        doc = self._minimal()
-        doc["schema_version"] = 99
-        with pytest.raises(TraceSchemaError, match="schema_version"):
-            validate_trace(doc)
+        for version in (3, 99):
+            with pytest.raises(TraceSchemaError, match="schema_version"):
+                validate_trace(self._minimal(version))
 
     def test_span_missing_key_rejected(self):
         doc = self._minimal()
         doc["spans"] = [{"name": "x", "attrs": {}, "start_ns": 0}]
         with pytest.raises(TraceSchemaError, match=r"spans\[0\]"):
+            validate_trace(doc)
+        doc["spans"] = [
+            {
+                "name": "x",
+                "attrs": {},
+                "start_ns": 0,
+                "duration_ns": 1,
+                "children": [],
+            }
+        ]
+        with pytest.raises(TraceSchemaError, match=r"spans\[0\]\.counters"):
             validate_trace(doc)
 
     def test_non_integer_counter_rejected(self):
@@ -209,23 +209,9 @@ class TestValidation:
         with pytest.raises(TraceSchemaError, match="counter"):
             validate_trace(doc)
 
-    def test_v2_requires_remarks(self):
-        doc = self._minimal(2)
-        del doc["remarks"]
-        with pytest.raises(TraceSchemaError, match="remarks"):
-            validate_trace(doc)
-
-    def test_v1_normalized_to_current_shape(self):
-        doc = self._minimal(1)
-        doc["spans"] = [
-            {
-                "name": "compile_loop",
-                "attrs": {},
-                "start_ns": 0,
-                "duration_ns": 5,
-                "children": [],
-            }
-        ]
-        loaded = load_trace(doc)
-        assert loaded["remarks"] == []
-        assert loaded["spans"][0]["counters"] == {}
+    def test_missing_top_level_key_rejected(self):
+        for key in ("spans", "counters", "remarks"):
+            doc = self._minimal()
+            del doc[key]
+            with pytest.raises(TraceSchemaError, match=key):
+                validate_trace(doc)
