@@ -13,16 +13,17 @@ Search structure:
 * **Decisions** are the vectorizable operations (everything else is
   pinned scalar), ordered by descending resource weight so heavy
   commitments happen near the root where pruning pays most.
-* **Lower bound** — decided work is accumulated in a live :class:`Bins`
-  and undone by rolling back to a snapshot mark: the decided operations'
-  opcodes plus every transfer already *forced* by decided ops (a
-  producer and a crossing consumer both decided; a decided vector
-  consumer of a non-constant carried scalar), each reserved as one plan
-  under its key.  Undecided operations contribute, per resource class,
-  the cheaper of their two sides (precomputed suffix sums).  The bound is
-  ``max_c ceil(total_c / instances_c)`` — admissible because a greedy
+* **Lower bound** — the partitioner's
+  :class:`~repro.vectorize.partition.ClassFloor`, the same floor that
+  ends a Kernighan-Lin iteration early.  Each branch decides its op
+  into the floor and backtracking undoes it.  Per resource class the
+  floor counts the decided operations' cycles, every transfer already
+  *forced* by decided sides (a producer and a crossing consumer both
+  decided; a decided vector consumer of a non-constant carried scalar),
+  and the cheaper side of each undecided operation; its bound
+  ``max_c ceil(total_c / instances_c)`` is admissible because a greedy
   high-water mark can never undercut the per-class average, every
-  completion reserves at least the accounted cycles, and transfers only
+  completion reserves at least the counted cycles, and transfers only
   add work.
 * **Dominance** — when the bound kills one side of a decision outright,
   the other side is taken without branching (counted in
@@ -54,9 +55,9 @@ from repro.dependence.analysis import LoopDependence
 from repro.ir.operations import Operation
 from repro.machine.machine import MachineDescription
 from repro.oracle import CERTIFIED, BudgetMeter, OracleBudget
-from repro.vectorize.bins import Bins
 from repro.vectorize.communication import Side, Transfer
 from repro.vectorize.partition import (
+    ClassFloor,
     PartitionConfig,
     PartitionCostModel,
     PartitionResult,
@@ -100,15 +101,6 @@ class PartitionOracleResult:
 
 # ----------------------------------------------------------------------
 # Model-derived tables
-
-
-def _class_cycles(infos) -> dict[str, int]:
-    """Busy cycles per resource class over a tuple of opcodes."""
-    cycles: dict[str, int] = {}
-    for info in infos:
-        for use in info.uses:
-            cycles[use.resource] = cycles.get(use.resource, 0) + use.cycles
-    return cycles
 
 
 def _possible_transfers(
@@ -221,16 +213,12 @@ def exact_partition(
     body = dep.loop.body
     meter = BudgetMeter(budget)
 
-    side_of: dict[int, Side] = {}
-    candidates: list[Operation] = []
-    for op in body:
-        if machine.supports_vectors and dep.is_vectorizable(op):
-            candidates.append(op)
-        else:
-            side_of[op.uid] = Side.SCALAR
+    candidates = [
+        op for op in body if machine.supports_vectors and dep.is_vectorizable(op)
+    ]
 
     if not candidates:
-        assignment = dict(side_of)
+        assignment = {op.uid: Side.SCALAR for op in body}
         cost = model.bin_pack(assignment).high_water_mark()
         return _finish(
             dep,
@@ -249,36 +237,16 @@ def exact_partition(
 
     # Decision order: heaviest resource footprint first.
     body_index = {op.uid: i for i, op in enumerate(body)}
-    scalar_cycles = {
-        op.uid: _class_cycles(model.op_opcodes(op, Side.SCALAR))
-        for op in candidates
-    }
-    vector_cycles = {
-        op.uid: _class_cycles(model.op_opcodes(op, Side.VECTOR))
-        for op in candidates
-    }
-    order = sorted(
-        candidates,
-        key=lambda op: (
-            -(
-                sum(scalar_cycles[op.uid].values())
-                + sum(vector_cycles[op.uid].values())
-            ),
-            body_index[op.uid],
-        ),
-    )
-    n = len(order)
 
-    # Per-class suffix sums of each undecided op's cheaper side.
-    suffix_min: list[dict[str, int]] = [{} for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        acc = dict(suffix_min[i + 1])
-        s, v = scalar_cycles[order[i].uid], vector_cycles[order[i].uid]
-        for cls in s.keys() & v.keys():
-            low = min(s[cls], v[cls])
-            if low:
-                acc[cls] = acc.get(cls, 0) + low
-        suffix_min[i] = acc
+    def footprint(op: Operation) -> int:
+        return sum(
+            busy
+            for side in (Side.SCALAR, Side.VECTOR)
+            for _, _, busy in model.op_step(op, side)[1]
+        )
+
+    order = sorted(candidates, key=lambda op: (-footprint(op), body_index[op.uid]))
+    n = len(order)
 
     # Symmetry orbits: for each decision, the nearest earlier member of
     # its (sound) interchangeability group.
@@ -305,81 +273,10 @@ def exact_partition(
         best_cost = model.bin_pack(best_assignment).high_water_mark()
         side_pref = [(Side.SCALAR, Side.VECTOR)] * n
 
-    # Decided-work accumulator: pinned-scalar ops and loop overhead are
-    # packed once, outside any checkpoint; candidate decisions and the
-    # transfers they force are dropped by rolling back to a mark.
-    bins = Bins(machine, balance_ties=config.balanced_bin_packing)
-    for op in body:
-        if op.uid in side_of:
-            op_key, plan = model.op_step(op, Side.SCALAR)
-            bins.reserve(plan, op_key)
-    for i, info in enumerate(model.overhead_opcodes()):
-        bins.reserve_least_used(info, ("overhead", i))
-
-    _, spans = machine.instance_layout()
-    inst_class = [cls for cls, (_, count) in spans.items() for _ in range(count)]
-    class_count = {cls: count for cls, (_, count) in spans.items()}
-    dataflow = model.dataflow
-    forced: set[object] = set()
-
-    def lower_bound(depth: int) -> int:
-        totals: dict[str, int] = {}
-        for inst, w in enumerate(bins.load):
-            if w:
-                cls = inst_class[inst]
-                totals[cls] = totals.get(cls, 0) + w
-        for cls, w in suffix_min[depth].items():
-            totals[cls] = totals.get(cls, 0) + w
-        bound = 0
-        for cls, w in totals.items():
-            need = -(-w // class_count[cls])
-            if need > bound:
-                bound = need
-        return bound
-
-    def forced_transfer(key: object) -> Transfer | None:
-        """The transfer implied by *decided* sides alone, if any."""
-        if isinstance(key, tuple) and key and key[0] == "carried":
-            for entry, readers in dataflow.carried_consumers.items():
-                if entry.name != key[1]:
-                    continue
-                if entry in dataflow.constant_carried:
-                    return None
-                if any(side_of.get(c) is Side.VECTOR for c in readers):
-                    return Transfer(key=key, dtype=entry.type, to_vector=True)
-                return None
-            return None
-        side = side_of.get(key)
-        if side is None:
-            return None
-        if any(
-            side_of.get(c) not in (None, side)
-            for c in dataflow.consumers.get(key, ())
-        ):
-            return Transfer(
-                key=key,
-                dtype=dataflow.producer_dtype[key],
-                to_vector=(side is Side.SCALAR),
-            )
-        return None
-
-    def apply(op: Operation, side: Side) -> list[object]:
-        side_of[op.uid] = side
-        op_key, plan = model.op_step(op, side)
-        bins.reserve(plan, op_key)
-        newly: list[object] = []
-        for key in model.touch_keys[op.uid]:
-            if key in forced:
-                continue
-            transfer = forced_transfer(key)
-            if transfer is None:
-                continue
-            plan = model.plan_for(model.transfer_opcodes(transfer))
-            if plan:
-                bins.reserve(plan, ("comm", key))
-            forced.add(key)
-            newly.append(key)
-        return newly
+    # The lower bound: each branch decides its op into the class floor,
+    # and backtracking undoes it.
+    floor = ClassFloor(model, candidates)
+    side_of = floor.side
 
     stats = {
         "leaves": 0,
@@ -412,22 +309,18 @@ def exact_partition(
                 stats["pruned_symmetry"] += 1
                 continue
             if not meter.charge():
-                abandon_lb.append(lower_bound(depth))
+                abandon_lb.append(floor.bound())
                 return
-            mark = bins.checkpoint()
-            newly = apply(op, side)
-            bound = lower_bound(depth + 1)
-            if bound >= best_cost:
+            floor.decide(op, side)
+            if floor.bound() >= best_cost:
                 stats["pruned_bound"] += 1
                 pruned += 1
             else:
                 explored += 1
                 search(depth + 1)
-            bins.rollback(mark)
-            del side_of[op.uid]
-            forced.difference_update(newly)
+            floor.undo()
             if meter.exhausted_by is not None:
-                abandon_lb.append(lower_bound(depth))
+                abandon_lb.append(floor.bound())
                 return
         if explored == 1 and pruned == 1:
             stats["forced_moves"] += 1

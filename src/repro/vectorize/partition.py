@@ -45,12 +45,21 @@ reproduces the original trajectory bit-for-bit):
   (:class:`IncrementalPacker`): the bins roll back to the snapshot mark
   taken before the first changed step and replay from there, which
   yields a state identical to a from-scratch ``BIN-PACK`` of the flipped
-  assignment.
+  assignment;
+* an iteration ends once its :class:`ClassFloor` reaches the best cost.
+  Every configuration the rest of the iteration reaches keeps the
+  locked operations' sides, and the floor (the branch-and-bound
+  oracle's lower bound) is at most the cost of each of them; a move is
+  accepted only below the best cost, so the moves left could change
+  nothing but the effort counters.  The floor is checked before the
+  iteration's first re-pack and before every move, and each moved
+  operation is decided into it.
 
-Set ``REPRO_KL_VERIFY=1`` to check both at runtime without moving an
-effort counter: each bounded probe against an uncounted exact probe,
-and the resumed pack's full state (weights and ledger) and cost against
-an uncounted reference pack after every move.
+Set ``REPRO_KL_VERIFY=1`` to check all three at runtime without moving
+an effort counter: each bounded probe against an uncounted exact probe,
+the resumed pack's full state (weights and ledger) and cost against an
+uncounted reference pack after every move, and the iteration's floor
+against the cost of every pack.
 """
 
 from __future__ import annotations
@@ -298,6 +307,14 @@ class PartitionCostModel:
             to_vector = side is Side.SCALAR
         step = site.steps[to_vector]
         if step is None:
+            step = self._site_step(site, to_vector)
+        return step
+
+    def _site_step(self, site: _TransferSite, to_vector: bool):
+        """The memoized step of ``site``'s transfer in one direction, or
+        () when crossing costs nothing."""
+        step = site.steps[to_vector]
+        if step is None:
             opcodes = self.transfer_opcodes(Transfer(site.key, site.dtype, to_vector))
             step = site.steps[to_vector] = (
                 (site.ledger_key, self.plan_for(opcodes)) if opcodes else ()
@@ -440,6 +457,164 @@ class IncrementalPacker:
         return self.bins.high_water_mark()
 
 
+#: ``(class's first instance, busy cycles)`` pairs a decision adds.
+Rise = tuple[tuple[int, int], ...]
+
+
+def _class_cycles(plan: Plan) -> dict[int, int]:
+    """Busy cycles per resource class, keyed by the class's first
+    instance, over one plan."""
+    cycles: dict[int, int] = {}
+    for first, _, busy in plan:
+        cycles[first] = cycles.get(first, 0) + busy
+    return cycles
+
+
+def _rise(side: dict[int, int], low: dict[int, int]) -> Rise:
+    """The cycles ``side`` costs above ``low``, class by class."""
+    return tuple(
+        (first, busy - low.get(first, 0))
+        for first, busy in side.items()
+        if busy > low.get(first, 0)
+    )
+
+
+class ClassFloor:
+    """A lower bound on the cost of every configuration that keeps the
+    decided operations' sides, with every other candidate on either side.
+
+    Per resource class it sums the busy cycles of the decided operations
+    (those that cannot vectorize, the loop overhead, and each candidate
+    passed to :meth:`decide`), of every transfer those sides already
+    force, and of each undecided candidate's cheaper side, all read from
+    the cost model's memoized plans.  :meth:`bound` is
+    ``max_c ceil(total_c / count_c)``.  It is admissible: ``BIN-PACK``
+    places each use on one instance of its class, so its high-water mark
+    is at least any class's average load; every completion reserves at
+    least the counted cycles, and transfers only add work.
+
+    Deciding a candidate never lowers a class total (a side costs at
+    least the cheaper side, per class), so the bound only rises as
+    decisions are made; :meth:`undo` drops the newest decision, and
+    :meth:`reset` all of them.  Kernighan-Lin decides each operation it
+    locks, and the branch-and-bound oracle each one it branches on.
+    """
+
+    def __init__(self, model: PartitionCostModel, candidates: list[Operation]):
+        self.model = model
+        names, spans = model.machine.instance_layout()
+        # Class totals and instance counts, indexed by each class's first
+        # instance.
+        total = [0] * len(names)
+        self._count = [1] * len(names)
+        for first, count in spans.values():
+            self._count[first] = count
+        undecided = {op.uid for op in candidates}
+        pinned: dict[int, Side] = {}
+        # Per candidate, indexed by ``side is Side.VECTOR``: the cycles
+        # deciding that side adds to each class above the cheaper side.
+        self._rise: dict[int, tuple[Rise, Rise]] = {}
+        self._sites: dict[int, tuple[_TransferSite, ...]] = {}
+        for i, op in enumerate(model.dep.loop.body):
+            scalar = _class_cycles(model._op_entry(i, False)[0][1])
+            if op.uid not in undecided:
+                pinned[op.uid] = Side.SCALAR
+                low = scalar
+            else:
+                vector = _class_cycles(model._op_entry(i, True)[0][1])
+                low = {f: min(busy, vector[f]) for f, busy in scalar.items() if f in vector}
+                self._rise[op.uid] = (_rise(scalar, low), _rise(vector, low))
+                self._sites[op.uid] = model._touch_sites[i]
+            for first, busy in low.items():
+                total[first] += busy
+        for _, plan in model._overhead_steps:
+            for first, busy in _class_cycles(plan).items():
+                total[first] += busy
+        # Per (transfer key, direction): the cycles the forced transfer adds.
+        self._transfer_rise: dict[tuple[object, bool], Rise] = {}
+        bound = max(-(-load // count) for load, count in zip(total, self._count))
+        self._base = (total, pinned, bound)
+        self.reset()
+
+    def reset(self) -> None:
+        """Undo every decision."""
+        total, pinned, bound = self._base
+        self._total = total.copy()
+        #: The decided sides: every operation that cannot vectorize, then
+        #: the decided candidates in decision order.
+        self.side: dict[int, Side] = dict(pinned)
+        self._bound = bound
+        self._forced: set[object] = set()
+        self._trail: list[tuple] = []
+
+    def bound(self) -> int:
+        """No configuration that keeps the decided sides costs less."""
+        return self._bound
+
+    def decide(self, op: Operation, side: Side) -> None:
+        """Fix ``op``, an undecided candidate, on ``side``."""
+        uid = op.uid
+        self.side[uid] = side
+        old = self._bound
+        rise = self._rise[uid][side is Side.VECTOR]
+        self._add(rise)
+        forced = []
+        for site in self._sites[uid]:
+            if site.key in self._forced:
+                continue
+            to_vector = self._forced_direction(site)
+            if to_vector is None:
+                continue
+            self._forced.add(site.key)
+            transfer = self._transfer_rise.get((site.key, to_vector))
+            if transfer is None:
+                step = self.model._site_step(site, to_vector)
+                transfer = tuple(_class_cycles(step[1]).items()) if step else ()
+                self._transfer_rise[site.key, to_vector] = transfer
+            self._add(transfer)
+            forced.append((site.key, transfer))
+        self._trail.append((uid, rise, forced, old))
+
+    def undo(self) -> None:
+        """Drop the newest decision."""
+        uid, rise, forced, self._bound = self._trail.pop()
+        del self.side[uid]
+        total = self._total
+        for first, busy in rise:
+            total[first] -= busy
+        for key, transfer in forced:
+            self._forced.discard(key)
+            for first, busy in transfer:
+                total[first] -= busy
+
+    def _add(self, rise: Rise) -> None:
+        total, count, bound = self._total, self._count, self._bound
+        for first, busy in rise:
+            load = total[first] = total[first] + busy
+            need = -(-load // count[first])
+            if need > bound:
+                bound = need
+        self._bound = bound
+
+    def _forced_direction(self, site: _TransferSite) -> bool | None:
+        """``to_vector`` of the transfer the decided sides alone make
+        ``site`` cross with, or ``None`` while they force none."""
+        side = self.side
+        if site.producer is None:
+            for c in site.consumers:
+                if side.get(c) is Side.VECTOR:
+                    return True
+            return None
+        producer = side.get(site.producer)
+        if producer is None:
+            return None
+        for c in site.consumers:
+            consumer = side.get(c)
+            if consumer is not None and consumer is not producer:
+                return producer is Side.SCALAR
+        return None
+
+
 def partition_operations(
     dep: LoopDependence,
     machine: MachineDescription,
@@ -488,6 +663,8 @@ def partition_operations(
         moves = 0
         moves_accepted = 0
         verify = os.environ.get("REPRO_KL_VERIFY", "") not in ("", "0")
+        floor = ClassFloor(model, candidates)
+        bins = packer.bins
 
         while last_cost != best_cost:
             if config.max_iterations is not None and iterations >= config.max_iterations:
@@ -495,10 +672,18 @@ def partition_operations(
             last_cost = best_cost
             iterations += 1
             locked: set[int] = set()
-            cost = packer.repack(assignment)
-            bins = packer.bins
+            # Every configuration the rest of the iteration reaches keeps
+            # the locked sides, so none costs less than the floor; once
+            # that reaches the best cost, no move left can be accepted.
+            floor.reset()
+            if floor.bound() < best_cost:
+                cost = packer.repack(assignment)
+                if verify:
+                    _verify_floor(model, floor, cost)
 
             for _ in range(len(candidates)):
+                if floor.bound() >= best_cost:
+                    break
                 # FIND-OP-TO-SWITCH: cheapest probe among unlocked
                 # candidates.  Only a probe below the best so far can
                 # change the choice, so each probe is bounded by it.
@@ -519,6 +704,7 @@ def partition_operations(
                 locked.add(best_op.uid)
                 moves += 1
                 assignment[best_op.uid] = assignment[best_op.uid].flipped()
+                floor.decide(best_op, assignment[best_op.uid])
                 # Resume BIN-PACK from the first invalidated reservation
                 # in place of re-running it from scratch.
                 cost = packer.repack(assignment)
@@ -534,6 +720,7 @@ def partition_operations(
                             f"reference bin-pack after moving op {best_op.uid} in "
                             f"loop {dep.loop.name!r}"
                         )
+                    _verify_floor(model, floor, cost)
                 if cost < best_cost:
                     best_cost = cost
                     best_assignment = dict(assignment)
@@ -574,6 +761,16 @@ def _verify_bounded_probe(model, bins, assignment, op, bound, probe) -> None:
             f"bounded probe of op {op.uid} in loop {model.dep.loop.name!r} "
             f"returned {probe} under bound {bound}, but its exact cost is "
             f"{exact}"
+        )
+
+
+def _verify_floor(model, floor, cost) -> None:
+    """Under ``REPRO_KL_VERIFY``, check the iteration's class floor
+    against the cost just packed, a configuration it must not exceed."""
+    if floor.bound() > cost:
+        raise AssertionError(
+            f"class floor {floor.bound()} exceeds the packed cost {cost} in "
+            f"loop {model.dep.loop.name!r}"
         )
 
 

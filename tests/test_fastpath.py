@@ -15,6 +15,11 @@ Covered here:
   (via ``REPRO_KL_VERIFY``), and the self-check moves no effort counter;
 * the remaining fast paths fire: resumed packs replay fewer steps than
   fresh packs, and each (op, side) plan is resolved once per model;
+* the floor-bounded Kernighan-Lin iteration matches the uncut one
+  (``tests/kl_spec.py``) to the last result field on generated loops on
+  five machines under five configs, with no more probes, re-packs or
+  replayed pack steps; the floor fires, and ``REPRO_KL_VERIFY`` catches
+  a floor above a packed cost;
 * ``edge_delays`` equals per-edge ``edge_delay``;
 * unit and cleanup analyses are graph-only: Tarjan runs only where the
   components or the classification are read;
@@ -32,6 +37,8 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler.driver import compile_loop
 from repro.compiler.strategies import Strategy
@@ -39,7 +46,7 @@ from repro.dependence.analysis import analyze_loop
 from repro.dependence.graph import Via
 from repro.ir.builder import LoopBuilder
 from repro.ir.values import const_f64
-from repro.machine.configs import paper_machine
+from repro.machine.configs import MACHINE_FACTORIES, paper_machine
 from repro.observability.recorder import recording
 from repro.pipeline.mii import edge_delay, edge_delays, rec_mii, res_mii
 from repro.pipeline.reservation import ModuloReservationTable
@@ -47,14 +54,15 @@ from repro.pipeline.scheduler import modulo_schedule
 from repro.vectorize.bins import Bins
 from repro.vectorize.communication import Side
 from repro.vectorize.partition import (
+    ClassFloor,
     IncrementalPacker,
     PartitionCostModel,
     PartitionConfig,
     partition_operations,
 )
 from repro.vectorize.transform import transform_loop
-from repro.workloads.generator import generate
-from tests import dependence_spec, mii_spec
+from repro.workloads.generator import GENERATORS, generate
+from tests import dependence_spec, kl_spec, mii_spec
 from tests.bins_spec import Bins as SpecBins
 from tests.communication_spec import transfer_for_key
 
@@ -67,6 +75,9 @@ ARCHETYPE_SEEDS = [
     ("memory_bound", 5),
     ("interleaved", 2),
 ]
+#: Loops whose KL search still moves.  ``interleaved`` seed 2 is optimal
+#: all scalar, and the class floor ends its only iteration before a move.
+MOVING_SEEDS = [*ARCHETYPE_SEEDS[:-1], ("interleaved", 1)]
 
 
 def _dep(archetype, seed):
@@ -225,7 +236,7 @@ def test_kl_probe_never_writes_the_live_bins(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("archetype,seed", ARCHETYPE_SEEDS)
+@pytest.mark.parametrize("archetype,seed", MOVING_SEEDS)
 def test_incumbent_bound_cuts_probes_and_changes_no_partition(
     archetype, seed, monkeypatch
 ):
@@ -352,7 +363,7 @@ def test_packer_resume_replays_fewer_steps_than_fresh_packs(monkeypatch):
         return steps
 
     monkeypatch.setattr(PartitionCostModel, "pack_sequence", counted)
-    for archetype, seed in ARCHETYPE_SEEDS:
+    for archetype, seed in MOVING_SEEDS:
         fresh_steps.clear()
         result = partition_operations(_dep(archetype, seed), MACHINE)
         # One sequence for the initial pack, one per resumed repack.
@@ -373,7 +384,7 @@ def test_plan_memo_resolves_each_op_side_once(monkeypatch):
         return select(model, op, side)
 
     monkeypatch.setattr(PartitionCostModel, "_select_op_opcodes", counted)
-    for archetype, seed in ARCHETYPE_SEEDS:
+    for archetype, seed in MOVING_SEEDS:
         resolved.clear()
         result = partition_operations(_dep(archetype, seed), MACHINE)
         assert len(resolved) == len(set(resolved))
@@ -383,6 +394,86 @@ def test_plan_memo_resolves_each_op_side_once(monkeypatch):
     assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
     first, second = model.pack_sequence(assignment), model.pack_sequence(assignment)
     assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+# ----------------------------------------------------------------------
+# Floor-bounded Kernighan-Lin iterations
+
+KL_MACHINES = ("paper", "vl4", "freecomm", "aligned", "figure1")
+KL_CONFIGS = (
+    PartitionConfig(),
+    PartitionConfig(account_communication=False),
+    PartitionConfig(account_alignment=False),
+    PartitionConfig(balanced_bin_packing=False),
+    PartitionConfig(max_iterations=1),
+)
+
+
+def _kl_result(result):
+    return (
+        result.assignment,
+        result.cost,
+        result.scalar_cost,
+        result.iterations,
+        result.history,
+        result.moves_accepted,
+    )
+
+
+@pytest.mark.parametrize("machine_name", KL_MACHINES)
+@settings(max_examples=40, deadline=None)
+@given(archetype=st.sampled_from(sorted(GENERATORS)), seed=st.integers(0, 5_000))
+def test_floor_bounded_kl_matches_the_uncut_spec(machine_name, archetype, seed):
+    """Ending an iteration once the class floor reaches the best cost
+    changes no result field under any config, and it never probes,
+    re-packs or replays more than the uncut iteration."""
+    machine = MACHINE_FACTORIES[machine_name]()
+    dep = analyze_loop(generate(archetype, seed), machine.vector_length)
+    for config in KL_CONFIGS:
+        got = partition_operations(dep, machine, config)
+        spec = kl_spec.partition_operations(dep, machine, config)
+        assert _kl_result(got) == _kl_result(spec)
+        assert got.n_probes <= spec.n_probes
+        assert got.n_repacks <= spec.n_repacks
+        assert got.n_pack_steps <= spec.n_pack_steps
+
+
+def test_class_floor_ends_an_iteration_before_any_move():
+    """All scalar is optimal for this loop, and the floor proves it
+    before the first iteration's re-pack: no probe, no re-pack and no
+    move, where the uncut iteration moves every candidate once."""
+    dep = _dep("interleaved", 2)
+    got = partition_operations(dep, MACHINE)
+    spec = kl_spec.partition_operations(dep, MACHINE)
+    assert _kl_result(got) == _kl_result(spec)
+    assert got.history == [8, 8] and got.iterations == 1
+    assert (got.n_probes, got.n_repacks, got.moves) == (0, 0, 0)
+    assert (spec.n_probes, spec.n_repacks, spec.moves) == (28, 8, 7)
+
+
+def test_class_floor_cuts_the_probes_of_an_interleaved_loop():
+    """The floor ends this loop's iterations part-way: it still moves,
+    and probes less than half as often as the uncut search."""
+    dep = _dep("interleaved", 1)
+    got = partition_operations(dep, MACHINE)
+    spec = kl_spec.partition_operations(dep, MACHINE)
+    assert _kl_result(got) == _kl_result(spec)
+    assert 0 < got.moves < spec.moves
+    assert 0 < 2 * got.n_probes < spec.n_probes
+
+
+def test_verify_mode_catches_an_inflated_floor(monkeypatch):
+    """REPRO_KL_VERIFY checks the iteration's floor against every packed
+    cost: a floor one cycle too high fails, naming the loop."""
+    bound = ClassFloor.bound
+    monkeypatch.setattr(ClassFloor, "bound", lambda floor: bound(floor) + 1)
+    monkeypatch.setenv("REPRO_KL_VERIFY", "1")
+    dep = _dep("fp_chain", 3)
+    with pytest.raises(
+        AssertionError,
+        match=rf"class floor \d+ exceeds the packed cost \d+ in loop '{dep.loop.name}'",
+    ):
+        partition_operations(dep, MACHINE)
 
 
 # ----------------------------------------------------------------------
