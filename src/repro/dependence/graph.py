@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.ir.operations import Operation
 
@@ -36,8 +37,11 @@ class Via(enum.Enum):
     __hash__ = object.__hash__  # identity hash, as ScalarType's
 
 
-@dataclass(frozen=True)
-class DepEdge:
+class DepEdge(NamedTuple):
+    """One dependence.  A tuple of its fields: a pass builds one per
+    dependence of every loop and unit, and a tuple is built in one
+    allocation where a frozen dataclass binds each field in turn."""
+
     src: int
     dst: int
     kind: DepKind

@@ -126,7 +126,7 @@ def _next_op_id() -> int:
     return next(_op_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Operation:
     """A single IR operation.
 
@@ -148,22 +148,51 @@ class Operation:
     origin: int | None = None
     lane: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind.arity >= 0 and len(self.srcs) != self.kind.arity:
+    # Written by hand: every pass builds operations, and the generated
+    # frozen init looks ``object.__setattr__`` up again for each field and
+    # then calls ``__post_init__``.  The fields are bound in declaration
+    # order, so every instance dict shares its keys.
+    def __init__(
+        self,
+        kind: OpKind,
+        dtype: ScalarType,
+        dest: VirtualRegister | None = None,
+        srcs: tuple[Operand, ...] = (),
+        array: str | None = None,
+        subscript: Subscript | None = None,
+        is_vector: bool = False,
+        uid: int | None = None,
+        origin: int | None = None,
+        lane: int | None = None,
+    ) -> None:
+        arity = kind.arity
+        if arity >= 0 and len(srcs) != arity:
             raise ValueError(
-                f"{self.kind.value} expects {self.kind.arity} sources, "
-                f"got {len(self.srcs)}"
+                f"{kind.value} expects {arity} sources, got {len(srcs)}"
             )
-        if self.kind.arity < 0 and not self.srcs:
-            raise ValueError(f"{self.kind.value} expects at least one source")
-        if self.kind.is_memory and (self.array is None or self.subscript is None):
-            raise ValueError(f"{self.kind.value} requires array and subscript")
-        if not self.kind.is_memory and self.array is not None:
-            raise ValueError(f"{self.kind.value} must not name an array")
-        if self.kind.has_dest and self.dest is None:
-            raise ValueError(f"{self.kind.value} requires a destination")
-        if not self.kind.has_dest and self.dest is not None:
-            raise ValueError(f"{self.kind.value} cannot have a destination")
+        if arity < 0 and not srcs:
+            raise ValueError(f"{kind.value} expects at least one source")
+        if kind.is_memory:
+            if array is None or subscript is None:
+                raise ValueError(f"{kind.value} requires array and subscript")
+        elif array is not None:
+            raise ValueError(f"{kind.value} must not name an array")
+        if kind.has_dest:
+            if dest is None:
+                raise ValueError(f"{kind.value} requires a destination")
+        elif dest is not None:
+            raise ValueError(f"{kind.value} cannot have a destination")
+        bind = object.__setattr__
+        bind(self, "kind", kind)
+        bind(self, "dtype", dtype)
+        bind(self, "dest", dest)
+        bind(self, "srcs", srcs)
+        bind(self, "array", array)
+        bind(self, "subscript", subscript)
+        bind(self, "is_vector", is_vector)
+        bind(self, "uid", next(_op_ids) if uid is None else uid)
+        bind(self, "origin", origin)
+        bind(self, "lane", lane)
 
     @property
     def is_load(self) -> bool:

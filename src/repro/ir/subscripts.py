@@ -23,9 +23,11 @@ class AffineExpr:
     symbols: tuple[tuple[str, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        # Normalize: sorted, no zero coefficients.
-        syms = tuple(sorted((n, c) for n, c in self.symbols if c != 0))
-        object.__setattr__(self, "symbols", syms)
+        # Normalize: sorted, no zero coefficients.  Most subscripts have
+        # no symbols, and the empty tuple is already normal.
+        if self.symbols != ():
+            syms = tuple(sorted((n, c) for n, c in self.symbols if c != 0))
+            object.__setattr__(self, "symbols", syms)
 
     @staticmethod
     def of(coeff: int = 0, offset: int = 0, **symbols: int) -> AffineExpr:

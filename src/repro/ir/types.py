@@ -9,7 +9,7 @@ register-file accounting, and the interpreter can all dispatch on it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ScalarType(enum.Enum):
@@ -41,16 +41,25 @@ class ScalarType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class VectorType:
-    """A short vector of ``length`` elements of type ``element``."""
-
+class _VectorTypeFields(NamedTuple):
     element: ScalarType
     length: int
 
-    def __post_init__(self) -> None:
-        if self.length < 2:
-            raise ValueError(f"vector length must be >= 2, got {self.length}")
+
+class VectorType(_VectorTypeFields):
+    """A short vector of ``length`` elements of type ``element``.
+
+    A tuple of its fields, as every IR value record that the compile path
+    hashes: hashing and equality run in C, and give the values a frozen
+    dataclass gives (the hash of the field tuple).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, element: ScalarType, length: int) -> VectorType:
+        if length < 2:
+            raise ValueError(f"vector length must be >= 2, got {length}")
+        return super().__new__(cls, element, length)
 
     @property
     def bits(self) -> int:

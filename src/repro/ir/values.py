@@ -10,13 +10,17 @@ loop body, which is all the backend passes require.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ir.types import IRType, ScalarType, VectorType, is_vector_type
 
 
-@dataclass(frozen=True)
-class VirtualRegister:
-    """A named virtual register of a given type."""
+class VirtualRegister(NamedTuple):
+    """A named virtual register of a given type.
+
+    A tuple, like :class:`~repro.ir.types.VectorType`: every register-keyed
+    dict and set of the compile path hashes and compares it in C.
+    """
 
     name: str
     type: IRType

@@ -10,6 +10,7 @@ the same mechanism as functional units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -41,26 +42,33 @@ class ResourceClass:
         self.__dict__.update(state)
 
 
-@dataclass(frozen=True)
-class ResourceUse:
+class _ResourceUseFields(NamedTuple):
+    resource: str
+    cycles: int = 1
+
+
+class ResourceUse(_ResourceUseFields):
     """A requirement of one unit from ``resource`` for ``cycles`` cycles.
 
     ``cycles > 1`` models a non-pipelined unit (divides): the unit is busy
     and unavailable to other operations for that many consecutive cycles,
     which is exactly how the paper's bin weights account for multi-cycle
     reservations.
+
+    A tuple of its fields, as is the :class:`OpcodeInfo` that holds it:
+    every reservation lookup keys on an opcode info, so hashing and
+    equality run in C.
     """
 
-    resource: str
-    cycles: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cycles < 1:
+    def __new__(cls, resource: str, cycles: int = 1) -> ResourceUse:
+        if cycles < 1:
             raise ValueError("resource use must reserve >= 1 cycle")
+        return super().__new__(cls, resource, cycles)
 
 
-@dataclass(frozen=True)
-class OpcodeInfo:
+class OpcodeInfo(NamedTuple):
     """Resource requirements and latency of one machine opcode."""
 
     mnemonic: str

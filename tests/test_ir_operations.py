@@ -1,7 +1,10 @@
 """Tests for repro.ir.operations and repro.ir.values."""
 
+import dataclasses
+
 import pytest
 
+import repro.ir.operations as operations
 from repro.ir.operations import Operation, OpKind
 from repro.ir.subscripts import Subscript
 from repro.ir.types import ScalarType, VectorType
@@ -90,16 +93,18 @@ class TestOperation:
         assert a.uid != b.uid
         assert a != b
 
+    # Each malformed construction raises its exact message.
+
     def test_arity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^add expects 2 sources, got 1$"):
             Operation(OpKind.ADD, F64, dest=reg("a"), srcs=(reg("x"),))
 
     def test_memory_requires_array_and_subscript(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^load requires array and subscript$"):
             Operation(OpKind.LOAD, F64, dest=reg("a"))
 
     def test_non_memory_rejects_array(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^add must not name an array$"):
             Operation(
                 OpKind.ADD,
                 F64,
@@ -109,11 +114,11 @@ class TestOperation:
             )
 
     def test_dest_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^add requires a destination$"):
             Operation(OpKind.ADD, F64, srcs=(reg("x"), reg("y")))
 
     def test_store_rejects_dest(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^store cannot have a destination$"):
             Operation(
                 OpKind.STORE,
                 F64,
@@ -124,7 +129,7 @@ class TestOperation:
             )
 
     def test_pack_requires_sources(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pack expects at least one source$"):
             Operation(OpKind.PACK, F64, dest=reg("a", VectorType(F64, 2)))
 
     def test_stored_value(self):
@@ -166,3 +171,48 @@ class TestOperation:
         op2 = op.with_srcs((reg("p"), reg("q")))
         assert op2.uid != op.uid
         assert op2.srcs == (reg("p"), reg("q"))
+
+
+class TestOperationInit:
+    """``Operation`` is built by a hand-written ``__init__``: the checks
+    of the generated one's ``__post_init__``, then the ten fields."""
+
+    def test_init_is_written_by_hand(self):
+        # A generated dataclass init is compiled from a string.
+        assert Operation.__init__.__code__.co_filename == operations.__file__
+
+    def test_fields_bound_in_declaration_order(self):
+        # One key order for every instance dict, so they share their keys.
+        op = Operation(OpKind.ADD, F64, dest=reg("a"), srcs=(reg("x"), reg("y")))
+        names = [f.name for f in dataclasses.fields(Operation)]
+        assert list(vars(op)) == names
+        assert len(names) == 10
+
+    def test_defaults_and_fresh_uids(self):
+        a = Operation(OpKind.IVINC, I64, dest=reg("i", I64))
+        b = Operation(OpKind.IVINC, I64, dest=reg("i", I64))
+        assert b.uid > a.uid
+        assert (a.srcs, a.array, a.subscript, a.is_vector) == ((), None, None, False)
+        assert (a.origin, a.lane) == (None, None)
+
+    def test_fields_are_frozen(self):
+        op = Operation(OpKind.IVINC, I64, dest=reg("i", I64))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.uid = 0
+
+    def test_replace_keeps_uid_and_provenance(self):
+        op = Operation(
+            OpKind.ADD, F64, dest=reg("a"), srcs=(reg("x"), reg("y")), origin=7, lane=1
+        )
+        swapped = dataclasses.replace(op, srcs=(reg("y"), reg("x")))
+        assert swapped.uid == op.uid
+        assert (swapped.origin, swapped.lane) == (7, 1)
+        assert swapped.srcs == (reg("y"), reg("x"))
+        fresh = op.with_srcs((reg("y"), reg("x")))
+        assert fresh.uid != op.uid
+        assert (fresh.origin, fresh.lane) == (7, 1)
+
+    def test_replace_still_checks(self):
+        op = Operation(OpKind.ADD, F64, dest=reg("a"), srcs=(reg("x"), reg("y")))
+        with pytest.raises(ValueError, match="^add expects 2 sources, got 1$"):
+            dataclasses.replace(op, srcs=(reg("x"),))
