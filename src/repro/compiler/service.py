@@ -78,43 +78,50 @@ def effort_counters(compiled: CompiledLoop) -> dict[str, int]:
     return effort
 
 
+def summarize(compiled: CompiledLoop) -> dict:
+    """The JSON-able response summary of one compiled loop: the wire
+    shape the compile server answers with and the load generator
+    aggregates.  Nothing in it depends on how the result was obtained.
+    The compile cache writes it in front of each stored entry, so a
+    stored key is answered without unpickling the loop."""
+    return {
+        "loop": compiled.source.name,
+        "machine": compiled.machine.name,
+        "strategy": compiled.strategy.value,
+        "ii": compiled.ii_per_iteration(),
+        "res_mii": compiled.res_mii_per_iteration(),
+        "rec_mii": compiled.rec_mii_per_iteration(),
+        "units": [
+            {
+                "name": u.transform.loop.name,
+                "ii": u.ii,
+                "factor": u.factor,
+                "stages": u.schedule.stage_count,
+                "res_mii": int(u.schedule.res_mii),
+                "rec_mii": int(u.schedule.rec_mii),
+            }
+            for u in compiled.units
+        ],
+        "n_vector_ops": compiled.n_vector_ops,
+        "n_transfers": compiled.n_transfers,
+        "resource_limited": compiled.is_resource_limited,
+        "effort": effort_counters(compiled),
+    }
+
+
 @dataclass
 class CompiledLoopPayload:
     """One compilation's result, paired with a JSON-able summary.
 
     ``compiled`` is the full in-process object (what the Evaluator and
-    the tables consume); :meth:`summary` is the wire shape the compile
-    server answers with and the load generator aggregates — nothing in
-    it depends on how the result was obtained."""
+    the tables consume); :meth:`summary` is its :func:`summarize`
+    wire shape."""
 
     request: CompileRequest
     compiled: CompiledLoop
 
     def summary(self) -> dict:
-        compiled = self.compiled
-        return {
-            "loop": compiled.source.name,
-            "machine": compiled.machine.name,
-            "strategy": compiled.strategy.value,
-            "ii": compiled.ii_per_iteration(),
-            "res_mii": compiled.res_mii_per_iteration(),
-            "rec_mii": compiled.rec_mii_per_iteration(),
-            "units": [
-                {
-                    "name": u.transform.loop.name,
-                    "ii": u.ii,
-                    "factor": u.factor,
-                    "stages": u.schedule.stage_count,
-                    "res_mii": int(u.schedule.res_mii),
-                    "rec_mii": int(u.schedule.rec_mii),
-                }
-                for u in compiled.units
-            ],
-            "n_vector_ops": compiled.n_vector_ops,
-            "n_transfers": compiled.n_transfers,
-            "resource_limited": compiled.is_resource_limited,
-            "effort": effort_counters(compiled),
-        }
+        return summarize(self.compiled)
 
 
 def compile_one(request: CompileRequest) -> CompiledLoopPayload:

@@ -1,6 +1,6 @@
 """On-disk, content-addressed cache of compiled loops.
 
-A cache entry is the pickled :class:`~repro.compiler.driver.CompiledLoop`
+A cache entry holds the :class:`~repro.compiler.driver.CompiledLoop`
 produced by one ``compile_loop`` invocation, stored under a SHA-256 key
 derived from everything that determines its output:
 
@@ -12,12 +12,21 @@ derived from everything that determines its output:
   compiler change invalidates the whole cache rather than serving stale
   results.
 
+An entry is ``digest ‖ summary length ‖ summary pickle ‖ CompiledLoop
+pickle``: the loop's response summary
+(:func:`~repro.compiler.service.summarize`) sits in front of the loop,
+so :meth:`CompileCache.load_summary` answers a served key without
+unpickling the loop, and :meth:`CompileCache.load` skips the summary.
+The SHA-256 digest covers everything after it.  Both reads check the
+digest and the length before they unpickle anything, so a torn,
+truncated or corrupt entry reads as a miss.  A key hashes the code
+version, so no reader ever meets an entry in another layout.
+
 The cache is safe to share between processes: entries are written to a
-temporary file and atomically renamed into place, a torn or corrupt
-entry reads as a miss, and concurrent writers of the same key converge
-on identical content.  Enable it by passing a directory to
-:class:`CompileCache` (the evaluation CLI wires ``--compile-cache`` to
-this).
+temporary file and atomically renamed into place, and concurrent
+writers of the same key converge on identical content.  Enable it by
+passing a directory to :class:`CompileCache` (the evaluation CLI wires
+``--compile-cache`` to this).
 
 With ``max_bytes`` set the cache is additionally size-bounded: every
 hit bumps the entry's mtime, and after each store the least-recently
@@ -35,13 +44,20 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import tempfile
 from dataclasses import replace
 
 from repro.compiler.driver import CompiledLoop
+from repro.compiler.service import summarize
 from repro.observability.recorder import active_recorder
 
 _PICKLE_PROTOCOL = 4
+
+#: An entry's leading SHA-256 digest, then its summary pickle's length.
+_DIGEST_BYTES = hashlib.sha256().digest_size
+_SUMMARY_LENGTH = struct.Struct("<I")
+_HEADER_BYTES = _DIGEST_BYTES + _SUMMARY_LENGTH.size
 
 _code_version: str | None = None
 
@@ -125,14 +141,30 @@ def cache_key(
     return hashlib.sha256(blob).hexdigest()
 
 
+def _split_entry(entry: memoryview) -> tuple[memoryview, memoryview] | None:
+    """The summary pickle and the loop pickle of ``entry``, or ``None``
+    unless its length and digest check out."""
+    if len(entry) < _HEADER_BYTES:
+        return None
+    body = entry[_DIGEST_BYTES:]
+    end = _HEADER_BYTES + _SUMMARY_LENGTH.unpack_from(body)[0]
+    if end > len(entry) or hashlib.sha256(body).digest() != entry[:_DIGEST_BYTES]:
+        return None
+    return entry[_HEADER_BYTES:end], entry[end:]
+
+
 class CompileCache:
     """Directory-backed store of compiled loops keyed by content hash.
 
-    ``max_bytes`` bounds the total size of stored entries: hits refresh
-    recency (mtime), and each store evicts least-recently-used entries
-    until the cache fits.  ``hits`` / ``misses`` / ``evictions`` count
-    this instance's traffic; the same counts are emitted through the
-    active recorder when one is installed.
+    Each entry carries the loop's response summary in front of the loop
+    and a digest over both (see the module docstring): :meth:`load`
+    returns the loop and :meth:`load_summary` the summary, each
+    unpickling only its own part of a verified entry.  ``max_bytes``
+    bounds the total size of stored entries: hits refresh recency
+    (mtime), and each store evicts least-recently-used entries until
+    the cache fits.  ``hits`` / ``misses`` / ``evictions`` count this
+    instance's traffic; the same counts are emitted through the active
+    recorder when one is installed.
     """
 
     def __init__(self, directory: str, max_bytes: int | None = None):
@@ -153,30 +185,54 @@ class CompileCache:
         if rec is not None:
             rec.count(f"compile_cache.{name}", n)
 
-    def load(self, key: str) -> CompiledLoop | None:
-        """The cached compile result, or ``None`` on a miss (including a
-        missing, torn, or unreadable entry)."""
+    def _read(self, key: str) -> tuple[memoryview, memoryview] | None:
+        """The summary pickle and the loop pickle of ``key``'s verified
+        entry, or ``None`` on a miss: a missing, torn, truncated or
+        corrupt entry.  Counts the hit or miss; a hit bumps the entry's
+        recency."""
         path = self._path(key)
         try:
             with open(path, "rb") as f:
-                value = pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            value = None
-        if isinstance(value, CompiledLoop):
-            self.hits += 1
-            self._count("hits")
-            try:
-                # Recency bump: LRU eviction orders entries by mtime.
-                os.utime(path)
-            except OSError:
-                pass
-            return value
-        self.misses += 1
-        self._count("misses")
-        return None
+                parts = _split_entry(memoryview(f.read()))
+        except OSError:
+            parts = None
+        if parts is None:
+            self.misses += 1
+            self._count("misses")
+            return None
+        self.hits += 1
+        self._count("hits")
+        try:
+            # Recency bump: LRU eviction orders entries by mtime.
+            os.utime(path)
+        except OSError:
+            pass
+        return parts
 
-    def store(self, key: str, compiled: CompiledLoop) -> None:
-        """Atomically persist one compile result under ``key``."""
+    def load(self, key: str) -> CompiledLoop | None:
+        """The cached compile result, or ``None`` on a miss (including a
+        missing, torn, or corrupt entry).  The summary in front of it is
+        skipped, not unpickled."""
+        parts = self._read(key)
+        return None if parts is None else pickle.loads(parts[1])
+
+    def load_summary(self, key: str) -> dict | None:
+        """The cached compile result's response summary, or ``None`` on
+        a miss, exactly as :meth:`load` would miss; the compiled loop
+        behind it is not unpickled."""
+        parts = self._read(key)
+        return None if parts is None else pickle.loads(parts[0])
+
+    def store(self, key: str, compiled: CompiledLoop) -> dict:
+        """Atomically persist one compile result under ``key``, with its
+        response summary in front; returns that summary."""
+        summary = summarize(compiled)
+        head = pickle.dumps(summary, protocol=_PICKLE_PROTOCOL)
+        body = (
+            _SUMMARY_LENGTH.pack(len(head))
+            + head
+            + pickle.dumps(compiled, protocol=_PICKLE_PROTOCOL)
+        )
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -184,7 +240,8 @@ class CompileCache:
         )
         try:
             with os.fdopen(fd, "wb") as f:
-                pickle.dump(compiled, f, protocol=_PICKLE_PROTOCOL)
+                f.write(hashlib.sha256(body).digest())
+                f.write(body)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -194,6 +251,7 @@ class CompileCache:
             raise
         if self.max_bytes is not None:
             self._evict(keep=key)
+        return summary
 
     def entries(self) -> list[tuple[str, int, float]]:
         """``(key, size_bytes, mtime)`` for every complete entry.

@@ -293,9 +293,14 @@ class Evaluator:
         requests = [request for _, request, _ in misses]
         if self.jobs > 1 and len(misses) > 1:
             # pool.map streams results back in submission order, so
-            # the progress monitor ticks as workers finish rather
-            # than after the whole fan-out drains.
-            results = self._executor().map(_timed_compile_job, requests)
+            # the progress monitor ticks as chunks finish rather than
+            # after the whole fan-out drains.  About four chunks per
+            # worker: one task per miss paid a round trip per loop.
+            results = self._executor().map(
+                _timed_compile_job,
+                requests,
+                chunksize=max(1, len(requests) // (4 * self.jobs)),
+            )
         else:
             results = map(_timed_compile_job, requests)
         pending = zip(misses, results)

@@ -138,7 +138,8 @@ def _compile_batch_worker(
     """Compile one batch inside a pool worker.
 
     Artifacts are persisted here, in the worker, so a result is durable
-    in the shared store before any waiter sees it.  Per-item failures
+    in the shared store before any waiter sees it; the summary returned
+    is the one the store wrote in front of the artifact.  Per-item failures
     come back as ``(False, message)`` — one bad loop must not poison
     its batch-mates.
     """
@@ -146,9 +147,8 @@ def _compile_batch_worker(
     results: list[tuple[bool, object]] = []
     for key, request in items:
         try:
-            payload = compile_one(request)
-            cache.store(key, payload.compiled)
-            results.append((True, payload.summary()))
+            compiled = compile_one(request).compiled
+            results.append((True, cache.store(key, compiled)))
         except Exception as exc:  # noqa: BLE001 — reported to the client
             results.append((False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -8,12 +8,15 @@ Server workers and the evaluation harness can point at one directory
 and share artifacts, because a key already encodes the compiler code
 version alongside the full request.
 
-On top of the on-disk cache the store keeps a small in-memory LRU of
-response *summaries*, so repeated warm requests for the same key skip
-the unpickle.  A summary is a pure function of the artifact (and the
-artifact of the key), so a memoized summary can outlive a disk
-eviction without ever becoming wrong — at worst the disk copy is gone
-and the next cold process recompiles.
+Each entry carries its response summary in front of the compiled loop,
+under a digest of both, so a store read verifies the entry and then
+unpickles only the summary; a torn or corrupt entry is a miss, and the
+server recompiles and rewrites it.  On top of the on-disk cache the
+store keeps a small in-memory LRU of response *summaries*, so repeated
+warm requests for the same key skip the disk read.  A summary is a pure
+function of the artifact (and the artifact of the key), so a memoized
+summary can outlive a disk eviction without ever becoming wrong — at
+worst the disk copy is gone and the next cold process recompiles.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ class ArtifactStore:
     the server calls them on its event loop.  :meth:`get_summary` and
     :meth:`put` may read or write disk and unpickle: the server runs
     ``get_summary`` on a thread, once per key it has to look up, and
-    its pool workers write artifacts through their own cache.  A lock
-    keeps the memo consistent between the loop and reader threads.
+    its pool workers write artifacts through their own cache.  A
+    ``get_summary`` that reaches disk unpickles only the summary at the
+    front of the entry; :meth:`load_compiled` unpickles the loop.  A
+    lock keeps the memo consistent between the loop and reader threads.
     """
 
     def __init__(self, directory: str, max_bytes: int | None = None) -> None:
@@ -73,26 +78,27 @@ class ArtifactStore:
         return summary
 
     def get_summary(self, key: str, request: CompileRequest) -> dict | None:
-        """The stored response summary for ``key``, or ``None`` on miss.
+        """The stored response summary for ``key``, or ``None`` on a miss
+        (including a torn or corrupt entry).
 
-        The memo answers without touching disk; otherwise the on-disk
-        artifact is loaded (counting a cache hit/miss) and summarized.
+        The memo answers without touching disk; otherwise the summary
+        is read from the front of the on-disk entry (counting a cache
+        hit or miss), and the compiled loop behind it is not unpickled.
+        The read needs only ``key``; ``request`` is not read, and stays
+        in the signature its callers use.
         """
         memo = self.memoized(key)
         if memo is not None:
             return memo
-        compiled = self.cache.load(key)
-        if compiled is None:
+        summary = self.cache.load_summary(key)
+        if summary is None:
             return None
-        summary = CompiledLoopPayload(
-            request=request, compiled=compiled
-        ).summary()
         return self._memoize(key, summary)
 
     def put(self, key: str, payload: CompiledLoopPayload) -> dict:
-        """Persist one compiled artifact and memoize its summary."""
-        self.cache.store(key, payload.compiled)
-        return self._memoize(key, payload.summary())
+        """Persist one compiled artifact and memoize the summary the
+        write put in front of it."""
+        return self._memoize(key, self.cache.store(key, payload.compiled))
 
     def memoize_summary(self, key: str, summary: dict) -> dict:
         """Adopt a summary computed elsewhere (a pool worker that

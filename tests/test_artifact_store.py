@@ -5,7 +5,9 @@ The property under test everywhere: a load returns *the* artifact
 stored under its key or a miss — never a torn pickle, never another
 key's artifact — no matter how stores, loads, and evictions interleave
 across threads of control or processes (the torn-tail discipline of
-``tests/test_ledger.py``, applied to the compile cache).
+``tests/test_ledger.py``, applied to the compile cache).  A damaged
+entry is a miss before anything in it is unpickled, and a summary read
+never unpickles the compiled loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.service import CompileRequest, compile_one
+from repro.compiler.driver import CompiledLoop
+from repro.compiler.service import (
+    CompiledLoopPayload,
+    CompileRequest,
+    compile_one,
+    summarize,
+)
 from repro.compiler.strategies import Strategy
 from repro.evaluation.compile_cache import CompileCache
 from repro.machine.configs import paper_machine
@@ -43,6 +51,19 @@ def artifacts():
             )
         ).compiled
     return out
+
+
+def _count_loop_unpickles(monkeypatch) -> list[int]:
+    """Install a counting ``CompiledLoop.__setstate__``: every unpickled
+    compiled loop appends to the returned list."""
+    unpickled: list[int] = []
+
+    def setstate(self, state):
+        unpickled.append(1)
+        self.__dict__.update(state)
+
+    monkeypatch.setattr(CompiledLoop, "__setstate__", setstate, raising=False)
+    return unpickled
 
 
 def _entry_size(tmp_path, artifacts) -> int:
@@ -70,6 +91,8 @@ class TestRoundtripAndTorn:
         with open(path, "wb") as f:
             f.write(whole[: len(whole) // 2])
         assert cache.load(KEYS[0]) is None
+        assert cache.load_summary(KEYS[0]) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_garbage_entry_reads_as_miss(self, tmp_path):
         cache = CompileCache(str(tmp_path))
@@ -78,6 +101,34 @@ class TestRoundtripAndTorn:
         with open(path, "wb") as f:
             f.write(b"not a pickle at all")
         assert cache.load(KEYS[1]) is None
+        assert cache.load_summary(KEYS[1]) is None
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_store_returns_the_payload_summary(self, tmp_path, artifacts):
+        """The summary written in front of the loop is exactly the
+        payload's summary, and it reads back equal."""
+        cache = CompileCache(str(tmp_path))
+        for key in KEYS:
+            compiled = artifacts[key]
+            request = CompileRequest(
+                loop=compiled.source,
+                machine=compiled.machine,
+                strategy=compiled.strategy,
+            )
+            expected = CompiledLoopPayload(request, compiled).summary()
+            assert cache.store(key, compiled) == expected
+            assert cache.load_summary(key) == expected
+
+    def test_summary_read_bumps_recency_and_counts(self, tmp_path, artifacts):
+        cache = CompileCache(str(tmp_path))
+        cache.store(KEYS[0], artifacts[KEYS[0]])
+        os.utime(cache._path(KEYS[0]), (1000, 1000))
+        with recording() as rec:
+            assert cache.load_summary(KEYS[0]) is not None
+            assert cache.load_summary(KEYS[1]) is None
+        assert os.path.getmtime(cache._path(KEYS[0])) > 1000
+        assert rec.counter("compile_cache.hits") == 1
+        assert rec.counter("compile_cache.misses") == 1
 
     def test_recorder_sees_cache_traffic(self, tmp_path, artifacts):
         cache = CompileCache(str(tmp_path))
@@ -128,6 +179,51 @@ class TestEviction:
     def test_rejects_nonpositive_budget(self, tmp_path):
         with pytest.raises(ValueError):
             CompileCache(str(tmp_path), max_bytes=0)
+
+
+@pytest.fixture(scope="module")
+def whole_entry(artifacts, tmp_path_factory) -> bytes:
+    """The bytes of one real stored entry."""
+    cache = CompileCache(str(tmp_path_factory.mktemp("entry")))
+    cache.store(KEYS[0], artifacts[KEYS[0]])
+    with open(cache._path(KEYS[0]), "rb") as f:
+        return f.read()
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_a_damaged_entry_is_a_miss_before_any_unpickle(data, whole_entry):
+    """Hypothesis: a real entry cut at any length, or with one to three
+    bytes flipped anywhere, is a miss for both reads; nothing raises and
+    no compiled loop is unpickled."""
+    size = len(whole_entry)
+    if data.draw(st.booleans(), label="cut"):
+        damaged = whole_entry[: data.draw(st.integers(0, size - 1), label="at")]
+    else:
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+                min_size=1,
+                max_size=3,
+                unique_by=lambda flip: flip[0],
+            ),
+            label="flips",
+        )
+        entry = bytearray(whole_entry)
+        for at, mask in flips:
+            entry[at] ^= mask
+        damaged = bytes(entry)
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        unpickled = _count_loop_unpickles(mp)
+        cache = CompileCache(root)
+        path = cache._path(KEYS[0])
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as f:
+            f.write(damaged)
+        assert cache.load_summary(KEYS[0]) is None
+        assert cache.load(KEYS[0]) is None
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert unpickled == []
 
 
 @settings(deadline=None, max_examples=25)
@@ -234,12 +330,34 @@ class TestArtifactStore:
         summary = store.put(key, payload)
         assert store.get_summary(key, request) == summary
         assert store.memo_hits == 1
-        # A cold store instance rebuilds the summary from disk, equally.
+        # A cold store instance reads the summary from disk, equally.
         cold = ArtifactStore(str(tmp_path))
         assert cold.get_summary(key, request) == summary
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["memo_hits"] == 1
+
+    def test_cold_summary_read_unpickles_no_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold store answers a stored key from the summary in front
+        of the entry; only ``load_compiled`` unpickles the loop."""
+        unpickled = _count_loop_unpickles(monkeypatch)
+        request = CompileRequest(
+            loop=generate("copy_like", 2, "store_2"),
+            machine=paper_machine(),
+            strategy=Strategy("selective"),
+        )
+        payload = compile_one(request)
+        summary = ArtifactStore(str(tmp_path)).put(KEYS[1], payload)
+        assert summary == payload.summary()
+        cold = ArtifactStore(str(tmp_path))
+        assert cold.get_summary(KEYS[1], request) == summary
+        assert (cold.cache.hits, cold.memo_hits) == (1, 0)
+        assert unpickled == []
+        loaded = cold.load_compiled(KEYS[1])
+        assert unpickled == [1]
+        assert summarize(loaded) == summary
 
     def test_shares_layout_with_compile_cache(self, tmp_path, artifacts):
         """The store and the evaluation cache are the same on-disk

@@ -67,7 +67,7 @@ class TestEvaluator:
                 created.append(max_workers)
                 self.shutdowns = 0
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, chunksize=1):
                 return list(map(fn, iterable))
 
             def shutdown(self, wait=True):

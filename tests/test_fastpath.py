@@ -684,6 +684,38 @@ def test_parallel_evaluator_matches_serial():
         assert t.effort == parallel.telemetry[key].effort
 
 
+def test_pooled_misses_reach_map_in_chunks(monkeypatch):
+    """A fan-out of many misses reaches ``pool.map`` in chunks of about
+    a quarter of each worker's share, not one task per loop, and
+    compiles exactly what a serial run compiles."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.compiler.service import summarize
+    from repro.evaluation.experiments import Evaluator
+
+    chunksizes = []
+    pool_map = ProcessPoolExecutor.map
+
+    def spy(self, fn, *iterables, **kwargs):
+        chunksizes.append(kwargs.get("chunksize", 1))
+        return pool_map(self, fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+    names = ("101.tomcatv",)
+    with Evaluator() as serial, Evaluator(jobs=2) as pooled:
+        serial.prewarm(names)
+        pooled.prewarm(names)
+        misses = sum(t.loops for t in pooled.telemetry.values())
+        assert misses == 36
+        assert chunksizes == [misses // (4 * 2)]
+        for name in names:
+            for variant in serial.standard_variants():
+                assert [
+                    summarize(c) for c in serial.compiled_loops(name, variant)
+                ] == [summarize(c) for c in pooled.compiled_loops(name, variant)]
+        assert _loop_signature(serial, names) == _loop_signature(pooled, names)
+
+
 def test_compile_cache_cold_warm_identical(tmp_path):
     from repro.evaluation.experiments import Evaluator
 

@@ -683,6 +683,49 @@ class TestDedupAndBatching:
 
         asyncio.run(scenario())
 
+    def test_a_corrupt_entry_is_recompiled_and_rewritten(self, tmp_path):
+        """A stored entry with one byte of a module name replaced is a
+        miss: the key compiles once, is then served from the memo, and
+        the entry is rewritten whole."""
+        request = parse_compile_request(_body(seed=53))
+        key = request.cache_key()
+        payload = compile_one(request)
+        direct = json.loads(json.dumps(payload.summary()))
+        ArtifactStore(str(tmp_path)).put(key, payload)
+        path = compile_cache.CompileCache(str(tmp_path))._path(key)
+        entry = Path(path).read_bytes()
+        assert entry.count(b"repro.ir.types") >= 1
+        Path(path).write_bytes(
+            entry.replace(b"repro.ir.types", b"repro.ir.typos", 1)
+        )
+
+        async def scenario():
+            server = await _boot(str(tmp_path), batch_linger_ms=0.0)
+            client = await _client(server)
+            try:
+                answers = [
+                    await client.request("POST", "/compile", _body(seed=53))
+                    for _ in range(3)
+                ]
+                assert [status for status, _, _ in answers] == [200] * 3
+                assert [body["served"] for _, _, body in answers] == [
+                    "compiled",
+                    "cache",
+                    "cache",
+                ]
+                assert all(body["result"] == direct for _, _, body in answers)
+                assert server.store.cache.misses == 1
+                assert server.stats.compiles == 1
+            finally:
+                await client.close()
+                await server.drain_and_stop()
+
+        asyncio.run(scenario())
+        rewritten = compile_cache.CompileCache(str(tmp_path))
+        assert rewritten.load_summary(key) == direct
+        assert rewritten.load(key) is not None
+        assert rewritten.misses == 0
+
 
 class TestBackpressure:
     def test_full_queue_answers_429_with_retry_after(self, tmp_path):
