@@ -7,6 +7,10 @@ stage's own bookkeeping.  ``run_all_checks`` drives every checker over a
 :class:`~repro.compiler.driver.CompiledLoop` and returns a
 :class:`CheckReport`; findings flow through the observability recorder
 as ``check`` remarks.  See ``docs/checking.md`` for the rule catalog.
+
+``interpreted`` and ``execution_mismatch`` check by running instead: a
+compiled loop must leave the memory and carried scalars the interpreter
+leaves on the source loop.
 """
 
 from repro.check.findings import (
@@ -15,6 +19,7 @@ from repro.check.findings import (
     Severity,
     TranslationValidationError,
 )
+from repro.check.execution import execution_mismatch, interpreted
 from repro.check.runner import run_all_checks
 
 __all__ = [
@@ -22,5 +27,7 @@ __all__ = [
     "CheckReport",
     "Severity",
     "TranslationValidationError",
+    "execution_mismatch",
+    "interpreted",
     "run_all_checks",
 ]

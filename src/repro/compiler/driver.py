@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dependence.analysis import analyze_loop
+from repro.dependence.analysis import LoopDependence, analyze_loop
 from repro.interp.interpreter import run_loop
 from repro.interp.memory import MemoryImage
 from repro.ir.loop import Loop
@@ -195,8 +195,12 @@ def _overflowing_files(allocation: AllocationResult) -> dict[str, list[int]]:
 
 def _compile_unit(
     transform: TransformResult,
+    residual_dep: LoopDependence,
     machine: MachineDescription,
 ) -> CompiledUnit:
+    """Schedule, allocate and time one transformed loop.  ``residual_dep``
+    is the dependence analysis of the loop the transform consumed; it
+    prices the cleanup loop's iterations, which are never emitted here."""
     rec = active_recorder()
     with maybe_span(
         rec, "compile_unit", loop=transform.loop.name, factor=transform.factor
@@ -265,12 +269,10 @@ def _compile_unit(
             allocation = allocate_kernel(schedule, dep.graph)
 
         cleanup_cycles = 0
-        if transform.cleanup is not None:
+        if transform.residual is not None:
+            assert residual_dep.loop is transform.residual.loop
             with maybe_span(rec, "cleanup_schedule", loop=transform.loop.name):
-                cdep = analyze_loop(transform.cleanup, machine.vector_length)
-                cleanup_cycles = list_schedule_length(
-                    transform.cleanup, cdep.graph, machine
-                )
+                cleanup_cycles = list_schedule_length(residual_dep, machine)
 
         timing = UnitTiming(
             ii=schedule.ii,
@@ -389,7 +391,7 @@ def _compile_loop(
                     dep, machine, assignment, factor, suffix=".base"
                 )
             return CompiledLoop(
-                loop, machine, strategy, [_compile_unit(tr, machine)]
+                loop, machine, strategy, [_compile_unit(tr, dep, machine)]
             )
 
         if strategy is Strategy.FULL:
@@ -400,7 +402,7 @@ def _compile_loop(
                     dep, machine, assignment, factor, suffix=".full"
                 )
             return CompiledLoop(
-                loop, machine, strategy, [_compile_unit(tr, machine)]
+                loop, machine, strategy, [_compile_unit(tr, dep, machine)]
             )
 
         if strategy is Strategy.SELECTIVE:
@@ -410,7 +412,10 @@ def _compile_loop(
                 tr_red = vectorize_reduction_loop(dep, machine)
                 if tr_red is not None:
                     return CompiledLoop(
-                        loop, machine, strategy, [_compile_unit(tr_red, machine)]
+                        loop,
+                        machine,
+                        strategy,
+                        [_compile_unit(tr_red, dep, machine)],
                     )
             partition = partition_operations(dep, machine, partition_config)
             with maybe_span(rec, "transform", loop=loop.name):
@@ -421,7 +426,7 @@ def _compile_loop(
                 loop,
                 machine,
                 strategy,
-                [_compile_unit(tr, machine)],
+                [_compile_unit(tr, dep, machine)],
                 partition=partition,
             )
 
@@ -446,7 +451,7 @@ def _compile_loop(
                 tr = transform_loop(
                     sub_dep, machine, assignment, factor, suffix=".trad"
                 )
-            units.append(_compile_unit(tr, machine))
+            units.append(_compile_unit(tr, sub_dep, machine))
         return CompiledLoop(loop, machine, strategy, units)
 
 

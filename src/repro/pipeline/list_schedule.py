@@ -7,47 +7,71 @@ zero-distance dependences and operation latencies.  Loop-carried edges
 are ignored — successive iterations of unpipelined code simply run
 back-to-back, which the sequential-iteration cost model reflects.
 
+:func:`list_schedule_length` prices the scalar cleanup loop of a
+transform from the dependence analysis of the loop the transform
+consumed, without emitting it.  The cleanup copy keeps every operation's
+kind, type and subscript and every dependence edge, so its body is the
+source operations in component order followed by the loop overhead, and
+its zero-distance edges are the source's plus ``IVINC -> CBR``.
+
 The schedule runs on the modulo scheduler's flat representation:
 operations by body position, each zero-distance edge's delay and each
 operation's reservation spec (:meth:`MachineDescription.reservation_spec`)
 resolved once, and one int bitmask of busy cycles per resource instance
 of :meth:`MachineDescription.instance_layout` (bit ``t`` set ⇔ busy at
 cycle ``t``).  Each use takes the first free instance of its class.  The
-dict-and-name original is the executable specification in
-``tests/list_schedule_spec.py``.
+dict-and-name original, and the cleanup loop it was run on, are the
+executable specification in ``tests/list_schedule_spec.py``.
 """
 
 from __future__ import annotations
 
-from repro.dependence.graph import DependenceGraph
-from repro.ir.loop import Loop
+from repro.dependence.analysis import LoopDependence
+from repro.ir.operations import OpKind
+from repro.ir.types import ScalarType
 from repro.machine.machine import MachineDescription
+from repro.machine.resources import OpcodeInfo
 from repro.pipeline.mii import edge_delay
+from repro.vectorize.transform import bumped_arrays
 
 
-def list_schedule_length(
-    loop: Loop,
-    graph: DependenceGraph,
+def list_schedule_length(dep: LoopDependence, machine: MachineDescription) -> int:
+    """Makespan (cycles) of one sequentially executed iteration of the
+    scalar cleanup copy of ``dep.loop``."""
+    loop = dep.loop
+    op_of = {op.uid: op for op in loop.body}
+    body = [op_of[uid] for component in dep.components for uid in component]
+    index = {op.uid: i for i, op in enumerate(body)}
+    infos = [machine.opcode_info_for(op.kind, op.dtype, False) for op in body]
+    # Zero-distance edges as (src, dst, delay); component order keeps
+    # every one of them forward.
+    zero = [
+        (index[edge.src], index[edge.dst], edge_delay(edge, dep.graph, machine))
+        for edge in dep.graph.edges
+        if edge.distance == 0
+    ]
+    if machine.model_loop_overhead:
+        bump = machine.opcode_info_for(OpKind.BUMP, ScalarType.I64, False)
+        infos += [bump] * len(bumped_arrays(loop.body))
+        ivinc = machine.opcode_info_for(OpKind.IVINC, ScalarType.I64, False)
+        infos += [ivinc, machine.opcode_info_for(OpKind.CBR, ScalarType.I64, False)]
+        zero.append((len(infos) - 2, len(infos) - 1, ivinc.latency))
+    return _makespan(infos, zero, machine)
+
+
+def _makespan(
+    infos: list[OpcodeInfo],
+    zero: list[tuple[int, int, int]],
     machine: MachineDescription,
 ) -> int:
-    """Makespan (cycles) of one sequentially executed iteration."""
-    body = loop.body
-    if not body:
+    """The list-schedule makespan of operations with opcode ``infos``, in
+    body order, under the zero-distance edges ``zero``."""
+    n = len(infos)
+    if not n:
         return 0
-    n = len(body)
-    index = {op.uid: i for i, op in enumerate(body)}
-    infos = [machine.opcode_info(op) for op in body]
     latency = [info.latency for info in infos]
-    # Zero-distance edges in graph order, as (src, dst, delay), and per
-    # operation its zero-distance predecessors as (src, delay).
-    zero: list[tuple[int, int, int]] = []
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        src, dst = index[edge.src], index[edge.dst]
-        delay = edge_delay(edge, graph, machine)
-        zero.append((src, dst, delay))
+    for src, dst, delay in zero:
         preds[dst].append((src, delay))
 
     # Critical-path priority over zero-distance edges.

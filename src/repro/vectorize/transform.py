@@ -20,7 +20,10 @@ Given a partition assignment, construct the transformed loop:
 :func:`assemble` is the one place a transformed loop is put together.
 :func:`transform_loop` hands it the plain emitter; the Section 6
 extensions hand it emitters that override the per-operation hooks
-``emit_op`` and ``liveout``.
+``emit_op`` and ``liveout``.  It builds and verifies the main loop only;
+the scalar cleanup loop is built from the recorded :class:`Residual` on
+the first read of :attr:`TransformResult.cleanup`, so a compile that
+never executes the residual iterations never emits it.
 
 The emitted loop is *normalized*: its induction variable ``j`` advances by
 one per body execution and each execution covers ``factor`` original
@@ -33,6 +36,7 @@ interpreter run unchanged on transformed loops.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.dependence.analysis import LoopDependence
@@ -71,15 +75,31 @@ class LiveOut:
     combine_entry: str | None = None
 
 
-@dataclass
-class TransformResult:
-    """A transformed (or merely lowered) loop plus bookkeeping."""
+@dataclass(frozen=True)
+class Residual:
+    """What the scalar cleanup loop for the residual ``trip mod factor``
+    iterations is built from: the loop the transform consumed, its
+    component order as uid tuples, and the machine.  It holds no
+    dependence graph, because the scalar emitter reads none."""
 
     loop: Loop
-    cleanup: Loop | None
+    components: tuple[tuple[int, ...], ...]
+    machine: MachineDescription
+
+
+@dataclass
+class TransformResult:
+    """A transformed (or merely lowered) loop plus bookkeeping.
+
+    ``cleanup`` and ``cleanup_liveout_map`` (``None`` when ``factor`` is
+    1) are emitted from ``residual`` and verified on the first read of
+    either, then kept.  A pickle carries the residual, never the built
+    cleanup, so its bytes do not depend on whether the loop ran."""
+
+    loop: Loop
     factor: int
     liveout_map: dict[str, LiveOut]
-    cleanup_liveout_map: dict[str, LiveOut] | None
+    residual: Residual | None
     n_vector_ops: int = 0
     n_transfers: int = 0
     n_merges: int = 0
@@ -94,6 +114,31 @@ class TransformResult:
     @property
     def vectorized(self) -> bool:
         return self.n_vector_ops > 0
+
+    def _built_cleanup(self) -> tuple[Loop, dict[str, LiveOut]] | None:
+        if self.residual is None:
+            return None
+        built = self.__dict__.get("_cleanup")
+        if built is None:
+            built = self.__dict__["_cleanup"] = build_cleanup(self.residual)
+        return built
+
+    @property
+    def cleanup(self) -> Loop | None:
+        """The scalar loop for the residual iterations."""
+        built = self._built_cleanup()
+        return None if built is None else built[0]
+
+    @property
+    def cleanup_liveout_map(self) -> dict[str, LiveOut] | None:
+        """Where the cleanup loop leaves each original live-out."""
+        built = self._built_cleanup()
+        return None if built is None else built[1]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cleanup", None)
+        return state
 
 
 def _topo_by_intra_edges(
@@ -129,11 +174,15 @@ def _topo_by_intra_edges(
 
 
 class _Emitter:
-    """Emits the transformed loop body for one partition assignment."""
+    """Emits the transformed loop body for one partition assignment.
+
+    ``dep`` supplies the loop and its component order; its graph is read
+    only to order a component with vector members, so a :class:`Residual`
+    serves the all-scalar cleanup emitter."""
 
     def __init__(
         self,
-        dep: LoopDependence,
+        dep: LoopDependence | Residual,
         machine: MachineDescription,
         assignment: dict[int, Side],
         factor: int,
@@ -536,16 +585,7 @@ class _Emitter:
     def emit_overhead(self) -> None:
         if not self.machine.model_loop_overhead:
             return
-        original_arrays = sorted(
-            {
-                op.array
-                for op in self.body
-                if op.kind.is_memory
-                and op.array is not None
-                and not op.array.startswith(SCRATCH_PREFIX)
-            }
-        )
-        for array in original_arrays:
+        for array in bumped_arrays(self.body):
             dest = VirtualRegister(f"ptr.{array}", ScalarType.I64)
             self.body.append(Operation(OpKind.BUMP, ScalarType.I64, dest=dest))
         self.body.append(
@@ -603,30 +643,54 @@ class _Emitter:
         return loop, mapping
 
 
+def bumped_arrays(ops: Iterable[Operation]) -> list[str]:
+    """The arrays whose pointers the loop overhead bumps: every array a
+    memory operation of ``ops`` names, scratch arrays aside, sorted."""
+    return sorted(
+        {
+            op.array
+            for op in ops
+            if op.kind.is_memory
+            and op.array is not None
+            and not op.array.startswith(SCRATCH_PREFIX)
+        }
+    )
+
+
+def build_cleanup(residual: Residual) -> tuple[Loop, dict[str, LiveOut]]:
+    """Emit and verify the scalar cleanup loop of ``residual``: one
+    original iteration per execution, every operation a scalar copy, in
+    the recorded component order."""
+    scalar = {op.uid: Side.SCALAR for op in residual.loop.body}
+    cleanup, liveout = _Emitter(
+        residual, residual.machine, scalar, 1, ".cl"
+    ).build()
+    verify_loop(cleanup)
+    return cleanup, liveout
+
+
 def assemble(emitter: _Emitter, **result_fields) -> TransformResult:
-    """Build ``emitter``'s loop and, when it covers more than one original
-    iteration per execution, the scalar cleanup loop for the residual
-    iterations; verify both.  ``result_fields`` fill in the rest of the
-    :class:`TransformResult` (``source``, ``reduction_combines``)."""
+    """Build and verify ``emitter``'s loop.  When it covers more than one
+    original iteration per execution, record the :class:`Residual` the
+    scalar cleanup loop is built from on first read.  ``result_fields``
+    fill in the rest of the :class:`TransformResult` (``source``,
+    ``reduction_combines``)."""
     main_loop, liveout = emitter.build()
     verify_loop(main_loop)
 
-    cleanup: Loop | None = None
-    cleanup_liveout: dict[str, LiveOut] | None = None
+    residual: Residual | None = None
     if emitter.factor > 1:
-        dep = emitter.dep
-        scalar_assignment = {op.uid: Side.SCALAR for op in dep.loop.body}
-        cleanup, cleanup_liveout = _Emitter(
-            dep, emitter.machine, scalar_assignment, 1, ".cl"
-        ).build()
-        verify_loop(cleanup)
+        residual = Residual(
+            emitter.loop,
+            tuple(map(tuple, emitter.dep.components)),
+            emitter.machine,
+        )
 
     return TransformResult(
         loop=main_loop,
-        cleanup=cleanup,
         factor=emitter.factor,
         liveout_map=liveout,
-        cleanup_liveout_map=cleanup_liveout,
+        residual=residual,
         n_vector_ops=emitter.n_vector_ops,
         n_transfers=emitter.n_transfers,
         n_merges=emitter.n_merges,
@@ -643,7 +707,7 @@ def transform_loop(
 ) -> TransformResult:
     """Apply a partition assignment, producing the main transformed loop
     (normalized to ``factor`` original iterations per execution) and, when
-    ``factor > 1``, the cleanup loop for residual iterations."""
+    ``factor > 1``, the residual its cleanup loop is built from."""
     loop = dep.loop
     if any(side is Side.VECTOR for side in assignment.values()) and factor not in (
         machine.vector_length,

@@ -1,20 +1,49 @@
 """Executable specification of the cleanup-loop list scheduler.
 
-This is the dict-and-name ``list_schedule_length`` the flat
+:func:`list_schedule_length` is the dict-and-name scheduler the flat
 implementation in :mod:`repro.pipeline.list_schedule` replaced, kept
 verbatim: ``edge_delay`` evaluated inside the critical-path fixpoint and
 the predecessor scan, and reservations as per-cycle sets of resource
 instance names, each use taking the first free instance of its class.
-``tests/test_flat_kernels.py`` requires the flat scheduler's makespan to
-equal this one's.
+
+:func:`cleanup_list_schedule` is the materializing path a compile took
+before it priced cleanup iterations from the source's analysis: emit the
+scalar ``.cl`` loop eagerly (:func:`eager_cleanup`), verify it, analyze
+it, and list-schedule its own body.  ``tests/test_flat_kernels.py``
+requires the flat scheduler's makespan, and every compiled unit's
+``cleanup_cycles``, to equal it, and the on-demand cleanup loop to equal
+the eager one.
 """
 
 from __future__ import annotations
 
+from repro.dependence.analysis import LoopDependence, analyze_loop
 from repro.dependence.graph import DependenceGraph
 from repro.ir.loop import Loop
+from repro.ir.verifier import verify_loop
 from repro.machine.machine import MachineDescription
 from repro.pipeline.mii import edge_delay
+from repro.vectorize.communication import Side
+from repro.vectorize.transform import LiveOut, _Emitter
+
+
+def eager_cleanup(
+    dep: LoopDependence, machine: MachineDescription
+) -> tuple[Loop, dict[str, LiveOut]]:
+    """The scalar cleanup loop of ``dep.loop`` and its live-out map,
+    emitted from the dependence analysis itself and verified."""
+    scalar = {op.uid: Side.SCALAR for op in dep.loop.body}
+    cleanup, liveout = _Emitter(dep, machine, scalar, 1, ".cl").build()
+    verify_loop(cleanup)
+    return cleanup, liveout
+
+
+def cleanup_list_schedule(dep: LoopDependence, machine: MachineDescription) -> int:
+    """Makespan of one iteration of the eagerly emitted cleanup loop of
+    ``dep.loop``, list-scheduled on its own dependence graph."""
+    cleanup, _ = eager_cleanup(dep, machine)
+    graph = analyze_loop(cleanup, machine.vector_length).graph
+    return list_schedule_length(cleanup, graph, machine)
 
 
 def list_schedule_length(

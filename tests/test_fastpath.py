@@ -21,8 +21,10 @@ Covered here:
   replayed pack steps; the floor fires, and ``REPRO_KL_VERIFY`` catches
   a floor above a packed cost;
 * ``edge_delays`` equals per-edge ``edge_delay``;
-* unit and cleanup analyses are graph-only: Tarjan runs only where the
-  components or the classification are read;
+* unit analyses are graph-only and cleanup loops are built on demand:
+  Tarjan runs only where the components or the classification are read,
+  and a compile emits, verifies, analyzes and pickles no cleanup loop
+  until something reads it;
 * each per-unit fact is computed once: RecMII runs Bellman-Ford once per
   improving cycle plus one critical-cycle extraction, ResMII packs every
   operation in one replay, a transform orders the components once for
@@ -490,15 +492,16 @@ def test_edge_delays_table_matches_per_edge(archetype, seed):
 
 
 # ----------------------------------------------------------------------
-# Graph-only unit and cleanup analyses
+# Graph-only unit analyses and on-demand cleanup loops
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_tarjan_runs_only_where_components_are_read(strategy, monkeypatch):
-    """The scheduler, the allocator and the cleanup list scheduler read
-    only the dependence graph, so the analyses of the transformed unit
-    and of its cleanup loop never run Tarjan: one run for the loop, plus
-    one per distributed piece under traditional vectorization."""
+    """The scheduler and the allocator read only the dependence graph,
+    and the cleanup list scheduler the component order the transform
+    already read, so neither the transformed unit nor its cleanup runs
+    Tarjan: one run for the loop, plus one per distributed piece under
+    traditional vectorization."""
     import repro.dependence.analysis as analysis
     from repro.workloads.kernels import dot_product
 
@@ -519,6 +522,56 @@ def test_tarjan_runs_only_where_components_are_read(strategy, monkeypatch):
     else:
         assert any(u.transform.cleanup is not None for u in compiled.units)
         assert len(runs) == 1
+
+
+def test_compile_builds_the_cleanup_loop_only_when_read(monkeypatch):
+    """The on-demand cleanup fires: compiling a factor-2 request emits,
+    verifies and analyzes no ``.cl`` loop and pickles none; the first
+    read of the cleanup emits and verifies it once, and a second read
+    returns the same loop."""
+    import pickle
+
+    import repro.compiler.driver as driver
+    import repro.vectorize.transform as transform
+    from repro.compiler.service import CompileRequest, compile_one
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    emitted, verified, analyzed = [], [], []
+    build, verify = transform._Emitter.build, transform.verify_loop
+    analyze = driver.analyze_loop
+
+    def counting_build(emitter):
+        loop, liveout = build(emitter)
+        if emitter.suffix == ".cl":
+            emitted.append(loop)
+        return loop, liveout
+
+    def counting_verify(loop):
+        verified.append(loop.name)
+        return verify(loop)
+
+    def counting_analyze(loop, vector_length):
+        analyzed.append(loop.name)
+        return analyze(loop, vector_length)
+
+    monkeypatch.setattr(transform._Emitter, "build", counting_build)
+    monkeypatch.setattr(transform, "verify_loop", counting_verify)
+    monkeypatch.setattr(driver, "analyze_loop", counting_analyze)
+    loop = generate("mixed", 7)
+    compiled = compile_one(CompileRequest(loop, MACHINE, Strategy.BASELINE)).compiled
+    [unit] = compiled.units
+    assert unit.factor == 2 and unit.timing.cleanup_cycles > 0
+    assert emitted == []
+    assert not [name for name in verified + analyzed if name.endswith(".cl")]
+    assert f"{loop.name}.cl".encode() not in pickle.dumps(compiled)
+
+    cleanup = unit.transform.cleanup
+    assert emitted == [cleanup] and verified.count(cleanup.name) == 1
+    assert unit.transform.cleanup is cleanup
+    assert unit.transform.cleanup_liveout_map is unit.transform.cleanup_liveout_map
+    assert len(emitted) == 1 and verified.count(cleanup.name) == 1
+    # A built cleanup stays out of the pickle too.
+    assert f"{loop.name}.cl".encode() not in pickle.dumps(compiled)
 
 
 # ----------------------------------------------------------------------

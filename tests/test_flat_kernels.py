@@ -39,12 +39,21 @@ inputs and requires identical observable behavior —
   on generated loops and on every unit and cleanup loop compiled from
   them under all four strategies on every ``MACHINE_FACTORIES`` machine,
   and on generated loops with divides, scalar or vectorized;
-* :func:`list_schedule_length` (bitmask busy cycles) vs the original
+* the flat list-schedule kernel (bitmask busy cycles) vs the original
   dict-and-name list scheduler (``tests/list_schedule_spec.py``): same
-  makespan for every unit and cleanup loop of generated loops compiled
-  under all four strategies on the ``paper`` and Figure 1 machines, of
-  generated loops with divides (which the generator never emits) and of
-  random graphs — both covering non-pipelined multi-cycle reservations;
+  makespan for every unit and on-demand cleanup loop of generated loops
+  compiled under all four strategies on the ``paper`` and Figure 1
+  machines, of generated loops with divides (which the generator never
+  emits) and of random graphs — both covering non-pipelined multi-cycle
+  reservations;
+* cleanup pricing without the loop vs the materializing path
+  (``tests/list_schedule_spec.py``): every unit's ``cleanup_cycles``, and
+  :func:`list_schedule_length` on generated loops with divides, equal
+  the makespan of the eagerly emitted, verified and analyzed ``.cl``
+  loop, and the on-demand cleanup loop and live-out map equal the eager
+  ones, for generated loops compiled under all four strategies,
+  reduction vectorization and whole-iteration assignment on the
+  ``paper``, ``vl4``, ``freecomm``, ``aligned`` and Figure 1 machines;
 * the closed-form per-file MaxLive vs the per-kernel-cycle count
   (``tests/regalloc_spec.py``) on the same compiled kernels and on random
   lifetimes.
@@ -56,7 +65,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.driver import compile_loop
+from repro.compiler.driver import _compile_unit, compile_loop
 from repro.compiler.strategies import Strategy
 from repro.dependence.analysis import analyze_loop, build_dependence_graph
 from repro.dependence.graph import DepEdge, DependenceGraph, DepKind, Via
@@ -64,14 +73,21 @@ from repro.ir.loop import Loop
 from repro.ir.operations import Operation, OpKind
 from repro.ir.types import ScalarType, VectorType
 from repro.ir.values import VirtualRegister, const_f64, const_i64
-from repro.machine.configs import MACHINE_FACTORIES, figure1_machine, paper_machine
+from repro.ir.printer import format_loop
+from repro.machine.configs import (
+    MACHINE_FACTORIES,
+    figure1_machine,
+    machine_by_name,
+    paper_machine,
+)
 from repro.machine.machine import LatencyTable, MachineDescription
 from repro.machine.resources import ResourceClass
-from repro.pipeline.list_schedule import list_schedule_length
+from repro.pipeline.list_schedule import _makespan, list_schedule_length
 from repro.pipeline.mii import (
     DependenceCycleError,
     GraphArrays,
     _relax_pred,
+    edge_delay,
     edge_delays,
     rec_mii,
     res_mii,
@@ -81,6 +97,8 @@ from repro.pipeline.scheduler import SchedulingError, _heights, modulo_schedule
 from repro.regalloc.allocator import _max_live, kernel_lifetimes
 from repro.vectorize.communication import Side
 from repro.vectorize.full import full_assignment
+from repro.vectorize.iteration_assign import whole_iteration_transform
+from repro.vectorize.reduction import vectorize_reduction_loop
 from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import GENERATORS, generate
 from repro.workloads.kernels import dot_product
@@ -451,9 +469,32 @@ compiled_strategy = st.builds(
 
 
 def _assert_list_schedule_matches_spec(loop, graph, machine):
-    assert list_schedule_length(
+    """The flat kernel prices ``loop``'s body, in body order, as the
+    dict-and-name scheduler does."""
+    index = {op.uid: i for i, op in enumerate(loop.body)}
+    zero = [
+        (index[e.src], index[e.dst], edge_delay(e, graph, machine))
+        for e in graph.edges
+        if e.distance == 0
+    ]
+    infos = [machine.opcode_info(op) for op in loop.body]
+    assert _makespan(infos, zero, machine) == list_schedule_spec.list_schedule_length(
         loop, graph, machine
-    ) == list_schedule_spec.list_schedule_length(loop, graph, machine)
+    )
+
+
+def _assert_cleanup_matches_spec(tr, machine, cleanup_cycles):
+    """The cleanup timing priced without the loop, and the loop and
+    live-out map built on demand, equal those of the eagerly emitted,
+    verified and analyzed ``.cl`` loop."""
+    if tr.residual is None:
+        assert tr.factor == 1 and tr.cleanup is None and cleanup_cycles == 0
+        return
+    dep = analyze_loop(tr.residual.loop, machine.vector_length)
+    assert cleanup_cycles == list_schedule_spec.cleanup_list_schedule(dep, machine)
+    eager, eager_liveout = list_schedule_spec.eager_cleanup(dep, machine)
+    assert format_loop(tr.cleanup) == format_loop(eager)
+    assert tr.cleanup_liveout_map == eager_liveout
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,6 +506,30 @@ def test_flat_list_schedule_matches_spec(compiled):
             if loop is not None:
                 graph = analyze_loop(loop, machine.vector_length).graph
                 _assert_list_schedule_matches_spec(loop, graph, machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loop=loop_strategy,
+    machine_name=st.sampled_from(["paper", "vl4", "freecomm", "aligned", "figure1"]),
+)
+def test_cleanup_priced_and_built_on_demand_matches_eager(loop, machine_name):
+    machine = machine_by_name(machine_name)
+    for strategy in Strategy:
+        for unit in compile_loop(loop, machine, strategy).units:
+            _assert_cleanup_matches_spec(
+                unit.transform, machine, unit.timing.cleanup_cycles
+            )
+    dep = analyze_loop(loop, machine.vector_length)
+    transforms = [vectorize_reduction_loop(dep, machine)]
+    # Whole-iteration assignment merges every vector memory reference,
+    # which a machine without a merge unit cannot issue.
+    if machine.has_resource(machine.merge_resource):
+        transforms.append(whole_iteration_transform(dep, machine))
+    for tr in transforms:
+        if tr is not None:
+            unit = _compile_unit(tr, dep, machine)
+            _assert_cleanup_matches_spec(tr, machine, unit.timing.cleanup_cycles)
 
 
 @st.composite
@@ -500,6 +565,9 @@ def test_flat_list_schedule_matches_spec_with_divides(loop, vectorize):
     for body in (tr.loop, tr.cleanup):
         graph = analyze_loop(body, machine.vector_length).graph
         _assert_list_schedule_matches_spec(body, graph, machine)
+    assert list_schedule_length(
+        dep, machine
+    ) == list_schedule_spec.cleanup_list_schedule(dep, machine)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,12 +13,12 @@ from repro.interp.interpreter import run_loop
 from repro.interp.memory import memory_for_loop
 from repro.opt.pass_manager import _fingerprint, optimize_loop
 from repro.opt.passes import STANDARD_PASSES
-from repro.pipeline.list_schedule import list_schedule_length
 from repro.pipeline.mii import res_mii
 from repro.simulate.timing import LOOP_SETUP_CYCLES, UnitTiming
 from repro.vectorize.communication import Side
 from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import GENERATORS, generate
+from tests import list_schedule_spec
 
 MACHINE = paper_machine()
 
@@ -56,7 +56,7 @@ def test_list_schedule_bounds(loop):
     assignment = {op.uid: Side.SCALAR for op in loop.body}
     lowered = transform_loop(dep, MACHINE, assignment, 1)
     dep2 = analyze_loop(lowered.loop, 2)
-    length = list_schedule_length(lowered.loop, dep2.graph, MACHINE)
+    length = list_schedule_spec.list_schedule_length(lowered.loop, dep2.graph, MACHINE)
     assert length >= res_mii(lowered.loop, MACHINE)
     # and at least the longest single-op latency
     assert length >= max(

@@ -95,6 +95,6 @@ class TestSemantics:
     def test_schedulable(self, stream_loop, machine):
         dep = analyze_loop(stream_loop, 2)
         tr = whole_iteration_transform(dep, machine)
-        unit = _compile_unit(tr, machine)
+        unit = _compile_unit(tr, dep, machine)
         assert unit.schedule.ii >= 1
         assert unit.timing.factor == 3

@@ -20,7 +20,6 @@ from repro.ir.operations import Operation, OpKind
 from repro.ir.types import ScalarType
 from repro.ir.values import VirtualRegister, const_f64
 from repro.machine.configs import machine_by_name, paper_machine
-from repro.pipeline.list_schedule import list_schedule_length
 from repro.pipeline.mii import edge_delay, minimum_ii, rec_mii, res_mii
 from repro.pipeline.reservation import ModuloReservationTable, render_reservation_table
 from repro.pipeline.scheduler import (
@@ -31,6 +30,7 @@ from repro.pipeline.scheduler import (
 from repro.vectorize.communication import Side
 from repro.vectorize.transform import transform_loop
 from repro.workloads.generator import generate
+from tests import list_schedule_spec
 from tests.test_flat_kernels import divided_loop_strategy
 
 F64 = ScalarType.F64
@@ -363,14 +363,15 @@ def build_big_loop():
 class TestListScheduler:
     def test_respects_latency_chain(self, dot_loop, paper):
         loop, dep = lowered(dot_loop, paper)
-        length = list_schedule_length(loop, dep.graph, paper)
+        length = list_schedule_spec.list_schedule_length(loop, dep.graph, paper)
         # load(3) -> mul(4) -> add(4) critical path at least
         assert length >= 11
 
     def test_empty_loop(self, paper):
         from repro.ir.loop import Loop
 
-        assert list_schedule_length(Loop("e", ()), DependenceGraph(), paper) == 0
+        empty = Loop("e", ())
+        assert list_schedule_spec.list_schedule_length(empty, DependenceGraph(), paper) == 0
 
     def test_resource_pressure_extends_makespan(self, paper):
         b = LoopBuilder("wide")
@@ -382,6 +383,6 @@ class TestListScheduler:
             acc = b.add(acc, v)
         b.store("z", b.idx(), acc)
         loop, dep = lowered(b.build(), paper)
-        length = list_schedule_length(loop, dep.graph, paper)
+        length = list_schedule_spec.list_schedule_length(loop, dep.graph, paper)
         # 8 loads on 2 ls units = 4 issue cycles, then a 7-add chain
         assert length >= 4 + 3 + 7 * 4 - 4
